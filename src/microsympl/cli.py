@@ -37,7 +37,7 @@ def _at_least(minimum: int):
 
 
 def _read_input(arg: str) -> str:
-    if "\n" in arg or arg.lstrip().startswith(("source=", "domain=", "germ")):
+    if "\n" in arg or arg.lstrip().startswith(("source=", "domain=")):
         return arg
     return Path(arg).read_text()
 

@@ -30,7 +30,8 @@ Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
 
 
-def _as_fraction(value) -> Fraction:
+def frac(value) -> Fraction:
+    """The exact rational ``value`` as a Fraction; floats and others raise TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -98,7 +99,7 @@ class FiberGradedPoly:
                 raise ShapeError("negative exponent")
             if sum(pe) > order:
                 raise ShapeError(f"fiber degree {sum(pe)} exceeds order {order}")
-            c = _as_fraction(coeff)
+            c = frac(coeff)
             if not c:
                 continue
             k = (pe, xe)
@@ -135,7 +136,7 @@ class FiberGradedPoly:
     @classmethod
     def constant(cls, fiber_arity: int, base_arity: int, order: int, value) -> "FiberGradedPoly":
         key = ((0,) * fiber_arity, (0,) * base_arity)
-        return cls(fiber_arity, base_arity, order, {key: _as_fraction(value)})
+        return cls(fiber_arity, base_arity, order, {key: frac(value)})
 
     @classmethod
     def fiber_var(cls, fiber_arity: int, base_arity: int, order: int, index: int) -> "FiberGradedPoly":
@@ -157,7 +158,7 @@ class FiberGradedPoly:
     def monomial(cls, fiber_arity: int, base_arity: int, order: int, coeff,
                  fiber_exps: Sequence[int], base_exps: Sequence[int]) -> "FiberGradedPoly":
         return cls(fiber_arity, base_arity, order,
-                   {(tuple(fiber_exps), tuple(base_exps)): _as_fraction(coeff)})
+                   {(tuple(fiber_exps), tuple(base_exps)): frac(coeff)})
 
     # -- shape helpers -----------------------------------------------------
 
@@ -214,7 +215,7 @@ class FiberGradedPoly:
         return self + (-other)
 
     def scale(self, value) -> "FiberGradedPoly":
-        c = _as_fraction(value)
+        c = frac(value)
         if not c:
             return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, {})
         out = {key: c * v for key, v in self.terms.items()}
@@ -398,8 +399,8 @@ class FiberGradedPoly:
         """Plain polynomial evaluation at an exact rational point."""
         if len(fiber_point) != self.fiber_arity or len(base_point) != self.base_arity:
             raise ShapeError("evaluation point does not match arities")
-        fp = [_as_fraction(v) for v in fiber_point]
-        bp = [_as_fraction(v) for v in base_point]
+        fp = [frac(v) for v in fiber_point]
+        bp = [frac(v) for v in base_point]
         total = Fraction(0)
         for (pe, xe), c in self.terms.items():
             val = c

@@ -9,26 +9,31 @@ the two-block space ((m, -1), (n, +1)) with coordinates (x1, p1, x2, p2).
 
 Subspace equality is always decided by mutual containment through exact rank
 computations, never by comparing bases, since bases are not canonical.
+
+All elimination runs through one fraction-free kernel, ``_eliminate``.  Each
+row is scaled by the lcm of its denominators to an integer row with the same
+span; Bareiss elimination (Math. Comp. 22, 1968) then updates
+``row_i = (a * row_i - b * row_r) // prev`` with ``prev`` the previous pivot,
+and checks that every such division is exact.  ``rank`` stops at echelon form;
+``rref`` also clears above each pivot and divides by the common final pivot
+once per entry.  The reduced row echelon form of a matrix is unique and
+pivots are chosen as before (first nonzero row, column by column), so every
+result is the same Fraction as the plain Gauss-Jordan elimination gives, and
+formatted outputs stay byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CheckResult, InternalInvariantError, ShapeError, ValidityError
+from .jetalg import frac
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-
-
-def frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def vector(entries: Iterable) -> Vector:
@@ -80,33 +85,73 @@ def transpose(rows: Matrix) -> Matrix:
     return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
 
 
-def rref(rows: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    work = [list(r) for r in rows]
+def _integer_rows(rows: Matrix) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators; the row space is kept."""
+    out = []
+    for row in rows:
+        row = [frac(v) for v in row]
+        den = lcm(*[v.denominator for v in row])
+        out.append([v.numerator for v in row] if den == 1 else
+                   [v.numerator * (den // v.denominator) for v in row])
+    return out
+
+
+def _eliminate(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) elimination of the integer rows of ``rows``.
+
+    Returns the eliminated integer rows and the pivot columns.  With
+    ``full=False`` the rows are in echelon form; with ``full=True`` every
+    pivot column is also cleared above its pivot, and all pivots end equal.
+    """
+    work = _integer_rows(rows)
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if work[pivot][c]:
+                break
+        else:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        prow = work[r]
+        a = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            if i == r:
+                continue
+            row = work[i]
+            b = row[c]
+            if b:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+            else:
+                row = [a * x for x in row]
+            if prev != 1:
+                # Sylvester's identity: every entry is a minor, so prev divides it
+                if any(x % prev for x in row):
+                    raise InternalInvariantError(
+                        f"inexact division by {prev} in fraction-free elimination")
+                row = [x // prev for x in row]
+            work[i] = row
         pivots.append(c)
+        prev = a
         r += 1
-    return tuple(tuple(row) for row in work), tuple(pivots)
+    return work, pivots
+
+
+def rref(rows: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot column indices."""
+    work, pivots = _eliminate(rows, True)
+    d = work[0][pivots[0]] if pivots else 1
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(v, d) if v else zero for v in row) for row in work), tuple(pivots)
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows, False)[1])
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
@@ -215,9 +260,6 @@ class SymplecticSpace:
     @staticmethod
     def relation_space(source_half_dim: int, target_half_dim: int) -> "SymplecticSpace":
         return SymplecticSpace(((source_half_dim, -1), (target_half_dim, 1)))
-
-    def product(self, other: "SymplecticSpace") -> "SymplecticSpace":
-        return SymplecticSpace(self.blocks + other.blocks)
 
     @property
     def half_dim(self) -> int:

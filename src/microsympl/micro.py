@@ -33,10 +33,10 @@ from typing import Sequence
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      InternalInvariantError, NormalFormError, ShapeError,
                      UnsupportedCoreError, ValidityError)
-from .jetalg import FiberGradedPoly, solve_triangular_fixed_point, substitute_many
+from .jetalg import FiberGradedPoly, frac, solve_triangular_fixed_point, substitute_many
 from .linsympl import (LinCanonicalRelation, Matrix, check_linear_micromorphism,
-                       frac, mat_inverse, mat_mul, mat_vec, transpose,
-                       unit_vector, zero_vector)
+                       mat_inverse, mat_mul, mat_vec, transpose, unit_vector,
+                       zero_vector)
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,6 @@ class CoreMap:
         comps = tuple(c.substitute((), inner.components, space=(0, inner.domain_dim, 0))
                       for c in self.components)
         return CoreMap(inner.domain_dim, comps)
-
-    def product(self, other: "CoreMap") -> "CoreMap":
-        dom = self.domain_dim + other.domain_dim
-        comps = tuple(c.embed(0, dom, 0, 0) for c in self.components)
-        comps += tuple(c.embed(0, dom, 0, self.domain_dim) for c in other.components)
-        return CoreMap(dom, comps)
 
     def evaluate(self, point: Sequence) -> tuple[Fraction, ...]:
         return tuple(c.evaluate((), point) for c in self.components)

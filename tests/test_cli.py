@@ -100,6 +100,14 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_check_reads_a_file_whose_name_starts_with_germ(tmp_path, monkeypatch, capsys):
+    (tmp_path / "germ_a.txt").write_text(DEFORM_A)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "check", "germ_a.txt")
+    assert code == 0, err
+    assert "ok" in out
+
+
 def test_missing_file_is_a_validation_error(capsys):
     code, _, err = run(capsys, "check", "no-such-file.morph")
     assert code == 1
