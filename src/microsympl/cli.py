@@ -36,6 +36,14 @@ def _at_least(minimum: int):
     return convert
 
 
+def _order(text: str) -> int:
+    value = _at_least(1)(text)
+    if value > textio.MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"order {value} exceeds the limit of {textio.MAX_ORDER}")
+    return value
+
+
 def _read_input(arg: str) -> str:
     if "\n" in arg or arg.lstrip().startswith(("source=", "domain=")):
         return arg
@@ -63,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="cotangent lift of a polynomial core map")
     p.add_argument("map", help="core map record (file or inline)")
-    p.add_argument("--order", type=_at_least(1), default=3,
+    p.add_argument("--order", type=_order, default=3,
                    help="fiber truncation order K (default 3)")
     p.add_argument("--out", help="write the result to this path")
 
@@ -91,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("operad", help="verify the lagrangian operad axioms")
     p.add_argument("--dim", type=_at_least(0), default=1, help="core dimension")
-    p.add_argument("--order", type=_at_least(1), default=3)
+    p.add_argument("--order", type=_order, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_at_least(1), default=50)
     p.add_argument("--arity", type=_at_least(0), default=3,

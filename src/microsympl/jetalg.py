@@ -47,10 +47,6 @@ def grlex_key(key: TermKey) -> tuple[int, Exponents]:
     return (sum(pe) + sum(xe), tuple(-e for e in pe + xe))
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
-
-
 def _term_text(key: TermKey, coeff: Fraction) -> str:
     pe, xe = key
     factors = []
@@ -61,11 +57,11 @@ def _term_text(key: TermKey, coeff: Fraction) -> str:
         if e:
             factors.append(f"x{j + 1}" + (f"^{e}" if e > 1 else ""))
     if not factors:
-        return _coeff_text(coeff)
+        return str(coeff)
     body = "*".join(factors)
     if coeff == 1:
         return body
-    return f"{_coeff_text(coeff)}*{body}"
+    return f"{coeff}*{body}"
 
 
 class FiberGradedPoly:

@@ -375,12 +375,6 @@ class LinCanonicalRelation:
     def vectors(self) -> tuple[Vector, ...]:
         return self.subspace.vectors
 
-    def source_part(self, v: Vector) -> Vector:
-        return v[:2 * self.source_half_dim]
-
-    def target_part(self, v: Vector) -> Vector:
-        return v[2 * self.source_half_dim:]
-
 
 def identity_relation(n: int) -> LinCanonicalRelation:
     vecs = [unit_vector(2 * n, i) + unit_vector(2 * n, i) for i in range(2 * n)]
@@ -452,7 +446,9 @@ class AffineSubspace:
         diff = tuple(frac(a) - b for a, b in zip(v, self.point))
         return subspace_contains(self.directions, diff)
 
-    def same_as(self, other: "AffineSubspace") -> bool:
+    def __eq__(self, other):
+        if not isinstance(other, AffineSubspace):
+            return NotImplemented
         if self.dim != other.dim:
             return False
         if self.is_empty or other.is_empty:
@@ -461,11 +457,6 @@ class AffineSubspace:
             return False
         diff = tuple(a - b for a, b in zip(self.point, other.point))
         return subspace_contains(self.directions, diff)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineSubspace):
-            return NotImplemented
-        return self.same_as(other)
 
 
 def image_of_point(v: LinCanonicalRelation, u: Sequence[Fraction]) -> AffineSubspace:

@@ -22,6 +22,12 @@ Composition eliminates the middle cotangent block through the stationarity
 system of S_f(p1, y) + S_g(q, x3) - <q, y>, solved as a filtered fixed point
 that always converges for valid operands; internally one extra truncation
 order is carried so fiber derivatives stay faithful at the stored order.
+
+Symplectomorphism germs (GermJet) need an affine core with invertible linear
+part.  extract_germ, graph_of_germ and invert_germ all solve for positions
+with one filtered fixed point, _affine_solve, seeded at the affine inverse of
+the core and refined by one correction step, _corrected; invert_germ applies
+the same step to its momentum block before its position block.
 """
 
 from __future__ import annotations
@@ -113,15 +119,6 @@ class CoreMap:
         comps = tuple(FiberGradedPoly.base_var(0, n, 0, i)
                       for _ in range(copies) for i in range(n))
         return CoreMap(n, comps)
-
-    @staticmethod
-    def to_point(n: int) -> "CoreMap":
-        return CoreMap(n, ())
-
-    @staticmethod
-    def constant_point(values: Sequence) -> "CoreMap":
-        comps = tuple(FiberGradedPoly.constant(0, 0, 0, frac(v)) for v in values)
-        return CoreMap(0, comps)
 
     def compose(self, inner: "CoreMap") -> "CoreMap":
         """self after inner, as polynomial maps."""
@@ -434,6 +431,10 @@ class GermJet:
     therefore the identity on extracted jets, while jets obtained by
     compose_germs agree with the re-extracted ones only through degree K-1
     in X (and exactly in P); the graphs themselves always agree exactly.
+
+    extract_germ, graph_of_germ and invert_germ compute the affine inverse
+    of the core once per call and share _affine_solve/_corrected for the
+    position solve.
     """
 
     dim: int
@@ -470,29 +471,53 @@ def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
     for comp in inner.p_out:
         if any(sum(pe) == 0 for pe, _ in comp.terms):
             raise ValidityError("inner germ does not preserve the core")
-    space = (n, n, k)
-    xs = tuple(c.substitute(inner.p_out, inner.x_out, space=space) for c in outer.x_out)
-    ps = tuple(c.substitute(inner.p_out, inner.x_out, space=space) for c in outer.p_out)
-    return GermJet(n, k, xs, ps)
+    outs = substitute_many((*outer.x_out, *outer.p_out), inner.p_out, inner.x_out,
+                           (n, n, k))
+    return GermJet(n, k, tuple(outs[:n]), tuple(outs[n:]))
 
 
-def _affine_solve(target_vars, linear_inv, equations, seeds, space):
-    """Fixed point of z = z + linear_inv (target - equations(z)) in a filtered space."""
-    none_fiber = [None] * space[0]
+def _corrected(z, targets, vals, inv):
+    """The affine correction z + inv (targets - vals), componentwise."""
+    deltas = [t - v for t, v in zip(targets, vals)]
+    out = []
+    for zi, row in zip(z, inv):
+        corr = FiberGradedPoly.zero(*zi.space())
+        for c, delta in zip(row, deltas):
+            if c:
+                corr = corr + delta.scale(c)
+        out.append(zi + corr)
+    return out
+
+
+def _affine_solve(phi: CoreMap, equations, space):
+    """Positions X with equations(p, X) = x, as a filtered fixed point.
+
+    ``phi`` is the affine inverse of the core map that the equations restrict
+    to at p = 0; the solve is seeded at phi and corrected through its linear
+    part, z -> z + A^-1 (x - equations(z)).
+    """
+    n, _, k = space
+    inv, _ = phi.affine_parts()
+    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
+    seeds = tuple(c.embed(n, n).at_order(k) for c in phi.components)
+    none_fiber = [None] * n
 
     def step(z):
-        vals = substitute_many(equations, none_fiber, list(z), space)
-        out = []
-        for i in range(len(z)):
-            corr = FiberGradedPoly.zero(*space)
-            for j in range(len(z)):
-                delta = target_vars[j] - vals[j]
-                if linear_inv[i][j]:
-                    corr = corr + delta.scale(linear_inv[i][j])
-            out.append(z[i] + corr)
-        return tuple(out)
+        return _corrected(z, xvars, substitute_many(equations, none_fiber, list(z), space),
+                          inv)
 
-    return solve_triangular_fixed_point(tuple(seeds), step)
+    return solve_triangular_fixed_point(seeds, step)
+
+
+def _core_inverse(germ: GermJet) -> CoreMap:
+    """Affine inverse of the germ's core restriction X(x, 0)."""
+    xi = germ.core_restriction()
+    if not xi.is_affine():
+        raise UnsupportedCoreError("core restriction is not affine")
+    try:
+        return xi.affine_inverse()
+    except UnsupportedCoreError:
+        raise UnsupportedCoreError("core restriction is not invertible") from None
 
 
 def extract_germ(f: Micromorphism) -> GermJet:
@@ -505,24 +530,13 @@ def extract_germ(f: Micromorphism) -> GermJet:
     """
     if f.source.core_dim != f.target.core_dim:
         raise UnsupportedCoreError("source and target core dimensions differ")
-    n = f.source.core_dim
-    core = f.core
-    if not core.is_affine():
-        raise UnsupportedCoreError("core map is not affine")
-    rows, _ = core.affine_parts()
-    inv = mat_inverse(rows)
-    if inv is None:
-        raise UnsupportedCoreError("linear part of the core map is not invertible")
-    k = f.order
+    phi = f.core.affine_inverse()
+    n, k, gen = f.source.core_dim, f.order, f.gen
     space = (n, n, k)
-    gen = f.gen
-    equations = [gen.partial_fiber(i) for i in range(n)]
-    seeds = [c.embed(n, n).at_order(k) for c in core.affine_inverse().components]
-    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
-    xs = _affine_solve(xvars, inv, equations, seeds, space)
+    xs = _affine_solve(phi, [gen.partial_fiber(i) for i in range(n)], space)
     ps = tuple(substitute_many([gen.partial_base(i) for i in range(n)],
                                [None] * n, list(xs), space))
-    return GermJet(n, k, tuple(xs), ps)
+    return GermJet(n, k, xs, ps)
 
 
 def invert_germ(germ: GermJet) -> GermJet:
@@ -531,13 +545,7 @@ def invert_germ(germ: GermJet) -> GermJet:
     for comp in germ.p_out:
         if not comp.core_part().is_zero():
             raise ValidityError("germ does not preserve the core")
-    xi = germ.core_restriction()
-    if not xi.is_affine():
-        raise UnsupportedCoreError("core restriction is not affine")
-    rows, _ = xi.affine_parts()
-    b_inv = mat_inverse(rows)
-    if b_inv is None:
-        raise UnsupportedCoreError("core restriction is not invertible")
+    phi = _core_inverse(germ)
     c_rows = []
     for i in range(n):
         row = []
@@ -554,9 +562,9 @@ def invert_germ(germ: GermJet) -> GermJet:
     if c_inv is None:
         raise UnsupportedCoreError("momentum linearization is not invertible")
     space = (n, n, k)
+    b_inv, _ = phi.affine_parts()
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
-    phi = xi.affine_inverse()
     seeds = [c.embed(n, n).at_order(k) for c in phi.components]
     seeds += [FiberGradedPoly.zero(n, n, k) for _ in range(n)]
 
@@ -565,22 +573,10 @@ def invert_germ(germ: GermJet) -> GermJet:
         # momentum equation contracts on its own, the position one only
         # against momenta that are already one degree better
         xs, ps = z[:n], z[n:]
-        vals_p = substitute_many(germ.p_out, list(ps), list(xs), space)
-        new_p = []
-        for i in range(n):
-            corr = FiberGradedPoly.zero(*space)
-            for j in range(n):
-                if c_inv[i][j]:
-                    corr = corr + (pvars[j] - vals_p[j]).scale(c_inv[i][j])
-            new_p.append(ps[i] + corr)
-        vals_x = substitute_many(germ.x_out, new_p, list(xs), space)
-        new_x = []
-        for i in range(n):
-            corr = FiberGradedPoly.zero(*space)
-            for j in range(n):
-                if b_inv[i][j]:
-                    corr = corr + (xvars[j] - vals_x[j]).scale(b_inv[i][j])
-            new_x.append(xs[i] + corr)
+        new_p = _corrected(ps, pvars, substitute_many(germ.p_out, list(ps), list(xs), space),
+                           c_inv)
+        new_x = _corrected(xs, xvars, substitute_many(germ.x_out, new_p, list(xs), space),
+                           b_inv)
         return (*new_x, *new_p)
 
     sol = solve_triangular_fixed_point(tuple(seeds), step)
@@ -618,13 +614,7 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
     Functorial against compose, and inverse to extract_germ on its domain.
     """
     n, k = germ.dim, germ.order
-    xi = germ.core_restriction()
-    if not xi.is_affine():
-        raise UnsupportedCoreError("core restriction is not affine")
-    rows, _ = xi.affine_parts()
-    b_inv = mat_inverse(rows)
-    if b_inv is None:
-        raise UnsupportedCoreError("core restriction is not invertible")
+    phi = _core_inverse(germ)
     for comp in germ.p_out:
         stray = comp.core_part()
         if not stray.is_zero():
@@ -633,10 +623,7 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
     for b in _sample_core_points(n):
         _symplectic_jacobian_check(germ, b)
     space = (n, n, k)
-    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
-    phi = xi.affine_inverse()
-    seeds = [c.embed(n, n).at_order(k) for c in phi.components]
-    x_hat = _affine_solve(xvars, b_inv, list(germ.x_out), seeds, space)
+    x_hat = _affine_solve(phi, germ.x_out, space)
     p_hat = tuple(substitute_many(germ.p_out, [None] * n, list(x_hat), space))
     for i in range(n):
         for j in range(i + 1, n):
@@ -661,27 +648,9 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
 def _radial_potential(fiber_comps, base_comps, space) -> FiberGradedPoly:
     """Potential of the closed 1-form (fiber_comps) dp + (base_comps) dx with S(0) = 0."""
     tm, tn, torder = space
-    out: dict = {}
-    for i, comp in enumerate(fiber_comps):
-        for (pe, xe), c in comp.terms.items():
-            if sum(pe) + 1 > torder:
-                continue
-            key = (pe[:i] + (pe[i] + 1,) + pe[i + 1:], xe)
-            weight = c / (sum(pe) + sum(xe) + 1)
-            prev = out.get(key)
-            total = weight if prev is None else prev + weight
-            if total:
-                out[key] = total
-            elif prev is not None:
-                del out[key]
-    for j, comp in enumerate(base_comps):
-        for (pe, xe), c in comp.terms.items():
-            key = (pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:])
-            weight = c / (sum(pe) + sum(xe) + 1)
-            prev = out.get(key)
-            total = weight if prev is None else prev + weight
-            if total:
-                out[key] = total
-            elif prev is not None:
-                del out[key]
-    return FiberGradedPoly(tm, tn, torder, out)
+    terms = [((pe[:i] + (pe[i] + 1,) + pe[i + 1:], xe), c / (sum(pe) + sum(xe) + 1))
+             for i, comp in enumerate(fiber_comps)
+             for (pe, xe), c in comp.terms.items() if sum(pe) < torder]
+    terms += [((pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:]), c / (sum(pe) + sum(xe) + 1))
+              for j, comp in enumerate(base_comps) for (pe, xe), c in comp.terms.items()]
+    return FiberGradedPoly(tm, tn, torder, terms)

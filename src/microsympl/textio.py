@@ -11,6 +11,10 @@ serialize identically across runs.
 
 Matrix format: rows separated by ``;``, entries by ``,``, rational entries
 ``a/b``.
+
+Input limits: a record's order is at most ``MAX_ORDER`` and every exponent
+written after ``^`` at most ``MAX_EXPONENT``; a larger value raises
+ParseError, so a short record cannot ask for a huge power or order.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ class _Token:
 
 
 _OPS = set("+-*^/")
+
+MAX_ORDER = 64
+MAX_EXPONENT = 1024
 
 
 def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
@@ -155,7 +162,10 @@ class _PolyParser:
             tok = self.take()
             if tok.kind != "int":
                 self.fail("expected an integer exponent", tok)
-            return int(tok.text)
+            value = int(tok.text)
+            if value > MAX_EXPONENT:
+                self.fail(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", tok)
+            return value
         return 1
 
 
@@ -215,6 +225,8 @@ def parse_morphism(text: str) -> Micromorphism:
         raise ParseError("dimensions must be non-negative", header_line)
     if order < 1:
         raise ParseError("order must be at least 1", header_line)
+    if order > MAX_ORDER:
+        raise ParseError(f"order {order} exceeds the limit of {MAX_ORDER}", header_line)
     gen = None
     core_lines: list[tuple[int, int, str]] = []
     for lineno, line in lines[1:]:

@@ -130,3 +130,37 @@ def test_criterion_lines_deterministic_in_process():
         criterion_lift_functoriality(7).line()
     assert criterion_pointwise_composition(7).line() == \
         criterion_pointwise_composition(7).line()
+
+
+def test_order_limit_in_record_header(capsys):
+    code, _, err = run(capsys, "check", "source=1 target=1 order=65\nS = p1*x1\n")
+    assert code == 1
+    assert "order 65 exceeds the limit of 64" in err
+    code, _, _ = run(capsys, "check", "source=1 target=1 order=64\nS = p1*x1\n")
+    assert code == 0
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("lift", ["domain=1 codomain=1\nf1 = x1\n"]),
+    ("operad", []),
+])
+def test_order_limit_on_flags(capsys, verb, args):
+    # an out-of-range flag is a usage error, like --order 0
+    code, _, err = run(capsys, verb, *args, "--order", "65")
+    assert code == 2
+    assert "order 65 exceeds the limit of 64" in err
+
+
+@pytest.mark.parametrize("poly", ["p1*x1 + 3^2000000*p1^2", "p1*x1^123456789",
+                                  "p1*x1 + 2^1025*p1^2"])
+def test_exponent_limit(capsys, poly):
+    code, _, err = run(capsys, "check", f"source=1 target=1 order=2\nS = {poly}\n")
+    assert code == 1
+    assert "exceeds the limit of 1024" in err
+
+
+def test_exponent_at_the_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "compose", "source=1 target=1 order=2\nS = p1*x1^1024\n",
+                       "source=1 target=1 order=2\nS = p1*x1\n")
+    assert code == 0
+    assert "S = p1*x1^1024" in out

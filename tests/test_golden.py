@@ -1,9 +1,16 @@
-"""Golden corpus of linear-layer outputs, compared byte for byte.
+"""Golden corpora of linear-layer and germ-layer outputs, compared byte for byte.
 
 ``tests/golden/linsympl.txt`` holds the ``textio.format_matrix`` text of
 ``reduce_span``, ``nullspace``, ``compose_linear``, ``image_of_point`` and
-``mat_inverse`` on a fixed seeded set of ``sampling`` inputs.  After an
-intended change of output, rewrite it with
+``mat_inverse`` on a fixed seeded set of ``sampling`` inputs.
+
+``tests/golden/micro.txt`` holds the ``textio.format_germ`` and
+``textio.format_morphism`` text of ``extract_germ``, ``compose_germs``,
+``graph_of_germ``, ``invert_germ`` and ``compose`` on seeded pairs of
+``sampling.rand_affine_core_micromorphism`` at core dimensions 1-3 and
+orders 1-4.
+
+After an intended change of output, rewrite both with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -11,16 +18,20 @@ intended change of output, rewrite it with
 import sys
 from pathlib import Path
 
+from microsympl import micro
 from microsympl.linsympl import (compose_linear, image_of_point, lin_combo,
                                  mat_inverse, nullspace, reduce_span)
-from microsympl.sampling import (rand_fraction, rand_invertible_int_matrix,
+from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
+                                 rand_invertible_int_matrix,
                                  rand_lagrangian_relation, rand_point,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
-from microsympl.textio import format_matrix
+from microsympl.textio import format_germ, format_matrix, format_morphism
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "linsympl.txt"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = 40
+MICRO_CASES = 30
+MICRO_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 
 
 def _rand_rows(rng, nrows, ncols):
@@ -61,17 +72,45 @@ def _case_lines(case):
         yield "mat_inverse", "singular" if inverse is None else format_matrix(inverse)
 
 
-def golden_text() -> str:
+def linsympl_text() -> str:
     return "".join(f"{case} {name} {text}\n"
                    for case in range(CASES) for name, text in _case_lines(case))
 
 
+def _micro_blocks(case):
+    n, k = MICRO_SHAPES[case % len(MICRO_SHAPES)]
+    rng = rng_for(case, "golden-micro")
+    f1 = rand_affine_core_micromorphism(rng, n, k)
+    f2 = rand_affine_core_micromorphism(rng, n, k)
+    g1, g2 = micro.extract_germ(f1), micro.extract_germ(f2)
+    composed = micro.compose_germs(g2, g1)
+    yield "extract_germ", format_germ(g1)
+    yield "compose_germs", format_germ(composed)
+    yield "graph_of_germ", format_morphism(micro.graph_of_germ(composed))
+    yield "invert_germ", format_germ(micro.invert_germ(g1))
+    yield "compose", format_morphism(micro.compose(f2, f1))
+
+
+def micro_text() -> str:
+    # each block is a header line followed by the multi-line record text
+    return "".join(f"{case} {name}\n{text}"
+                   for case in range(MICRO_CASES) for name, text in _micro_blocks(case))
+
+
+CORPORA = {"linsympl.txt": linsympl_text, "micro.txt": micro_text}
+
+
 def test_golden_corpus_is_byte_identical():
-    assert golden_text().encode() == GOLDEN.read_bytes()
+    assert linsympl_text().encode() == (GOLDEN_DIR / "linsympl.txt").read_bytes()
+
+
+def test_germ_golden_corpus_is_byte_identical():
+    assert micro_text().encode() == (GOLDEN_DIR / "micro.txt").read_bytes()
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(golden_text())
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, text in CORPORA.items():
+        (GOLDEN_DIR / name).write_text(text())

@@ -467,3 +467,45 @@ def test_invert_germ_gives_two_sided_inverse():
         assert compose_germs(germ, inv) == identity_germ(n, k)
         assert compose_germs(inv, germ) == identity_germ(n, k)
         assert compose(f, graph_of_germ(inv)) == identity(MicroObject(n), k)
+
+
+def _germ(k, x_terms, p_terms):
+    x = FiberGradedPoly(1, 1, k, x_terms)
+    p = FiberGradedPoly(1, 1, k, p_terms)
+    return GermJet(1, k, (x,), (p,))
+
+
+P1 = {((1,), (0,)): F(1)}
+X1 = {((0,), (1,)): F(1)}
+CURVED_CORE = {((0,), (2,)): F(1)}
+FLAT_CORE = {((0,), (0,)): F(5)}
+
+
+@pytest.mark.parametrize("func", [graph_of_germ, invert_germ])
+@pytest.mark.parametrize("x_terms, message", [
+    (CURVED_CORE, "core restriction is not affine"),
+    (FLAT_CORE, "core restriction is not invertible"),
+])
+def test_germ_functions_reject_unsupported_core_restriction(func, x_terms, message):
+    with pytest.raises(UnsupportedCoreError) as err:
+        func(_germ(2, x_terms, P1))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("p_terms, message", [
+    ({((1,), (0,)): F(1), ((1,), (1,)): F(1)},
+     "momentum linearization varies along the core; inversion is supported "
+     "only for the affine class"),
+    ({((2,), (0,)): F(1)}, "momentum linearization is not invertible"),
+])
+def test_invert_germ_rejects_unsupported_momentum_linearization(p_terms, message):
+    with pytest.raises(UnsupportedCoreError) as err:
+        invert_germ(_germ(2, X1, p_terms))
+    assert str(err.value) == message
+
+
+def test_invert_germ_rejects_core_breaking_data():
+    # the core check comes first, even ahead of a curved core restriction
+    with pytest.raises(ValidityError) as err:
+        invert_germ(_germ(2, CURVED_CORE, {**P1, ((0,), (1,)): F(1)}))
+    assert str(err.value) == "germ does not preserve the core"
