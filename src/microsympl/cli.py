@@ -23,8 +23,14 @@ _VALIDATION_ERRORS = (ParseError, NormalFormError, ShapeError, FiltrationError,
                       UnsupportedCoreError, ValidityError, OSError)
 _INTERNAL_ERRORS = (ConvergenceError, InternalInvariantError)
 
+# upper bounds of the operad flags, so that one command line cannot start
+# unbounded work
+MAX_OPERAD_DIM = 8
+MAX_OPERAD_ARITY = 8
+MAX_OPERAD_SAMPLES = 10_000
 
-def _at_least(minimum: int):
+
+def _int_flag(minimum: int, maximum: int | None = None, name: str = ""):
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -32,16 +38,14 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"{name} {value} exceeds the limit of {maximum}")
         return value
     return convert
 
 
-def _order(text: str) -> int:
-    value = _at_least(1)(text)
-    if value > textio.MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"order {value} exceeds the limit of {textio.MAX_ORDER}")
-    return value
+_order = _int_flag(1, textio.MAX_ORDER, "order")
 
 
 def _read_input(arg: str) -> str:
@@ -98,13 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the result to this path")
 
     p = sub.add_parser("operad", help="verify the lagrangian operad axioms")
-    p.add_argument("--dim", type=_at_least(0), default=1, help="core dimension")
+    p.add_argument("--dim", type=_int_flag(0, MAX_OPERAD_DIM, "dim"), default=1,
+                   help=f"core dimension (at most {MAX_OPERAD_DIM})")
     p.add_argument("--order", type=_order, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_at_least(1), default=50)
-    p.add_argument("--arity", type=_at_least(0), default=3,
-                   help="largest diagonal arity enumerated exactly")
-    p.add_argument("--levels", type=_at_least(1), default=2,
+    p.add_argument("--samples", type=_int_flag(1, MAX_OPERAD_SAMPLES, "samples"),
+                   default=50, help=f"at most {MAX_OPERAD_SAMPLES}")
+    p.add_argument("--arity", type=_int_flag(0, MAX_OPERAD_ARITY, "arity"), default=3,
+                   help="largest diagonal arity enumerated exactly "
+                        f"(at most {MAX_OPERAD_ARITY})")
+    p.add_argument("--levels", type=_int_flag(1), default=2,
                    help="composition depth (2 adds two-level associativity)")
     p.add_argument("--out", help="write the report to this path")
 

@@ -11,6 +11,19 @@ directions.
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
 
+Coefficients are public as ``Fraction`` values in ``terms``, but products,
+powers and substitutions run on integers, in the layout of FLINT's
+``fmpq_poly``: each instance caches, on first use, an integer form
+``(den, rows)`` with ``den`` the lcm of its coefficient denominators and one
+row ``(fiber degree, pe, xe, coefficient * den)`` per term, sorted by fiber
+degree.  One helper multiplies integer numerators against such rows and
+stops each row scan at the truncation order; a substitution keeps its pieces
+and the cached powers of its values in integer form, sums the pieces over one
+running common denominator (widened by lcm only when a piece's denominator
+does not divide it), and builds one Fraction per output term at the end.
+The cache is computed from immutable data and always to the same value, so
+filling it needs no lock.
+
 Text form (also the CLI input grammar): terms are written with ``+ - * ^``,
 rational coefficients ``a/b``, and variables ``p1..pm``, ``x1..xn``, e.g.
 ``p1*x1 + 1/2*p1^2*x1``.  The canonical monomial order is graded
@@ -21,13 +34,16 @@ uses it so output is stable across runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
+from math import lcm
+from operator import add as _add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConvergenceError, FiltrationError, ShapeError
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
+# (common denominator, rows (fiber degree, pe, xe, numerator) sorted by degree)
+IntegerForm = tuple[int, list[tuple[int, Exponents, Exponents, int]]]
 
 
 def frac(value) -> Fraction:
@@ -71,9 +87,13 @@ class FiberGradedPoly:
     no stored coefficient is zero, and coefficients are reduced Fractions.
     The zero polynomial is an empty term map that still carries its arities
     and order, so shape mismatches stay detectable on zeros.
+
+    ``_ints`` caches the integer form ``(den, rows)`` used by ``*``, ``**``
+    and substitution (see the module docstring); it starts as None and is
+    filled by ``_integer_form`` on first use.
     """
 
-    __slots__ = ("fiber_arity", "base_arity", "order", "terms", "_hash")
+    __slots__ = ("fiber_arity", "base_arity", "order", "terms", "_hash", "_ints")
 
     def __init__(self, fiber_arity: int, base_arity: int, order: int,
                  terms: Mapping[TermKey, Fraction] | Iterable[tuple[TermKey, Fraction]] = ()):
@@ -110,6 +130,7 @@ class FiberGradedPoly:
         self.order = order
         self.terms = clean
         self._hash = None
+        self._ints = None
 
     # -- constructors ------------------------------------------------------
 
@@ -123,6 +144,7 @@ class FiberGradedPoly:
         obj.order = order
         obj.terms = terms
         obj._hash = None
+        obj._ints = None
         return obj
 
     @classmethod
@@ -185,6 +207,18 @@ class FiberGradedPoly:
     def coefficient(self, fiber_exps: Sequence[int], base_exps: Sequence[int]) -> Fraction:
         return self.terms.get((tuple(fiber_exps), tuple(base_exps)), Fraction(0))
 
+    def _integer_form(self) -> IntegerForm:
+        """``(den, rows)``: ``den`` is the lcm of the coefficient denominators
+        and each row ``(fiber degree, pe, xe, coefficient * den)`` holds an
+        integer; rows are sorted by fiber degree.  Computed on first use."""
+        form = self._ints
+        if form is None:
+            den = lcm(*[c.denominator for c in self.terms.values()])
+            form = self._ints = _sorted_form(
+                den, [(key, c.numerator * (den // c.denominator))
+                      for key, c in self.terms.items()])
+        return form
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -223,43 +257,26 @@ class FiberGradedPoly:
         if not isinstance(other, FiberGradedPoly):
             return NotImplemented
         self._require_same_space(other)
-        order = self.order
-        out: dict[TermKey, Fraction] = {}
-        out_get = out.get
-        # sort the shorter operand by fiber degree so truncation prunes early
+        # the shorter operand supplies the degree-sorted rows, so truncation
+        # prunes early
         a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        b_items = sorted(((sum(pe), pe, xe, c) for (pe, xe), c in b.terms.items()),
-                         key=lambda t: t[0])
-        for (pa, xa), ca in a.terms.items():
-            da = sum(pa)
-            for db, pb, xb, cb in b_items:
-                if da + db > order:
-                    break
-                key = (tuple(map(_add, pa, pb)), tuple(map(_add, xa, xb)))
-                c = ca * cb
-                prev = out_get(key)
-                total = c if prev is None else prev + c
-                if total:
-                    out[key] = total
-                elif prev is not None:
-                    del out[key]
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        a_den, a_rows = a._integer_form()
+        b_den, b_rows = b._integer_form()
+        den = a_den * b_den
+        out = _mul_rows({(pe, xe): n for _, pe, xe, n in a_rows}, b_rows, self.order)
+        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order,
+                                    {key: Fraction(n, den) for key, n in out.items() if n})
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ShapeError("exponent must be a non-negative integer")
-        result = FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not exponent:
+            return FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
+        den, rows = _power_form({}, (0, 0), self, exponent, self.order)
+        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order,
+                                    {(pe, xe): Fraction(n, den) for _, pe, xe, n in rows})
 
     # -- calculus ----------------------------------------------------------
 
@@ -343,20 +360,13 @@ class FiberGradedPoly:
     def _substitute_cached(self, fiber_values, base_values,
                            target: tuple[int, int, int], pow_cache: dict) -> "FiberGradedPoly":
         tm, tn, torder = target
-        total: dict[TermKey, Fraction] = {}
-
-        def power(block: int, idx: int, value: FiberGradedPoly, e: int) -> FiberGradedPoly:
-            key = (block, idx, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = value ** e if e != 1 else value
-                pow_cache[key] = got
-            return got
-
-        for (pe, xe), c in self.terms.items():
+        den, rows = self._integer_form()
+        total: dict[TermKey, int] = {}
+        total_den = 1
+        for _, pe, xe, num in rows:
             mono_pe = [0] * tm
             mono_xe = [0] * tn
-            factors: list[FiberGradedPoly] = []
+            factors: list[IntegerForm] = []
             for i, e in enumerate(pe):
                 if not e:
                     continue
@@ -364,7 +374,7 @@ class FiberGradedPoly:
                 if v is None:
                     mono_pe[i] += e
                 else:
-                    factors.append(power(0, i, v, e))
+                    factors.append(_power_form(pow_cache, (0, i), v, e, torder))
             for j, e in enumerate(xe):
                 if not e:
                     continue
@@ -372,24 +382,29 @@ class FiberGradedPoly:
                 if v is None:
                     mono_xe[j] += e
                 else:
-                    factors.append(power(1, j, v, e))
+                    factors.append(_power_form(pow_cache, (1, j), v, e, torder))
             if sum(mono_pe) > torder:
                 continue
-            piece = FiberGradedPoly._raw(
-                tm, tn, torder, {(tuple(mono_pe), tuple(mono_xe)): c})
-            factors.sort(key=lambda f: len(f.terms))
-            for f in factors:
-                piece = piece * f
-                if piece.is_zero():
-                    break
-            for key, v in piece.terms.items():
-                prev = total.get(key)
-                t = v if prev is None else prev + v
-                if t:
-                    total[key] = t
-                elif prev is not None:
-                    del total[key]
-        return FiberGradedPoly._raw(tm, tn, torder, total)
+            piece = {(tuple(mono_pe), tuple(mono_xe)): num}
+            piece_den = den
+            factors.sort(key=lambda f: len(f[1]))
+            for f_den, f_rows in factors:
+                piece = _mul_rows(piece, f_rows, torder)
+                piece_den *= f_den
+            if not piece:
+                continue
+            if total_den % piece_den:
+                # widen the running denominator to the lcm
+                widen = lcm(total_den, piece_den) // total_den
+                for key in total:
+                    total[key] *= widen
+                total_den *= widen
+            scale = total_den // piece_den
+            total_get = total.get
+            for key, n in piece.items():
+                total[key] = total_get(key, 0) + n * scale
+        return FiberGradedPoly._raw(tm, tn, torder, {key: Fraction(n, total_den)
+                                                     for key, n in total.items() if n})
 
     def evaluate(self, fiber_point: Sequence, base_point: Sequence) -> Fraction:
         """Plain polynomial evaluation at an exact rational point."""
@@ -483,6 +498,48 @@ class FiberGradedPoly:
     def __repr__(self):
         return (f"FiberGradedPoly({self.fiber_arity}, {self.base_arity}, "
                 f"K={self.order}: {self.to_text()})")
+
+
+def _sorted_form(den: int, items: Iterable[tuple[TermKey, int]]) -> IntegerForm:
+    rows = [(sum(pe), pe, xe, n) for (pe, xe), n in items if n]
+    rows.sort(key=itemgetter(0))
+    return den, rows
+
+
+def _mul_rows(left: dict[TermKey, int], rows, order: int) -> dict[TermKey, int]:
+    """Truncated product of integer numerators: ``left`` times degree-sorted
+    ``rows``.  The result is over the product of the two denominators and
+    may hold zero numerators."""
+    out: dict[TermKey, int] = {}
+    out_get = out.get
+    for (pa, xa), ca in left.items():
+        if not ca:
+            continue
+        da = sum(pa)
+        for db, pb, xb, cb in rows:
+            if da + db > order:
+                break
+            key = (tuple(map(_add, pa, pb)), tuple(map(_add, xa, xb)))
+            out[key] = out_get(key, 0) + ca * cb
+    return out
+
+
+def _power_form(cache: dict, slot: tuple[int, int], value: FiberGradedPoly, e: int,
+                order: int) -> IntegerForm:
+    """Integer form of ``value ** e`` truncated at ``order``, built as
+    v^e = v^(e-1) * v with every power cached under ``(*slot, e)``."""
+    base = value._integer_form()
+    k = e
+    while k > 1 and (*slot, k) not in cache:
+        k -= 1
+    got = cache[(*slot, k)] if k > 1 else base
+    base_den, base_rows = base
+    while k < e:
+        k += 1
+        den, rows = got
+        prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, base_rows, order)
+        got = cache[(*slot, k)] = _sorted_form(den * base_den, prod.items())
+    return got
 
 
 def substitute_many(polys: Sequence[FiberGradedPoly], fiber_values, base_values,

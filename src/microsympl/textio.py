@@ -14,11 +14,15 @@ Matrix format: rows separated by ``;``, entries by ``,``, rational entries
 
 Input limits: a record's order is at most ``MAX_ORDER`` and every exponent
 written after ``^`` at most ``MAX_EXPONENT``; a larger value raises
-ParseError, so a short record cannot ask for a huge power or order.
+ParseError, so a short record cannot ask for a huge power or order.  An
+integer literal (coefficient, denominator, exponent or variable index) longer
+than the interpreter's integer string conversion limit (4,300 digits by
+default) raises ParseError as well.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,6 +101,14 @@ class _PolyParser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col or None)
 
+    def integer(self, tok: _Token, digits: str) -> int:
+        """``int(digits)``, or a ParseError past the interpreter's digit limit."""
+        try:
+            return int(digits)
+        except ValueError:
+            self.fail(f"integer of {len(digits)} digits exceeds the limit of "
+                      f"{sys.get_int_max_str_digits()} digits", tok)
+
     def parse(self) -> list[tuple[Fraction, list[int], list[int]]]:
         terms = [self.term(self.sign_prefix())]
         while True:
@@ -130,19 +142,20 @@ class _PolyParser:
     def factor(self, coeff: Fraction, pe: list[int], xe: list[int]) -> Fraction:
         tok = self.take()
         if tok.kind == "int":
-            value = Fraction(int(tok.text))
+            value = Fraction(self.integer(tok, tok.text))
             if self.peek().kind == "op" and self.peek().text == "/":
                 self.take()
                 den = self.take()
                 if den.kind != "int":
                     self.fail("expected an integer denominator", den)
-                if int(den.text) == 0:
+                den_value = self.integer(den, den.text)
+                if den_value == 0:
                     self.fail("zero denominator", den)
-                value /= int(den.text)
+                value /= den_value
             exp = self.exponent()
             return coeff * value ** exp
         if tok.kind == "var":
-            block, idx = tok.text[0], int(tok.text[1:])
+            block, idx = tok.text[0], self.integer(tok, tok.text[1:])
             if idx < 1:
                 self.fail("variables are 1-indexed", tok)
             arity = self.fiber_arity if block == "p" else self.base_arity
@@ -162,7 +175,7 @@ class _PolyParser:
             tok = self.take()
             if tok.kind != "int":
                 self.fail("expected an integer exponent", tok)
-            value = int(tok.text)
+            value = self.integer(tok, tok.text)
             if value > MAX_EXPONENT:
                 self.fail(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", tok)
             return value

@@ -164,3 +164,35 @@ def test_exponent_at_the_limit_is_accepted(capsys):
                        "source=1 target=1 order=2\nS = p1*x1\n")
     assert code == 0
     assert "S = p1*x1^1024" in out
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("poly", [f"p1*x1 + {LONG}*p1^2", f"p1*x1 + 1/{LONG}*p1^2",
+                                  f"p1*x1^{LONG}", f"p{LONG}*x1"])
+def test_integer_literal_over_the_digit_limit(capsys, poly):
+    # coefficient, denominator, exponent and variable index: a ParseError, not
+    # the interpreter's ValueError from int()
+    code, _, err = run(capsys, "check", f"source=1 target=1 order=2\nS = {poly}\n")
+    assert code == 1
+    assert (f"integer of 5000 digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits") in err
+
+
+@pytest.mark.parametrize("flag, value, limit", [
+    ("--dim", "9", "dim 9 exceeds the limit of 8"),
+    ("--arity", "9", "arity 9 exceeds the limit of 8"),
+    ("--samples", "10001", "samples 10001 exceeds the limit of 10000"),
+])
+def test_operad_flag_limits(capsys, flag, value, limit):
+    code, _, err = run(capsys, "operad", flag, value)
+    assert code == 2
+    assert limit in err
+
+
+def test_operad_flags_at_their_limits_parse():
+    from microsympl.cli import _build_parser
+    args = _build_parser().parse_args(["operad", "--dim", "8", "--arity", "8",
+                                       "--samples", "10000"])
+    assert (args.dim, args.arity, args.samples) == (8, 8, 10000)

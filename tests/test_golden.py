@@ -4,13 +4,18 @@
 ``reduce_span``, ``nullspace``, ``compose_linear``, ``image_of_point`` and
 ``mat_inverse`` on a fixed seeded set of ``sampling`` inputs.
 
+``tests/golden/jetalg.txt`` holds the ``FiberGradedPoly.to_text`` of seeded
+products, powers, ``substitute`` and ``substitute_many`` results (mixed
+denominators, large coefficients, ``None`` identity entries) at fiber and
+base arities 0-3 and orders 0-4.
+
 ``tests/golden/micro.txt`` holds the ``textio.format_germ`` and
 ``textio.format_morphism`` text of ``extract_germ``, ``compose_germs``,
 ``graph_of_germ``, ``invert_germ`` and ``compose`` on seeded pairs of
 ``sampling.rand_affine_core_micromorphism`` at core dimensions 1-3 and
 orders 1-4.
 
-After an intended change of output, rewrite both with
+After an intended change of output, rewrite all three with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -19,11 +24,12 @@ import sys
 from pathlib import Path
 
 from microsympl import micro
+from microsympl.jetalg import substitute_many
 from microsympl.linsympl import (compose_linear, image_of_point, lin_combo,
                                  mat_inverse, nullspace, reduce_span)
 from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
                                  rand_invertible_int_matrix,
-                                 rand_lagrangian_relation, rand_point,
+                                 rand_lagrangian_relation, rand_point, rand_poly,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
 from microsympl.textio import format_germ, format_matrix, format_morphism
@@ -32,6 +38,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = 40
 MICRO_CASES = 30
 MICRO_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
+JETALG_CASES = 80
 
 
 def _rand_rows(rng, nrows, ncols):
@@ -97,11 +104,50 @@ def micro_text() -> str:
                    for case in range(MICRO_CASES) for name, text in _micro_blocks(case))
 
 
-CORPORA = {"linsympl.txt": linsympl_text, "micro.txt": micro_text}
+def _jetalg_poly(rng, m, n, k, min_fiber_deg=0):
+    poly = rand_poly(rng, m, n, k, terms=rng.randint(0, 6),
+                     min_fiber_deg=min_fiber_deg, max_base_deg=rng.randint(0, 3))
+    if rng.random() < 0.3:
+        # coefficients far beyond the machine word, with coprime denominators
+        poly = poly.scale(rand_fraction(rng, 2**70, 3**40, nonzero=True))
+    return poly
+
+
+def _jetalg_lines(case):
+    rng = rng_for(case, "golden-jetalg")
+    m, n, k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
+    a, b = _jetalg_poly(rng, m, n, k), _jetalg_poly(rng, m, n, k)
+    yield "mul", (a * b).to_text()
+    yield "mul_self", (a * a).to_text()
+    yield "pow", (b ** rng.randint(0, 5)).to_text()
+    tm, tn, tk = rng.randint(m and 1, 3), rng.randint(0, 3), rng.randint(0, 4)
+    if m and not tk:
+        tk = 1
+    fiber = [None if i < tm and rng.random() < 0.3
+             else _jetalg_poly(rng, tm, tn, tk, min_fiber_deg=1) for i in range(m)]
+    base = [None if j < tn and rng.random() < 0.3
+            else _jetalg_poly(rng, tm, tn, tk) for j in range(n)]
+    space = (tm, tn, tk)
+    yield "substitute", a.substitute(fiber, base, space=space).to_text()
+    for poly in substitute_many([a, b, a * b], fiber, base, space):
+        yield "substitute_many", poly.to_text()
+
+
+def jetalg_text() -> str:
+    return "".join(f"{case} {name} {text}\n"
+                   for case in range(JETALG_CASES) for name, text in _jetalg_lines(case))
+
+
+CORPORA = {"linsympl.txt": linsympl_text, "micro.txt": micro_text,
+           "jetalg.txt": jetalg_text}
 
 
 def test_golden_corpus_is_byte_identical():
     assert linsympl_text().encode() == (GOLDEN_DIR / "linsympl.txt").read_bytes()
+
+
+def test_jetalg_golden_corpus_is_byte_identical():
+    assert jetalg_text().encode() == (GOLDEN_DIR / "jetalg.txt").read_bytes()
 
 
 def test_germ_golden_corpus_is_byte_identical():

@@ -1,0 +1,166 @@
+"""The integer-numerator kernel of FiberGradedPoly against the frozen Fraction oracle.
+
+Products, powers, ``substitute`` and ``substitute_many`` must agree with
+``tests/reference_jetalg.py`` exactly: the same arities, the same truncation
+order and the same term map.  Every result must also keep the class
+invariants: no zero coefficient, every coefficient a Fraction, and every
+fiber degree at most the order.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, strategies as st
+
+import reference_jetalg as ref
+from microsympl.jetalg import FiberGradedPoly, substitute_many
+
+SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
+# pairwise coprime denominators, so the common denominator is their product
+COPRIME = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 5, 7, 11, 13, 49, 125]))
+HUGE = st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**70))
+COEFF = st.one_of(SMALL, NEGATIVE_DEN, COPRIME, HUGE)
+
+
+def assert_invariants(p):
+    for (pe, xe), c in p.terms.items():
+        assert type(c) is F and c != 0
+        assert len(pe) == p.fiber_arity and len(xe) == p.base_arity
+        assert sum(pe) <= p.order
+        assert min(pe + xe, default=0) >= 0
+
+
+def assert_same(got, want):
+    assert_invariants(got)
+    assert got.space() == want.space()
+    assert got.terms == want.terms
+
+
+@st.composite
+def polys(draw, m, n, k, min_fiber_deg=0, max_terms=6, max_base_exp=6):
+    """Polynomials with base exponents up to ``max_base_exp`` per variable."""
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        if min_fiber_deg > k or (m == 0 and min_fiber_deg > 0):
+            break
+        pe = [0] * m
+        for _ in range(draw(st.integers(min_fiber_deg, k)) if m else 0):
+            pe[draw(st.integers(0, m - 1))] += 1
+        xe = [draw(st.integers(0, max_base_exp)) for _ in range(n)]
+        terms.append(((tuple(pe), tuple(xe)), draw(COEFF)))
+    return FiberGradedPoly(m, n, k, terms)
+
+
+SPACES = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4))
+
+
+@st.composite
+def operand_pairs(draw):
+    m, n, k = draw(SPACES)
+    return draw(polys(m, n, k)), draw(polys(m, n, k))
+
+
+@st.composite
+def substitutions(draw, batch=1):
+    """``batch`` polynomials of one space and values for each of its variables.
+
+    A ``None`` value keeps the same-index target variable; fiber values have
+    no fiber-degree-0 term.  Exponents of the substituted polynomials stay
+    small enough that the reference finishes quickly.
+    """
+    m, n, k = draw(SPACES)
+    sources = [draw(polys(m, n, k, max_terms=4, max_base_exp=3)) for _ in range(batch)]
+    tm = draw(st.integers(1 if m else 0, 3))
+    tn, tk = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    fiber = [None if i < tm and draw(st.booleans())
+             else draw(polys(tm, tn, tk, min_fiber_deg=1, max_terms=3, max_base_exp=2))
+             for i in range(m)]
+    base = [None if j < tn and draw(st.booleans())
+            else draw(polys(tm, tn, tk, max_terms=3, max_base_exp=2))
+            for j in range(n)]
+    return sources, fiber, base, (tm, tn, tk)
+
+
+@given(operand_pairs())
+def test_product_matches_oracle(pair):
+    a, b = pair
+    want = ref.mul(a, b)
+    assert_same(a * b, want)
+    assert_same(b * a, want)
+    # the second product reads the cached integer forms
+    assert_same(a * b, want)
+
+
+@given(operand_pairs())
+def test_product_cancelling_to_zero_terms(pair):
+    # (a + b)(a - b): the cross terms cancel, and zeros must be dropped
+    a, b = pair
+    assert_same((a + b) * (a - b), ref.mul(a + b, a - b))
+    assert_same(a * (b - b), ref.mul(a, b - b))
+
+
+@given(SPACES.flatmap(lambda s: polys(*s, max_terms=3, max_base_exp=3)),
+       st.integers(0, 6))
+def test_power_matches_oracle(a, e):
+    assert_same(a ** e, ref.power(a, e))
+
+
+@given(SPACES.flatmap(lambda s: polys(*s)), COEFF)
+def test_scalar_product_matches_oracle(a, c):
+    assert_same(a * c, ref.mul(a, c))
+    assert_same(a * 0, ref.mul(a, 0))
+
+
+@given(substitutions())
+def test_substitute_matches_oracle(case):
+    (poly,), fiber, base, space = case
+    assert_same(poly.substitute(fiber, base, space=space),
+                ref.substitute(poly, fiber, base, space=space))
+
+
+@given(substitutions(batch=3))
+def test_substitute_many_shares_one_cache(case):
+    polys_, fiber, base, space = case
+    got = substitute_many(polys_, fiber, base, space)
+    want = ref.substitute_many(polys_, fiber, base, space)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+    for p, g in zip(polys_, got):
+        assert_same(p.substitute(fiber, base, space=space), g)
+
+
+@given(st.data())
+def test_substitution_cancelling_to_zero(data):
+    # q(x1) - q(x2) vanishes once x1 and x2 receive the same value
+    m, k = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 4))
+    q = data.draw(polys(m, 1, k, max_terms=4, max_base_exp=4))
+    diff = q.embed(m, 2, 0, 0) - q.embed(m, 2, 0, 1)
+    v = data.draw(polys(m, 2, k, max_terms=3, max_base_exp=2))
+    fiber = [None] * m
+    got = diff.substitute(fiber, [v, v], space=(m, 2, k))
+    assert_same(got, ref.substitute(diff, fiber, [v, v], space=(m, 2, k)))
+    assert got.is_zero()
+
+
+@pytest.mark.parametrize("space", [(0, 0, 0), (2, 1, 0), (1, 2, 3)])
+def test_zero_operands(space):
+    zero = FiberGradedPoly.zero(*space)
+    one = FiberGradedPoly.constant(*space, 1)
+    assert_same(zero * one, ref.mul(zero, one))
+    assert_same(zero ** 0, ref.power(zero, 0))
+    assert_same(zero ** 3, ref.power(zero, 3))
+    values = [None] * space[1]
+    assert_same(zero.substitute([None] * space[0], values, space=space),
+                ref.substitute(zero, [None] * space[0], values, space=space))
+    assert substitute_many([], [None] * space[0], values, space) == []
+
+
+def test_large_exponent_of_a_base_value():
+    # powers are built one step at a time; a deep power must not recurse
+    x = FiberGradedPoly.base_var(1, 1, 2, 0)
+    p = FiberGradedPoly.monomial(1, 1, 2, F(2, 3), (1,), (1024,))
+    v = x.scale(F(-1, 2)) + FiberGradedPoly.fiber_var(1, 1, 2, 0)
+    assert_same(p.substitute([None], [v], space=(1, 1, 2)),
+                ref.substitute(p, [None], [v], space=(1, 1, 2)))
