@@ -51,7 +51,10 @@ _order = _int_flag(1, textio.MAX_ORDER, "order")
 def _read_input(arg: str) -> str:
     if "\n" in arg or arg.lstrip().startswith(("source=", "domain=")):
         return arg
-    return Path(arg).read_text()
+    try:
+        return Path(arg).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{arg} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -89,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splitting",
                    help="symmetric matrix (rows ';', entries ','); check "
                         "transversality of the tangent relation against it")
-    p.add_argument("--at", help="target core point, comma-separated rationals "
-                                "(default: the origin); use --at=-1/2 for "
+    p.add_argument("--at", help="with --splitting, the target core point: comma-separated "
+                                "rationals (default: the origin); use --at=-1/2 for "
                                 "values starting with a minus sign")
     p.add_argument("--out", help="write the report to this path")
 
@@ -190,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "at", None) is not None and args.splitting is None:
+            parser.error("check --at needs --splitting")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -24,10 +24,10 @@ that always converges for valid operands; internally one extra truncation
 order is carried so fiber derivatives stay faithful at the stored order.
 
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
-part.  extract_germ, graph_of_germ and invert_germ all solve for positions
-with one filtered fixed point, _affine_solve, seeded at the affine inverse of
-the core and refined by one correction step, _corrected; invert_germ applies
-the same step to its momentum block before its position block.
+part.  extract_germ, graph_of_germ and invert_germ expand their equations once
+at X = phi(x) + w, phi the affine core inverse and w new fiber variables
+(_shifted), then solve for W alone from 0 by one correction step, _corrected;
+invert_germ applies it to its momentum block before its position block.
 """
 
 from __future__ import annotations
@@ -433,8 +433,8 @@ class GermJet:
     in X (and exactly in P); the graphs themselves always agree exactly.
 
     extract_germ, graph_of_germ and invert_germ compute the affine inverse
-    of the core once per call and share _affine_solve/_corrected for the
-    position solve.
+    phi of the core once per call, shift their equations to X = phi(x) + W
+    once (_shifted) and solve for W alone with one correction step.
     """
 
     dim: int
@@ -476,8 +476,22 @@ def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
     return GermJet(n, k, tuple(outs[:n]), tuple(outs[n:]))
 
 
-def _corrected(z, targets, vals, inv):
-    """The affine correction z + inv (targets - vals), componentwise."""
+def _shifted(polys, phi: CoreMap, n: int, k: int) -> list[FiberGradedPoly]:
+    """polys(p, X) at X = phi(x) + w, expanded once in (2n, n, K); w are the
+    fiber variables n..2n-1, so truncation at K applies to them."""
+    w_at_core = [c.embed(2 * n, n).at_order(k) + FiberGradedPoly.fiber_var(2 * n, n, k, n + j)
+                 for j, c in enumerate(phi.components)]
+    return substitute_many(polys, [None] * n, w_at_core, (2 * n, n, k))
+
+
+def _corrected(z, targets, shifted, fiber_values, inv):
+    """The affine correction z + inv (targets - shifted(fiber_values, x))."""
+    try:
+        # W and P never get a fiber-degree-0 term: phi is the exact core
+        # inverse and the momentum outputs vanish on the core (both checked)
+        vals = substitute_many(shifted, fiber_values, [None] * len(z), z[0].space())
+    except FiltrationError as exc:
+        raise InternalInvariantError(f"germ solve left the core: {exc}") from exc
     deltas = [t - v for t, v in zip(targets, vals)]
     out = []
     for zi, row in zip(z, inv):
@@ -493,20 +507,19 @@ def _affine_solve(phi: CoreMap, equations, space):
     """Positions X with equations(p, X) = x, as a filtered fixed point.
 
     ``phi`` is the affine inverse of the core map that the equations restrict
-    to at p = 0; the solve is seeded at phi and corrected through its linear
-    part, z -> z + A^-1 (x - equations(z)).
+    to at p = 0; the equations are shifted once to X = phi(x) + W, and W, seeded
+    at 0, is corrected by W -> W + A^-1 (x - equations(p, phi(x) + W)).
     """
     n, _, k = space
     inv, _ = phi.affine_parts()
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
-    seeds = tuple(c.embed(n, n).at_order(k) for c in phi.components)
-    none_fiber = [None] * n
+    shifted = _shifted(equations, phi, n, k)
 
-    def step(z):
-        return _corrected(z, xvars, substitute_many(equations, none_fiber, list(z), space),
-                          inv)
+    def step(w):
+        return _corrected(w, xvars, shifted, [None] * n + list(w), inv)
 
-    return solve_triangular_fixed_point(seeds, step)
+    ws = solve_triangular_fixed_point((FiberGradedPoly.zero(*space),) * n, step)
+    return tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, ws))
 
 
 def _core_inverse(germ: GermJet) -> CoreMap:
@@ -561,26 +574,23 @@ def invert_germ(germ: GermJet) -> GermJet:
     c_inv = mat_inverse(tuple(c_rows))
     if c_inv is None:
         raise UnsupportedCoreError("momentum linearization is not invertible")
-    space = (n, n, k)
     b_inv, _ = phi.affine_parts()
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
-    seeds = [c.embed(n, n).at_order(k) for c in phi.components]
-    seeds += [FiberGradedPoly.zero(n, n, k) for _ in range(n)]
+    shifted = _shifted((*germ.p_out, *germ.x_out), phi, n, k)
 
     def step(z):
         # momenta first, then positions against the refreshed momenta: the
         # momentum equation contracts on its own, the position one only
         # against momenta that are already one degree better
-        xs, ps = z[:n], z[n:]
-        new_p = _corrected(ps, pvars, substitute_many(germ.p_out, list(ps), list(xs), space),
-                           c_inv)
-        new_x = _corrected(xs, xvars, substitute_many(germ.x_out, new_p, list(xs), space),
-                           b_inv)
-        return (*new_x, *new_p)
+        ws, ps = z[:n], z[n:]
+        new_p = _corrected(ps, pvars, shifted[:n], [*ps, *ws], c_inv)
+        new_w = _corrected(ws, xvars, shifted[n:], [*new_p, *ws], b_inv)
+        return (*new_w, *new_p)
 
-    sol = solve_triangular_fixed_point(tuple(seeds), step)
-    return GermJet(n, k, sol[:n], sol[n:])
+    sol = solve_triangular_fixed_point((FiberGradedPoly.zero(n, n, k),) * (2 * n), step)
+    xs = tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, sol[:n]))
+    return GermJet(n, k, xs, sol[n:])
 
 
 def _symplectic_jacobian_check(germ: GermJet, point) -> None:

@@ -1,0 +1,102 @@
+"""Reference oracle: the germ solves that re-substitute the whole position.
+
+A frozen copy of the solve paths of ``microsympl.micro``'s ``extract_germ``,
+``graph_of_germ`` and ``invert_germ`` as they were before the solves were
+shifted to the core.  Every fixed-point update substitutes the full position
+candidate ``X = phi(x) + W`` into the base slots of the equations, seeded at
+``phi``.  Built on the public ``jetalg`` API and the public ``CoreMap``,
+``GermJet`` and ``Micromorphism`` types.  The input checks of the library
+functions are left out: the oracle is only ever called on valid germs, and
+the checks are covered by ``tests/test_micro.py``.  Tests require the
+library to agree with these functions exactly; do not optimise this file.
+"""
+
+from microsympl.jetalg import FiberGradedPoly, solve_triangular_fixed_point, substitute_many
+from microsympl.linsympl import mat_inverse
+from microsympl.micro import GermJet, Micromorphism, MicroObject
+
+
+def _corrected(z, targets, vals, inv):
+    """The affine correction z + inv (targets - vals), componentwise."""
+    deltas = [t - v for t, v in zip(targets, vals)]
+    out = []
+    for zi, row in zip(z, inv):
+        corr = FiberGradedPoly.zero(*zi.space())
+        for c, delta in zip(row, deltas):
+            if c:
+                corr = corr + delta.scale(c)
+        out.append(zi + corr)
+    return out
+
+
+def _affine_solve(phi, equations, space):
+    """Positions X with equations(p, X) = x, seeded at phi, corrected by
+    z -> z + A^-1 (x - equations(p, z))."""
+    n, _, k = space
+    inv, _ = phi.affine_parts()
+    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
+    seeds = tuple(c.embed(n, n).at_order(k) for c in phi.components)
+    none_fiber = [None] * n
+
+    def step(z):
+        return _corrected(z, xvars, substitute_many(equations, none_fiber, list(z), space),
+                          inv)
+
+    return solve_triangular_fixed_point(seeds, step)
+
+
+def extract_germ(f):
+    phi = f.core.affine_inverse()
+    n, k, gen = f.source.core_dim, f.order, f.gen
+    space = (n, n, k)
+    xs = _affine_solve(phi, [gen.partial_fiber(i) for i in range(n)], space)
+    ps = tuple(substitute_many([gen.partial_base(i) for i in range(n)],
+                               [None] * n, list(xs), space))
+    return GermJet(n, k, xs, ps)
+
+
+def invert_germ(germ):
+    n, k = germ.dim, germ.order
+    phi = germ.core_restriction().affine_inverse()
+    c_rows = tuple(tuple(germ.p_out[i].partial_fiber(j).coefficient((0,) * n, (0,) * n)
+                         for j in range(n)) for i in range(n))
+    c_inv = mat_inverse(c_rows)
+    space = (n, n, k)
+    b_inv, _ = phi.affine_parts()
+    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
+    pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
+    seeds = [c.embed(n, n).at_order(k) for c in phi.components]
+    seeds += [FiberGradedPoly.zero(n, n, k) for _ in range(n)]
+
+    def step(z):
+        # momenta first, then positions against the refreshed momenta
+        xs, ps = z[:n], z[n:]
+        new_p = _corrected(ps, pvars, substitute_many(germ.p_out, list(ps), list(xs), space),
+                           c_inv)
+        new_x = _corrected(xs, xvars, substitute_many(germ.x_out, new_p, list(xs), space),
+                           b_inv)
+        return (*new_x, *new_p)
+
+    sol = solve_triangular_fixed_point(tuple(seeds), step)
+    return GermJet(n, k, sol[:n], sol[n:])
+
+
+def graph_of_germ(germ):
+    n, k = germ.dim, germ.order
+    phi = germ.core_restriction().affine_inverse()
+    space = (n, n, k)
+    x_hat = _affine_solve(phi, germ.x_out, space)
+    p_hat = tuple(substitute_many(germ.p_out, [None] * n, list(x_hat), space))
+    gen = _radial_potential(x_hat, p_hat, space).at_order(k)
+    return Micromorphism(MicroObject(n), MicroObject(n), gen)
+
+
+def _radial_potential(fiber_comps, base_comps, space):
+    """Potential of the closed 1-form (fiber_comps) dp + (base_comps) dx with S(0) = 0."""
+    tm, tn, torder = space
+    terms = [((pe[:i] + (pe[i] + 1,) + pe[i + 1:], xe), c / (sum(pe) + sum(xe) + 1))
+             for i, comp in enumerate(fiber_comps)
+             for (pe, xe), c in comp.terms.items() if sum(pe) < torder]
+    terms += [((pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:]), c / (sum(pe) + sum(xe) + 1))
+              for j, comp in enumerate(base_comps) for (pe, xe), c in comp.terms.items()]
+    return FiberGradedPoly(tm, tn, torder, terms)

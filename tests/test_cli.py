@@ -108,6 +108,22 @@ def test_check_reads_a_file_whose_name_starts_with_germ(tmp_path, monkeypatch, c
     assert "ok" in out
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.morph"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "germ", str(path))
+    assert code == 1
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_check_at_without_splitting_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check", "source=1 target=1 order=2\nS = p1*x1\n",
+                         "--at", "5,6,7")
+    assert code == 2
+    assert out == ""
+    assert "--splitting" in err
+
+
 def test_missing_file_is_a_validation_error(capsys):
     code, _, err = run(capsys, "check", "no-such-file.morph")
     assert code == 1
