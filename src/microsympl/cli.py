@@ -96,6 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "rationals (default: the origin); use --at=-1/2 for "
                                 "values starting with a minus sign")
     p.add_argument("--out", help="write the report to this path")
+    # --at without --splitting is reported by this subparser, with its usage line
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("germ", help="extract the forward jet maps of a morphism "
                                     "with affine-invertible core")
@@ -193,8 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "at", None) is not None and args.splitting is None:
-            parser.error("check --at needs --splitting")
+        if args.verb == "check" and args.at is not None and args.splitting is None:
+            args.usage_error("--at needs --splitting")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

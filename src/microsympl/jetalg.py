@@ -557,6 +557,17 @@ def substitute_many(polys: Sequence[FiberGradedPoly], fiber_values, base_values,
             for p in polys]
 
 
+def _lowest_change(new: FiberGradedPoly, old: FiberGradedPoly) -> int | None:
+    """``(new - old).min_fiber_degree()``, read off the two term maps without
+    building the difference: stored coefficients are never zero, so a term
+    of the difference is a key where the two maps differ."""
+    new._require_same_space(old)
+    old_terms, new_terms = old.terms, new.terms
+    degs = [sum(key[0]) for key, c in new_terms.items() if c != old_terms.get(key)]
+    degs += [sum(key[0]) for key in old_terms if key not in new_terms]
+    return min(degs, default=None)
+
+
 def solve_triangular_fixed_point(
         initial: Sequence[FiberGradedPoly],
         update: Callable[[Sequence[FiberGradedPoly]], Sequence[FiberGradedPoly]],
@@ -579,21 +590,17 @@ def solve_triangular_fixed_point(
         new = tuple(update(state))
         if len(new) != len(state):
             raise ShapeError("update changed the number of components")
-        degs = []
-        for a, b in zip(new, state):
-            d = (a - b).min_fiber_degree()
-            if d is not None:
-                degs.append(d)
-        if not degs:
+        m = min((d for d in map(_lowest_change, new, state) if d is not None),
+                default=None)
+        if m is None:
             return state
-        m = min(degs)
         if m <= last_min:
             raise ConvergenceError(
                 f"update changed fiber degree {m} after degrees <= {last_min} stabilized")
         last_min = m
         state = new
     final = tuple(update(state))
-    if any(not (a - b).is_zero() for a, b in zip(final, state)):
+    if any(_lowest_change(a, b) is not None for a, b in zip(final, state)):
         raise ConvergenceError(
             f"no fixed point within {order + 1} iterations at order {order}")
     return state

@@ -198,9 +198,13 @@ class Micromorphism:
             raise NormalFormError(
                 f"S(0, x) = {offending.to_text()} but must vanish; offending "
                 f"monomials: {', '.join(t for t in _monomial_names(offending))}")
-        comps = tuple(_strip_fiber(self.gen.partial_fiber(i).core_part())
-                      for i in range(m))
-        object.__setattr__(self, "core", CoreMap(n, comps))
+        # dS/dp_i(0, x) is the sum of the terms c * p_i * x^a, read as c * x^a
+        comps = [{} for _ in range(m)]
+        for (pe, xe), c in self.gen.terms.items():
+            if sum(pe) == 1:
+                comps[pe.index(1)][((), xe)] = c
+        object.__setattr__(self, "core", CoreMap(n, tuple(
+            FiberGradedPoly._raw(0, n, 0, terms) for terms in comps)))
 
     @property
     def order(self) -> int:
@@ -593,17 +597,19 @@ def invert_germ(germ: GermJet) -> GermJet:
     return GermJet(n, k, xs, sol[n:])
 
 
-def _symplectic_jacobian_check(germ: GermJet, point) -> None:
+def _symplectic_jacobian_check(germ: GermJet, points) -> None:
+    """Raise ValidityError at the first core point where the Jacobian of the
+    germ at p = 0 is not symplectic; derivatives are taken once for all points."""
     n = germ.dim
     zeros = (Fraction(0),) * n
-    rows = []
+    derivs = []
     for comp in (*germ.x_out, *germ.p_out):
-        # only fiber degrees <= 1 reach the Jacobian at p = 0
+        # only fiber degrees <= 1 reach the Jacobian at p = 0, and only the
+        # core part of each derivative is evaluated there
         comp = comp.at_order(1)
-        row = [comp.partial_base(j).evaluate(zeros, point) for j in range(n)]
-        row += [comp.partial_fiber(j).evaluate(zeros, point) for j in range(n)]
-        rows.append(tuple(row))
-    j_mat = tuple(rows)
+        parts = ([comp.partial_base(j) for j in range(n)]
+                 + [comp.partial_fiber(j) for j in range(n)])
+        derivs.append([d.core_part() for d in parts])
     omega = []
     for i in range(n):
         omega.append(zero_vector(n) + tuple(Fraction(-1 if j == i else 0)
@@ -611,9 +617,11 @@ def _symplectic_jacobian_check(germ: GermJet, point) -> None:
     for i in range(n):
         omega.append(unit_vector(n, i) + zero_vector(n))
     omega = tuple(omega)
-    if mat_mul(transpose(j_mat), mat_mul(omega, j_mat)) != omega:
-        raise ValidityError(
-            f"linearization at core point {tuple(point)} is not symplectic")
+    for point in points:
+        j_mat = tuple(tuple(d.evaluate(zeros, point) for d in row) for row in derivs)
+        if mat_mul(transpose(j_mat), mat_mul(omega, j_mat)) != omega:
+            raise ValidityError(
+                f"linearization at core point {tuple(point)} is not symplectic")
 
 
 def graph_of_germ(germ: GermJet) -> Micromorphism:
@@ -632,8 +640,7 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
         if not stray.is_zero():
             raise ValidityError(
                 f"germ does not preserve the core: momentum output {stray.to_text()} at p = 0")
-    for b in _sample_core_points(n):
-        _symplectic_jacobian_check(germ, b)
+    _symplectic_jacobian_check(germ, _sample_core_points(n))
     space = (n, n, k)
     x_hat = _affine_solve(phi, germ.x_out, space)
     p_hat = tuple(substitute_many(germ.p_out, [None] * n, list(x_hat), space))

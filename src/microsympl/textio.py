@@ -12,9 +12,19 @@ serialize identically across runs.
 Matrix format: rows separated by ``;``, entries by ``,``, rational entries
 ``a/b``.
 
-Input limits: a record's order is at most ``MAX_ORDER`` and every exponent
-written after ``^`` at most ``MAX_EXPONENT``; a larger value raises
-ParseError, so a short record cannot ask for a huge power or order.  An
+Parsing: one compiled ``re`` scanner with named groups (the "Writing a
+Tokenizer" recipe of the ``re`` documentation) turns each line into plain
+``(kind, text, line, column)`` tuples, and the whole text is scanned before
+the grammar is read, so a bad character is reported before a grammar error
+earlier in the text.  A recursive descent keeps each term's coefficient as
+an integer numerator and denominator, builds one Fraction per term, and sums
+repeated monomials in a dict before the FiberGradedPoly constructor.
+
+Input limits: a record's order is at most ``MAX_ORDER``, its dimensions
+(``source``/``target`` of a morphism, ``domain``/``codomain`` of a core map)
+at most ``MAX_DIM``, and every exponent written after ``^`` at most
+``MAX_EXPONENT``; a larger value raises ParseError, so a short record cannot
+ask for a huge power, order or dimension.  An
 integer literal (coefficient, denominator, exponent or variable index) longer
 than the interpreter's integer string conversion limit (4,300 digits by
 default) raises ParseError as well.
@@ -22,8 +32,8 @@ default) raises ParseError as well.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ShapeError
@@ -32,168 +42,144 @@ from .linsympl import Matrix, Vector, matrix, vector
 from .micro import CoreMap, GermJet, MicroObject, Micromorphism
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int, var, op, end
-    text: str
-    line: int
-    col: int
-
-
-_OPS = set("+-*^/")
-
 MAX_ORDER = 64
 MAX_EXPONENT = 1024
+MAX_DIM = 64
+
+# the characters of str.isdigit(), so that literals end where they always
+# did: the decimal digits of \d, which int() reads, and the other Unicode
+# digits (superscripts, circled digits, ...), which int() rejects with the
+# digit-limit ParseError at the literal
+_DIGIT = (r"\d\xb2\xb3\xb9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+          r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+          r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+          r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a")
+_SCANNER = re.compile(rf"(?P<int>[{_DIGIT}]+)|(?P<var>[px][{_DIGIT}]*)|(?P<op>[-+*^/])"
+                      r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+_SIGNS = frozenset("+-")
+
+# a token is (kind, text, line, column) with kind int, var, op or end
+Token = tuple[str, str, int, int | None]
 
 
-def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=first_line):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
+def _tokenize(text: str, first_line: int = 1) -> list[Token]:
+    """The tokens of ``text``, closed by ``("end", "", last line, None)``.
+
+    A bad character or an index-less variable raises before any parsing, so
+    lexical errors take precedence over grammar errors later in the text."""
+    tokens: list[Token] = []
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
+        for match in _SCANNER.finditer(line):
+            kind = match.lastgroup
+            if kind == "space":
                 continue
-            col = i + 1
-            if ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(_Token("int", line[i:j], lineno, col))
-                i = j
-            elif ch in ("p", "x"):
-                j = i + 1
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                if j == i + 1:
-                    raise ParseError(f"variable '{ch}' needs an index", lineno, col)
-                tokens.append(_Token("var", line[i:j], lineno, col))
-                i = j
-            elif ch in _OPS:
-                tokens.append(_Token("op", ch, lineno, col))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", lineno, col)
-    last_line = first_line if not tokens else tokens[-1].line
-    tokens.append(_Token("end", "", last_line, 0))
+            word, col = match.group(), match.start() + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", lineno, col)
+            if word in ("p", "x"):
+                raise ParseError(f"variable '{word}' needs an index", lineno, col)
+            tokens.append((kind, word, lineno, col))
+    tokens.append(("end", "", tokens[-1][2] if tokens else first_line, None))
     return tokens
 
 
-class _PolyParser:
-    """Recursive descent over sums of signed products of rationals and powers."""
+def _fail(message: str, tok: Token):
+    raise ParseError(message, tok[2], tok[3])
 
-    def __init__(self, tokens: list[_Token], fiber_arity: int, base_arity: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.fiber_arity = fiber_arity
-        self.base_arity = base_arity
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+def _integer(digits: str, tok: Token) -> int:
+    """``int(digits)``, or a ParseError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        _fail(f"integer of {len(digits)} digits exceeds the limit of "
+              f"{sys.get_int_max_str_digits()} digits", tok)
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col or None)
+def _exponent(tokens: list[Token], pos: int) -> tuple[int, int]:
+    """The exponent written at ``pos`` (1 when there is no ``^``) and the
+    position after it."""
+    if tokens[pos][1] != "^":
+        return 1, pos
+    tok = tokens[pos + 1]
+    if tok[0] != "int":
+        _fail("expected an integer exponent", tok)
+    value = _integer(tok[1], tok)
+    if value > MAX_EXPONENT:
+        _fail(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", tok)
+    return value, pos + 2
 
-    def integer(self, tok: _Token, digits: str) -> int:
-        """``int(digits)``, or a ParseError past the interpreter's digit limit."""
-        try:
-            return int(digits)
-        except ValueError:
-            self.fail(f"integer of {len(digits)} digits exceeds the limit of "
-                      f"{sys.get_int_max_str_digits()} digits", tok)
 
-    def parse(self) -> list[tuple[Fraction, list[int], list[int]]]:
-        terms = [self.term(self.sign_prefix())]
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                sign = Fraction(1) if tok.text == "+" else Fraction(-1)
-                terms.append(self.term(sign))
-            elif tok.kind == "end":
-                return terms
+def _parse_terms(tokens: list[Token], fiber_arity: int,
+                 base_arity: int) -> dict[tuple, Fraction]:
+    """Sums of signed products of rationals and powers, read left to right.
+
+    Signs may repeat before the first term only.  Each term's coefficient is
+    kept as an integer numerator and denominator and becomes one Fraction;
+    repeated monomials are summed into one entry (zeros stay for the
+    FiberGradedPoly constructor to drop)."""
+    terms: dict[tuple, Fraction] = {}
+    pos, sign = 0, 1
+    while tokens[pos][1] in _SIGNS:
+        if tokens[pos][1] == "-":
+            sign = -sign
+        pos += 1
+    while True:
+        num, den = sign, 1
+        pe = [0] * fiber_arity
+        xe = [0] * base_arity
+        while True:  # factors joined by '*'
+            tok = tokens[pos]
+            kind, word = tok[0], tok[1]
+            if kind == "int":
+                value, d = _integer(word, tok), 1
+                if tokens[pos + 1][1] == "/":
+                    pos += 2
+                    den_tok = tokens[pos]
+                    if den_tok[0] != "int":
+                        _fail("expected an integer denominator", den_tok)
+                    d = _integer(den_tok[1], den_tok)
+                    if not d:
+                        _fail("zero denominator", den_tok)
+                exp, pos = _exponent(tokens, pos + 1)
+                num *= value ** exp
+                den *= d ** exp
+            elif kind == "var":
+                idx = _integer(word[1:], tok)
+                if idx < 1:
+                    _fail("variables are 1-indexed", tok)
+                arity, exps = (fiber_arity, pe) if word[0] == "p" else (base_arity, xe)
+                if idx > arity:
+                    _fail(f"variable {word} outside arity {arity}", tok)
+                exp, pos = _exponent(tokens, pos + 1)
+                exps[idx - 1] += exp
             else:
-                self.fail(f"expected '+' or '-' but found {tok.text!r}")
-
-    def sign_prefix(self) -> Fraction:
-        sign = Fraction(1)
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            if self.take().text == "-":
-                sign = -sign
-        return sign
-
-    def term(self, sign: Fraction) -> tuple[Fraction, list[int], list[int]]:
-        coeff = sign
-        pe = [0] * self.fiber_arity
-        xe = [0] * self.base_arity
-        coeff = self.factor(coeff, pe, xe)
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.take()
-            coeff = self.factor(coeff, pe, xe)
-        return coeff, pe, xe
-
-    def factor(self, coeff: Fraction, pe: list[int], xe: list[int]) -> Fraction:
-        tok = self.take()
-        if tok.kind == "int":
-            value = Fraction(self.integer(tok, tok.text))
-            if self.peek().kind == "op" and self.peek().text == "/":
-                self.take()
-                den = self.take()
-                if den.kind != "int":
-                    self.fail("expected an integer denominator", den)
-                den_value = self.integer(den, den.text)
-                if den_value == 0:
-                    self.fail("zero denominator", den)
-                value /= den_value
-            exp = self.exponent()
-            return coeff * value ** exp
-        if tok.kind == "var":
-            block, idx = tok.text[0], self.integer(tok, tok.text[1:])
-            if idx < 1:
-                self.fail("variables are 1-indexed", tok)
-            arity = self.fiber_arity if block == "p" else self.base_arity
-            if idx > arity:
-                self.fail(f"variable {tok.text} outside arity {arity}", tok)
-            exp = self.exponent()
-            if block == "p":
-                pe[idx - 1] += exp
-            else:
-                xe[idx - 1] += exp
-            return coeff
-        self.fail(f"expected a variable or number but found {tok.text!r}", tok)
-
-    def exponent(self) -> int:
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            tok = self.take()
-            if tok.kind != "int":
-                self.fail("expected an integer exponent", tok)
-            value = self.integer(tok, tok.text)
-            if value > MAX_EXPONENT:
-                self.fail(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", tok)
-            return value
-        return 1
+                _fail(f"expected a variable or number but found {word!r}", tok)
+            if tokens[pos][1] != "*":
+                break
+            pos += 1
+        key = (tuple(pe), tuple(xe))
+        coeff = Fraction(num, den)
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
+        tok = tokens[pos]
+        if tok[1] in _SIGNS:
+            sign = 1 if tok[1] == "+" else -1
+            pos += 1
+        elif tok[0] == "end":
+            return terms
+        else:
+            _fail(f"expected '+' or '-' but found {tok[1]!r}", tok)
 
 
 def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
                      first_line: int = 1) -> FiberGradedPoly:
     """Parse the polynomial grammar into a FiberGradedPoly."""
     tokens = _tokenize(text, first_line)
-    if tokens[0].kind == "end":
-        raise ParseError("empty polynomial", tokens[0].line, None)
-    if len(tokens) == 2 and tokens[0].kind == "int" and tokens[0].text == "0":
-        return FiberGradedPoly.zero(fiber_arity, base_arity, order)
-    parser = _PolyParser(tokens, fiber_arity, base_arity)
-    parsed = parser.parse()
-    terms = [((tuple(pe), tuple(xe)), coeff) for coeff, pe, xe in parsed]
-    return FiberGradedPoly(fiber_arity, base_arity, order, terms)
+    if len(tokens) == 1:
+        raise ParseError("empty polynomial", tokens[0][2], None)
+    return FiberGradedPoly(fiber_arity, base_arity, order,
+                           _parse_terms(tokens, fiber_arity, base_arity))
 
 
 # -- morphism records ---------------------------------------------------------
@@ -219,6 +205,12 @@ def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, in
     return fields
 
 
+def _check_dims(fields: dict[str, int], keys: tuple[str, ...], lineno: int) -> None:
+    for key in keys:
+        if fields[key] > MAX_DIM:
+            raise ParseError(f"{key} {fields[key]} exceeds the limit of {MAX_DIM}", lineno)
+
+
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -236,6 +228,7 @@ def parse_morphism(text: str) -> Micromorphism:
     m, n, order = fields["source"], fields["target"], fields["order"]
     if m < 0 or n < 0:
         raise ParseError("dimensions must be non-negative", header_line)
+    _check_dims(fields, ("source", "target"), header_line)
     if order < 1:
         raise ParseError("order must be at least 1", header_line)
     if order > MAX_ORDER:
@@ -295,6 +288,7 @@ def parse_core_map(text: str) -> CoreMap:
         raise ParseError("empty core map record", 1)
     header_line, header = lines[0]
     fields = _parse_header(header, header_line, ("domain", "codomain"))
+    _check_dims(fields, ("domain", "codomain"), header_line)
     n, m = fields["domain"], fields["codomain"]
     comps: dict[int, FiberGradedPoly] = {}
     for lineno, line in lines[1:]:

@@ -3,7 +3,8 @@
 A frozen copy of ``microsympl.jetalg``'s ``FiberGradedPoly.__mul__``,
 ``__pow__``, ``substitute`` and ``substitute_many`` as they were before the
 integer-numerator kernel, written as functions over ``FiberGradedPoly``
-values.  Every coefficient operation is a ``Fraction`` operation and every
+values; and of the residual test of ``solve_triangular_fixed_point`` as it
+was before it compared term maps, ``lowest_change``.  Every coefficient operation is a ``Fraction`` operation and every
 merge drops zeros as it goes.  Tests require the library to agree with these
 functions exactly; do not optimise this file.
 """
@@ -123,3 +124,9 @@ def substitute_many(polys, fiber_values, base_values, space):
     cache = {}
     return [_substitute_cached(p, fiber_values, base_values, target, cache)
             for p in polys]
+
+
+def lowest_change(new, old):
+    """The lowest fiber degree of ``new - old``, or None when they are equal;
+    a ShapeError when their spaces differ."""
+    return (new - old).min_fiber_degree()

@@ -5,7 +5,9 @@ A frozen copy of the solve paths of ``microsympl.micro``'s ``extract_germ``,
 shifted to the core.  Every fixed-point update substitutes the full position
 candidate ``X = phi(x) + W`` into the base slots of the equations, seeded at
 ``phi``.  Built on the public ``jetalg`` API and the public ``CoreMap``,
-``GermJet`` and ``Micromorphism`` types.  The input checks of the library
+``GermJet`` and ``Micromorphism`` types.  ``core_components`` is the
+``Micromorphism.core`` of the same era: one fiber derivative, core
+restriction and fiber strip per source dimension.  The input checks of the library
 functions are left out: the oracle is only ever called on valid germs, and
 the checks are covered by ``tests/test_micro.py``.  Tests require the
 library to agree with these functions exactly; do not optimise this file.
@@ -14,6 +16,17 @@ library to agree with these functions exactly; do not optimise this file.
 from microsympl.jetalg import FiberGradedPoly, solve_triangular_fixed_point, substitute_many
 from microsympl.linsympl import mat_inverse
 from microsympl.micro import GermJet, Micromorphism, MicroObject
+
+
+def core_components(gen):
+    """The components dS/dp_i(0, x) of the core map of ``gen``, as pure base
+    polynomials at order 0."""
+    comps = []
+    for i in range(gen.fiber_arity):
+        part = gen.partial_fiber(i).core_part()
+        terms = {((), xe): c for (pe, xe), c in part.terms.items() if sum(pe) == 0}
+        comps.append(FiberGradedPoly(0, gen.base_arity, 0, terms))
+    return tuple(comps)
 
 
 def _corrected(z, targets, vals, inv):

@@ -212,3 +212,33 @@ def test_operad_flags_at_their_limits_parse():
     args = _build_parser().parse_args(["operad", "--dim", "8", "--arity", "8",
                                        "--samples", "10000"])
     assert (args.dim, args.arity, args.samples) == (8, 8, 10000)
+
+
+def test_check_at_without_splitting_shows_the_check_usage_line(capsys):
+    code, _, err = run(capsys, "check", "source=1 target=1 order=2\nS = p1*x1\n",
+                       "--at", "1")
+    assert code == 2
+    assert err.startswith("usage: microsympl check ")
+    assert "microsympl check: error: --at needs --splitting" in err
+
+
+@pytest.mark.parametrize("verb, record, key", [
+    ("check", "source=65 target=1 order=1\nS = p1*x1\n", "source"),
+    ("check", "source=1 target=65 order=1\nS = p1*x1\n", "target"),
+    ("lift", "domain=65 codomain=1\nf1 = x1\n", "domain"),
+    ("lift", "domain=1 codomain=65\nf1 = x1\n", "codomain"),
+])
+def test_dimension_limit_in_record_headers(capsys, verb, record, key):
+    code, out, err = run(capsys, verb, record)
+    assert code == 1
+    assert out == ""
+    assert f"line 1: {key} 65 exceeds the limit of 64" in err
+
+
+def test_dimensions_at_the_limit_are_accepted():
+    from microsympl.textio import parse_core_map, parse_morphism
+    assert parse_morphism("source=64 target=1 order=1\nS = p64*x1\n").source.core_dim == 64
+    assert parse_morphism("source=1 target=64 order=1\nS = p1*x64\n").target.core_dim == 64
+    assert parse_core_map("domain=64 codomain=1\nf1 = x64\n").domain_dim == 64
+    lines = "".join(f"f{i} = x1\n" for i in range(1, 65))
+    assert parse_core_map("domain=1 codomain=64\n" + lines).codomain_dim == 64

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_jetalg as ref
-from microsympl.jetalg import FiberGradedPoly, substitute_many
+from microsympl.errors import ShapeError
+from microsympl.jetalg import FiberGradedPoly, _lowest_change, substitute_many
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -164,3 +165,40 @@ def test_large_exponent_of_a_base_value():
     v = x.scale(F(-1, 2)) + FiberGradedPoly.fiber_var(1, 1, 2, 0)
     assert_same(p.substitute([None], [v], space=(1, 1, 2)),
                 ref.substitute(p, [None], [v], space=(1, 1, 2)))
+
+
+@st.composite
+def residual_pairs(draw):
+    """``(new, old)`` of one space: unrelated, equal, or ``old`` plus a
+    correction that may cancel terms of ``old`` or add new ones."""
+    m, n, k = draw(SPACES)
+    old = draw(polys(m, n, k))
+    kind = draw(st.sampled_from(["unrelated", "equal", "corrected"]))
+    if kind == "unrelated":
+        return draw(polys(m, n, k)), old
+    if kind == "equal":
+        # equal terms, built apart, so no coefficient object is shared
+        return FiberGradedPoly(m, n, k, {key: F(c.numerator, c.denominator)
+                                         for key, c in old.terms.items()}), old
+    part = draw(st.lists(st.sampled_from(sorted(old.terms, key=repr)), unique=True)) \
+        if old.terms else []
+    cancel = FiberGradedPoly(m, n, k, {key: -old.terms[key] for key in part})
+    return old + cancel + draw(polys(m, n, k, max_terms=2)), old
+
+
+@given(residual_pairs())
+def test_lowest_change_matches_the_difference(pair):
+    new, old = pair
+    assert _lowest_change(new, old) == ref.lowest_change(new, old)
+    assert _lowest_change(old, new) == ref.lowest_change(old, new)
+
+
+@pytest.mark.parametrize("a, b", [((1, 1, 2), (1, 1, 3)), ((1, 1, 2), (2, 1, 2)),
+                                  ((0, 2, 1), (0, 1, 1))])
+def test_lowest_change_across_spaces_is_the_same_shape_error(a, b):
+    new, old = FiberGradedPoly.zero(*a), FiberGradedPoly.constant(*b, 1)
+    with pytest.raises(ShapeError) as want:
+        ref.lowest_change(new, old)
+    with pytest.raises(ShapeError) as got:
+        _lowest_change(new, old)
+    assert str(got.value) == str(want.value)

@@ -415,6 +415,17 @@ def test_graph_of_germ_rejects_non_symplectic_data():
         graph_of_germ(GermJet(1, k, (x2,), (p2,)))
 
 
+def test_graph_of_germ_names_the_first_non_symplectic_core_point():
+    # P = p1 + x1*p1: symplectic linearization at x1 = 0, not at x1 = 1, so
+    # the check must reach the second sample point with the same derivatives
+    k = 2
+    x2 = FiberGradedPoly.base_var(1, 1, k, 0)
+    p2 = FiberGradedPoly(1, 1, k, {((1,), (0,)): F(1), ((1,), (1,)): F(1)})
+    with pytest.raises(ValidityError) as err:
+        graph_of_germ(GermJet(1, k, (x2,), (p2,)))
+    assert str(err.value) == "linearization at core point (Fraction(1, 1),) is not symplectic"
+
+
 def test_graph_of_germ_rejects_core_breaking_data():
     k = 2
     x2 = FiberGradedPoly.base_var(1, 1, k, 0)

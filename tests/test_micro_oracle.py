@@ -14,7 +14,7 @@ from microsympl.errors import InternalInvariantError
 from microsympl.jetalg import FiberGradedPoly
 from microsympl.micro import (compose_germs, extract_germ, graph_of_germ,
                               identity_germ, invert_germ)
-from microsympl.sampling import rand_affine_core_micromorphism, rng_for
+from microsympl.sampling import rand_affine_core_micromorphism, rand_micromorphism, rng_for
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 
@@ -57,3 +57,16 @@ def test_a_fiber_value_off_the_core_is_an_internal_error():
     off_core = FiberGradedPoly.constant(1, 1, 2, 1)
     with pytest.raises(InternalInvariantError, match="left the core"):
         micro._corrected([off_core], [off_core], shifted, [None, off_core], ((1,),))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_core_map_matches_the_reference(seed):
+    # the core read off the degree-1 terms in one pass, against one fiber
+    # derivative per source dimension; includes zero components and m = 0
+    rng = rng_for(seed, "micro-oracle-core")
+    for m in range(4):
+        for n in range(4):
+            for k, terms in ((1, 3), (2, 8), (4, 8)):
+                f = rand_micromorphism(rng, m, n, k, terms=terms)
+                assert f.core.domain_dim == n
+                assert f.core.components == ref.core_components(f.gen)
