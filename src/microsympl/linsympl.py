@@ -1,32 +1,34 @@
 """Exact linear symplectic algebra over the rationals.
 
-Vectors are tuples of Fractions.  A symplectic space is a product of signed
-standard blocks; within each block of half-dimension n the coordinates are
-ordered (x_1..x_n, p_1..p_n) and the form is
+Vectors are tuples of Fractions at the interface.  A symplectic space is a
+product of signed standard blocks; within each block of half-dimension n the
+coordinates are ordered (x_1..x_n, p_1..p_n) and the form is
 ``omega((x,p),(x',p')) = <p, x'> - <p', x>`` scaled by the block sign.  A
 linear canonical relation from half-dimension m to half-dimension n lives in
 the two-block space ((m, -1), (n, +1)) with coordinates (x1, p1, x2, p2).
 
-Subspace equality is always decided by mutual containment through exact rank
-computations, never by comparing bases, since bases are not canonical.
+Inside the layer the working form is integer rows, each scaled by the lcm of
+its denominators (the span is kept): a matrix is converted once where it
+enters (``_integer_rows``), and ``LagrangianSubspace`` caches the rows of its
+basis.  Ranks, Gram matrices of the form (positive scaling keeps which
+entries vanish), nullspaces, combinations and membership tests stay integer.
+Subspace equality is decided by ranks and containment, never by bases.
 
-All elimination runs through one fraction-free kernel, ``_eliminate``.  Each
-row is scaled by the lcm of its denominators to an integer row with the same
-span; Bareiss elimination (Math. Comp. 22, 1968) then updates
-``row_i = (a * row_i - b * row_r) // prev`` with ``prev`` the previous pivot,
-and checks that every such division is exact.  ``rank`` stops at echelon form;
-``rref`` also clears above each pivot and divides by the common final pivot
-once per entry.  The reduced row echelon form of a matrix is unique and
-pivots are chosen as before (first nonzero row, column by column), so every
-result is the same Fraction as the plain Gauss-Jordan elimination gives, and
-formatted outputs stay byte-identical.
+All elimination runs through one fraction-free (Bareiss, Math. Comp. 22,
+1968) kernel, ``_eliminate``: ``row_i = (a * row_i - b * row_r) // prev``
+with ``prev`` the previous pivot, every division checked exact.  Fractions
+are built only by ``_fractions``, which divides fully eliminated rows by
+their common final pivot: the reduced row echelon form.  It is unique and
+its pivots are the first nonzero rows, column by column, so every result is
+the Fraction that Gauss-Jordan elimination gives, byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CheckResult, InternalInvariantError, ShapeError, ValidityError
@@ -85,7 +87,7 @@ def transpose(rows: Matrix) -> Matrix:
     return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
 
 
-def _integer_rows(rows: Matrix) -> list[list[int]]:
+def _integer_rows(rows) -> list[list[int]]:
     """Each row scaled by the lcm of its denominators; the row space is kept."""
     out = []
     for row in rows:
@@ -96,16 +98,19 @@ def _integer_rows(rows: Matrix) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) elimination of the integer rows of ``rows``.
+def _eliminate(rows: Sequence[Sequence[int]], full: bool) -> tuple[list, list[int], int]:
+    """Fraction-free (Bareiss) elimination of integer rows.
 
-    Returns the eliminated integer rows and the pivot columns.  With
-    ``full=False`` the rows are in echelon form; with ``full=True`` every
-    pivot column is also cleared above its pivot, and all pivots end equal.
+    Returns the eliminated rows, the pivot columns and the last pivot ``d``.
+    With ``full=False`` the rows are in echelon form; with ``full=True`` every
+    pivot column is also cleared above its pivot, and all pivots end equal to
+    ``d``.  Rows are replaced, never changed in place.
     """
-    work = _integer_rows(rows)
+    work = list(rows)
     nrows = len(work)
     ncols = len(work[0]) if work else 0
+    if any(len(row) != ncols for row in work):
+        raise ShapeError("ragged matrix rows")
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -139,88 +144,113 @@ def _eliminate(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         prev = a
         r += 1
-    return work, pivots
+    return work, pivots, prev
+
+
+def _fractions(rows: Iterable[Sequence[int]], d: int) -> Matrix:
+    """Integer rows of a full elimination divided by its common pivot ``d``."""
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(v, d) if v else zero for v in row) for row in rows)
+
+
+def _kernel(work: list, pivots: list[int], d: int, ncols: int) -> list[list[int]]:
+    """Nullspace of the first ``ncols`` columns of a full elimination: v[f] = d."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [0] * ncols
+            v[f] = d
+            for row, p in zip(work, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
+
+
+def _combine(rows: Sequence[Sequence[int]], coeffs, start: int, stop: int) -> list[int]:
+    """Entries ``start:stop`` of the integer combination sum_j coeffs[j] * rows[j]."""
+    pairs = [(c, row) for c, row in zip(coeffs, rows) if c]
+    return [sum(c * row[k] for c, row in pairs) for k in range(start, stop)]
+
+
+def _span_basis(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """Nonzero rows of the rref of integer rows: a deterministic basis of their span."""
+    work, pivots, d = _eliminate(rows, True)
+    return _fractions(work[:len(pivots)], d)
+
+
+def _in_span(work: list, pivots: list[int], v: Sequence[int]) -> bool:
+    """Whether v lies in the span of rows in echelon form, by one reduction pass."""
+    if work and len(v) != len(work[0]):
+        raise ShapeError(f"vector length {len(v)} does not match the span width {len(work[0])}")
+    for row, c in zip(work, pivots):
+        b = v[c]
+        if b:
+            a = row[c]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def _same_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    work, pivots, _ = _eliminate(a, False)
+    return (len(_eliminate(b, False)[1]) == len(pivots)
+            and all(_in_span(work, pivots, v) for v in b))
 
 
 def rref(rows: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
-    work, pivots = _eliminate(rows, True)
-    d = work[0][pivots[0]] if pivots else 1
-    zero = Fraction(0)
-    return tuple(tuple(Fraction(v, d) if v else zero for v in row) for row in work), tuple(pivots)
+    work, pivots, d = _eliminate(_integer_rows(rows), True)
+    return _fractions(work, d), tuple(pivots)
 
 
 def rank(rows: Matrix) -> int:
-    return len(_eliminate(rows, False)[1])
+    return len(_eliminate(_integer_rows(rows), False)[1])
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> tuple[Vector, ...]:
     """Basis of the right nullspace of the matrix."""
-    if not rows:
-        n = ncols if ncols is not None else 0
-        return identity_matrix(n)
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * n
-        v[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            v[pcol] = -red[i][fcol]
-        basis.append(tuple(v))
-    return tuple(basis)
+    n = len(rows[0]) if rows else ncols or 0
+    work, pivots, d = _eliminate(_integer_rows(rows), True)
+    return _fractions(_kernel(work, pivots, d, n), d)
 
 
 def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """One solution of rows @ v = rhs, or None when the system is inconsistent."""
-    if not rows:
-        return () if not any(rhs) else None
-    n = len(rows[0])
-    aug = tuple(tuple(row) + (b,) for row, b in zip(rows, rhs))
-    red, pivots = rref(aug)
+    if len(rhs) != len(rows):
+        raise ShapeError(f"right-hand side has length {len(rhs)}, expected {len(rows)}")
+    n = len(rows[0]) if rows else 0
+    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
+    work, pivots, d = _eliminate(_integer_rows(aug), True)
     if n in pivots:
         return None
-    v = [Fraction(0)] * n
-    for i, pcol in enumerate(pivots):
-        v[pcol] = red[i][n]
-    return tuple(v)
+    v = [0] * n
+    for row, pcol in zip(work, pivots):
+        v[pcol] = row[n]
+    return _fractions((v,), d)[0]
 
 
 def mat_inverse(rows: Matrix) -> Matrix | None:
     n = len(rows)
-    if n == 0:
-        return ()
-    aug = tuple(tuple(row) + unit_vector(n, i) for i, row in enumerate(rows))
-    red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+    aug = [tuple(row) + unit_vector(n, i) for i, row in enumerate(rows)]
+    work, pivots, d = _eliminate(_integer_rows(aug), True)
+    if pivots[:n] != list(range(n)):
         return None
-    return tuple(row[n:] for row in red[:n])
+    return _fractions((row[n:] for row in work[:n]), d)
 
 
 def reduce_span(vectors: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
     """Deterministic basis of the span (nonzero rows of the rref)."""
-    vecs = tuple(tuple(frac(x) for x in v) for v in vectors)
-    if not vecs:
-        return ()
-    red, pivots = rref(vecs)
-    return tuple(red[i] for i in range(len(pivots)))
+    return _span_basis(_integer_rows(vectors))
 
 
 def subspace_contains(span: Sequence[Vector], v: Sequence[Fraction]) -> bool:
-    base = list(span)
-    return rank(tuple(base + [tuple(v)])) == rank(tuple(base)) if base else not any(v)
+    work, pivots, _ = _eliminate(_integer_rows(span), False)
+    return _in_span(work, pivots, _integer_rows((v,))[0])
 
 
 def subspace_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    """Mutual containment via exact rank computations."""
-    a = tuple(tuple(x) for x in a)
-    b = tuple(tuple(x) for x in b)
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
-        return False
-    return rank(a + b) == ra
+    """Equal ranks, and every vector of b reduces to zero against a."""
+    return _same_span(_integer_rows(a), _integer_rows(b))
 
 
 def lin_combo(vectors: Sequence[Vector], coeffs: Sequence[Fraction]) -> Vector:
@@ -288,19 +318,30 @@ class SymplecticSpace:
 
 def is_lagrangian(space: SymplecticSpace, vectors: Sequence[Sequence[Fraction]]) -> CheckResult:
     """True iff the span has full half-dimension and the signed form vanishes on it."""
-    vecs = tuple(tuple(frac(x) for x in v) for v in vectors)
+    vectors = tuple(vectors)
+    return _lagrangian(space, vectors, _integer_rows(vectors))
+
+
+def _lagrangian(space: SymplecticSpace, vectors: Sequence, rows: Sequence) -> CheckResult:
+    """``is_lagrangian`` on the integer rows of ``vectors``."""
     n = space.half_dim
     reasons = []
-    for v in vecs:
-        if len(v) != space.dim:
-            raise ShapeError(f"vector length {len(v)} does not match dimension {space.dim}")
-    r = rank(vecs)
-    if r != n or len(vecs) != n:
-        reasons.append(f"rank defect: {len(vecs)} vectors of rank {r}, expected {n}")
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            val = space.form(vecs[i], vecs[j])
-            if val:
+    for row in rows:
+        if len(row) != space.dim:
+            raise ShapeError(f"vector length {len(row)} does not match dimension {space.dim}")
+    r = len(_eliminate(rows, False)[1])
+    if r != n or len(rows) != n:
+        reasons.append(f"rank defect: {len(rows)} vectors of rank {r}, expected {n}")
+    for i, row in enumerate(rows):
+        # the form as a dual row: form(u, v) = <dual(u), v>
+        dual, offset = [], 0
+        for half, sign in space.blocks:
+            dual += [sign * x for x in row[offset + half:offset + 2 * half]]
+            dual += [-sign * x for x in row[offset:offset + half]]
+            offset += 2 * half
+        for j in range(i + 1, len(rows)):
+            if sum(map(mul, dual, rows[j])):
+                val = space.form(vector(vectors[i]), vector(vectors[j]))
                 reasons.append(f"form(basis[{i}], basis[{j}]) = {val} != 0")
     return CheckResult(not reasons, tuple(reasons))
 
@@ -311,10 +352,13 @@ class LagrangianSubspace:
 
     space: SymplecticSpace
     vectors: tuple[Vector, ...]
+    # the integer rows of ``vectors``, computed once; every check runs on them
+    _rows: tuple[list[int], ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(vector(v) for v in self.vectors))
-        res = is_lagrangian(self.space, self.vectors)
+        object.__setattr__(self, "_rows", tuple(_integer_rows(self.vectors)))
+        res = _lagrangian(self.space, self.vectors, self._rows)
         if not res:
             raise ValidityError(f"not a lagrangian subspace: {res.describe()}")
 
@@ -336,18 +380,13 @@ class Splitting:
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValidityError(f"splitting matrix not symmetric at ({i},{j})")
         # K_B meets {p = 0} trivially; automatic for graphs over the vertical
-        stacked = tuple(self.vertical_vectors())
-        if rank(stacked) != n:
+        if rank(self.vertical_vectors()) != n:
             raise InternalInvariantError("splitting basis degenerate")
 
     def vertical_vectors(self) -> tuple[Vector, ...]:
         """Basis of K_B inside one standard block, coordinates (x..., p...)."""
-        n = self.half_dim
-        out = []
-        for j in range(n):
-            x_part = tuple(self.rows[i][j] for i in range(n))
-            out.append(x_part + unit_vector(n, j))
-        return tuple(out)
+        # column j of B is its row j, since B is symmetric
+        return tuple(row + unit_vector(self.half_dim, j) for j, row in enumerate(self.rows))
 
 
 @dataclass(frozen=True)
@@ -368,8 +407,7 @@ class LinCanonicalRelation:
                      vectors: Sequence[Sequence[Fraction]]) -> "LinCanonicalRelation":
         space = SymplecticSpace.relation_space(source_half_dim, target_half_dim)
         return LinCanonicalRelation(source_half_dim, target_half_dim,
-                                    LagrangianSubspace(space, tuple(tuple(frac(x) for x in v)
-                                                                    for v in vectors)))
+                                    LagrangianSubspace(space, tuple(vectors)))
 
     @property
     def vectors(self) -> tuple[Vector, ...]:
@@ -400,27 +438,23 @@ def zero_section_relation(m: int, n: int) -> LinCanonicalRelation:
 def compose_linear(w: LinCanonicalRelation, v: LinCanonicalRelation) -> LinCanonicalRelation:
     """Relation composition {(u, z) : exists y, (u, y) in v, (y, z) in w}.
 
-    Computed by exact linear elimination of the middle block; for linear
-    canonical relations the result is always lagrangian of half-dimension
-    source(v) + target(w).
+    Computed by exact linear elimination of the middle block on the cached
+    integer rows; for linear canonical relations the result is always
+    lagrangian of half-dimension source(v) + target(w).
     """
     if v.target_half_dim != w.source_half_dim:
         raise ShapeError(
             f"middle dimensions differ: {v.target_half_dim} vs {w.source_half_dim}")
-    mid = 2 * v.target_half_dim
-    vvecs, wvecs = v.vectors, w.vectors
-    rows = []
-    for r in range(mid):
-        rows.append(tuple(vec[2 * v.source_half_dim + r] for vec in vvecs)
-                    + tuple(-vec[r] for vec in wvecs))
-    combos = nullspace(tuple(rows), ncols=len(vvecs) + len(wvecs))
-    produced = []
-    for combo in combos:
-        a, b = combo[:len(vvecs)], combo[len(vvecs):]
-        u = lin_combo(vvecs, a)[:2 * v.source_half_dim] if vvecs else ()
-        z = lin_combo(wvecs, b)[2 * w.source_half_dim:] if wvecs else ()
-        produced.append(u + z)
-    basis = reduce_span(produced)
+    source, mid = 2 * v.source_half_dim, 2 * v.target_half_dim
+    vrows, wrows = v.subspace._rows, w.subspace._rows
+    rows = [[vec[source + r] for vec in vrows] + [-vec[r] for vec in wrows]
+            for r in range(mid)]
+    work, pivots, d = _eliminate(rows, True)
+    k = len(vrows)
+    produced = [_combine(vrows, c[:k], 0, source)
+                + _combine(wrows, c[k:], mid, mid + 2 * w.target_half_dim)
+                for c in _kernel(work, pivots, d, k + len(wrows))]
+    basis = _span_basis(produced)
     if len(basis) != v.source_half_dim + w.target_half_dim:
         raise InternalInvariantError(
             f"linear composition produced dimension {len(basis)}, "
@@ -441,6 +475,8 @@ class AffineSubspace:
         return self.point is None
 
     def contains(self, v: Sequence[Fraction]) -> bool:
+        if len(v) != self.dim:
+            raise ShapeError(f"point has length {len(v)}, expected {self.dim}")
         if self.point is None:
             return False
         diff = tuple(frac(a) - b for a, b in zip(v, self.point))
@@ -462,19 +498,22 @@ class AffineSubspace:
 def image_of_point(v: LinCanonicalRelation, u: Sequence[Fraction]) -> AffineSubspace:
     """The affine set {w : (u, w) in v}, possibly empty."""
     u = vector(u)
-    if len(u) != 2 * v.source_half_dim:
-        raise ShapeError(f"point has length {len(u)}, expected {2 * v.source_half_dim}")
-    vvecs = v.vectors
-    rows = tuple(tuple(vec[r] for vec in vvecs) for r in range(2 * v.source_half_dim))
-    target_dim = 2 * v.target_half_dim
-    part = solve(rows, u)
-    if part is None:
+    source = 2 * v.source_half_dim
+    if len(u) != source:
+        raise ShapeError(f"point has length {len(u)}, expected {source}")
+    vrows = v.subspace._rows
+    k, target_dim = len(vrows), 2 * v.target_half_dim
+    aug = [[vec[r] * x.denominator for vec in vrows] + [x.numerator] for r, x in enumerate(u)]
+    work, pivots, d = _eliminate(aug, True)
+    if k in pivots:
         return AffineSubspace(target_dim, None)
-    point = lin_combo(vvecs, part)[2 * v.source_half_dim:] if vvecs else ()
-    dirs = []
-    for z in nullspace(rows, ncols=len(vvecs)):
-        dirs.append(lin_combo(vvecs, z)[2 * v.source_half_dim:])
-    return AffineSubspace(target_dim, point, reduce_span(dirs))
+    # free coordinates 0, pivot coordinate i is work[i][k] / d.  Column j is
+    # vector j scaled by s_j > 0, which divides coordinate j by s_j: same point
+    point = _combine([vrows[p] for p in pivots], [row[k] for row in work],
+                     source, source + target_dim)
+    dirs = [_combine(vrows, z, source, source + target_dim)
+            for z in _kernel(work, pivots, d, k)]
+    return AffineSubspace(target_dim, _fractions((point,), d)[0], _span_basis(dirs))
 
 
 def check_linear_micromorphism(v: LinCanonicalRelation,
@@ -489,15 +528,14 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     phi = matrix(phi_rows)
     if len(phi) != m or (m and len(phi[0]) != n) or (not m and phi and phi[0]):
         raise ShapeError(f"core map matrix must be {m}x{n}")
-    vvecs = v.vectors
-    rows = tuple(tuple(vec[m + r] for vec in vvecs) for r in range(m))
-    combos = nullspace(rows, ncols=len(vvecs))
-    intersection = reduce_span([lin_combo(vvecs, c) for c in combos])
-    graph = []
-    for j in range(n):
-        col = tuple(phi[i][j] for i in range(m))
-        graph.append(col + zero_vector(m) + unit_vector(n, j) + zero_vector(n))
-    ok = subspace_equal(intersection, tuple(graph))
+    vrows = v.subspace._rows
+    work, pivots, d = _eliminate([[vec[m + r] for vec in vrows] for r in range(m)], True)
+    # the rows of a lagrangian basis are independent, so these combinations are too
+    width = 2 * (m + n)
+    intersection = [_combine(vrows, c, 0, width) for c in _kernel(work, pivots, d, len(vrows))]
+    graph = [tuple(phi[i][j] for i in range(m)) + zero_vector(m) + unit_vector(n, j)
+             + zero_vector(n) for j in range(n)]
+    ok = _same_span(intersection, _integer_rows(graph))
     reasons = ()
     if not ok:
         reasons = (f"intersection with the horizontal has dimension {len(intersection)}, "
@@ -511,19 +549,20 @@ def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting,
 
     Both subspaces have half the ambient dimension, so transversality is
     equivalent to their intersection being zero, decided by an exact rank
-    computation.  When given, ``core_graph`` vectors are checked to lie in
-    the relation as a consistency guard.
+    computation on integer rows.  When given, ``core_graph`` vectors are
+    checked to lie in the relation as a consistency guard.
     """
     m, n = v.source_half_dim, v.target_half_dim
     if splitting.half_dim != n:
         raise ShapeError(f"splitting half-dimension {splitting.half_dim} != target {n}")
+    vrows = v.subspace._rows
     if core_graph is not None:
-        for g in core_graph:
-            if not subspace_contains(v.vectors, vector(g)):
+        work, pivots, _ = _eliminate(vrows, False)
+        for g in _integer_rows(core_graph):
+            if not _in_span(work, pivots, g):
                 raise ShapeError("core graph vector not contained in the relation")
-    columns = list(v.vectors)
-    for i in range(m):
-        columns.append(unit_vector(2 * m, i) + zero_vector(2 * n))
-    for kvec in splitting.vertical_vectors():
-        columns.append(zero_vector(2 * m) + kvec)
-    return rank(tuple(columns)) == 2 * (m + n)
+    width = 2 * (m + n)
+    rows = list(vrows)
+    rows += [[int(i == j) for j in range(width)] for i in range(m)]
+    rows += _integer_rows(zero_vector(2 * m) + kvec for kvec in splitting.vertical_vectors())
+    return len(_eliminate(rows, False)[1]) == width

@@ -206,6 +206,8 @@ def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, in
 
 
 def _check_dims(fields: dict[str, int], keys: tuple[str, ...], lineno: int) -> None:
+    if any(fields[key] < 0 for key in keys):
+        raise ParseError("dimensions must be non-negative", lineno)
     for key in keys:
         if fields[key] > MAX_DIM:
             raise ParseError(f"{key} {fields[key]} exceeds the limit of {MAX_DIM}", lineno)
@@ -226,8 +228,6 @@ def parse_morphism(text: str) -> Micromorphism:
     header_line, header = lines[0]
     fields = _parse_header(header, header_line, ("source", "target", "order"))
     m, n, order = fields["source"], fields["target"], fields["order"]
-    if m < 0 or n < 0:
-        raise ParseError("dimensions must be non-negative", header_line)
     _check_dims(fields, ("source", "target"), header_line)
     if order < 1:
         raise ParseError("order must be at least 1", header_line)

@@ -105,3 +105,134 @@ def reduce_span(vectors):
         return ()
     red, pivots = rref(vecs)
     return tuple(red[i] for i in range(len(pivots)))
+
+
+# -- the linear checks, as they were on Fraction vectors -----------------------
+#
+# Relations are the library's ``LinCanonicalRelation`` objects, read only
+# through ``source_half_dim``, ``target_half_dim`` and ``vectors``; results
+# are plain tuples: a basis, ``(ok, reasons)``, or ``(point, directions)``.
+
+
+def zero_vector(n):
+    return (Fraction(0),) * n
+
+
+def lin_combo(vectors, coeffs):
+    n = len(vectors[0]) if vectors else 0
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return tuple(out)
+
+
+def form(blocks, u, v):
+    """The signed symplectic form of the block space ``blocks``."""
+    total = Fraction(0)
+    offset = 0
+    for n, sign in blocks:
+        for i in range(n):
+            a, b = u[offset + n + i], v[offset + i]
+            if a and b:
+                total += sign * a * b
+            a, b = v[offset + n + i], u[offset + i]
+            if a and b:
+                total -= sign * a * b
+        offset += 2 * n
+    return total
+
+
+def is_lagrangian(blocks, vectors):
+    """``(ok, reasons)``; the length check of the library is left out."""
+    vecs = tuple(tuple(frac(x) for x in v) for v in vectors)
+    n = sum(half for half, _ in blocks)
+    reasons = []
+    r = rank(vecs)
+    if r != n or len(vecs) != n:
+        reasons.append(f"rank defect: {len(vecs)} vectors of rank {r}, expected {n}")
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            val = form(blocks, vecs[i], vecs[j])
+            if val:
+                reasons.append(f"form(basis[{i}], basis[{j}]) = {val} != 0")
+    return not reasons, tuple(reasons)
+
+
+def subspace_contains(span, v):
+    base = list(span)
+    return rank(tuple(base + [tuple(v)])) == rank(tuple(base)) if base else not any(v)
+
+
+def subspace_equal(a, b):
+    a = tuple(tuple(x) for x in a)
+    b = tuple(tuple(x) for x in b)
+    ra, rb = rank(a), rank(b)
+    if ra != rb:
+        return False
+    return rank(a + b) == ra
+
+
+def compose_linear(w, v):
+    """Basis of the composite relation (its rref rows)."""
+    mid = 2 * v.target_half_dim
+    vvecs, wvecs = v.vectors, w.vectors
+    rows = []
+    for r in range(mid):
+        rows.append(tuple(vec[2 * v.source_half_dim + r] for vec in vvecs)
+                    + tuple(-vec[r] for vec in wvecs))
+    combos = nullspace(tuple(rows), ncols=len(vvecs) + len(wvecs))
+    produced = []
+    for combo in combos:
+        a, b = combo[:len(vvecs)], combo[len(vvecs):]
+        u = lin_combo(vvecs, a)[:2 * v.source_half_dim] if vvecs else ()
+        z = lin_combo(wvecs, b)[2 * w.source_half_dim:] if wvecs else ()
+        produced.append(u + z)
+    return reduce_span(produced)
+
+
+def image_of_point(v, u):
+    """``(point, directions)``, or None when the image is empty."""
+    u = tuple(frac(x) for x in u)
+    vvecs = v.vectors
+    rows = tuple(tuple(vec[r] for vec in vvecs) for r in range(2 * v.source_half_dim))
+    part = solve(rows, u)
+    if part is None:
+        return None
+    point = lin_combo(vvecs, part)[2 * v.source_half_dim:] if vvecs else ()
+    dirs = []
+    for z in nullspace(rows, ncols=len(vvecs)):
+        dirs.append(lin_combo(vvecs, z)[2 * v.source_half_dim:])
+    return point, reduce_span(dirs)
+
+
+def check_linear_micromorphism(v, phi):
+    """``(ok, reasons)`` for an m x n core map matrix ``phi``."""
+    m, n = v.source_half_dim, v.target_half_dim
+    vvecs = v.vectors
+    rows = tuple(tuple(vec[m + r] for vec in vvecs) for r in range(m))
+    combos = nullspace(rows, ncols=len(vvecs))
+    intersection = reduce_span([lin_combo(vvecs, c) for c in combos])
+    graph = []
+    for j in range(n):
+        col = tuple(frac(phi[i][j]) for i in range(m))
+        graph.append(col + zero_vector(m) + unit_vector(n, j) + zero_vector(n))
+    ok = subspace_equal(intersection, tuple(graph))
+    reasons = ()
+    if not ok:
+        reasons = (f"intersection with the horizontal has dimension {len(intersection)}, "
+                   f"graph of the core map has dimension {n}; subspaces differ",)
+    return ok, reasons
+
+
+def transverse_to_splitting(v, b_rows):
+    """Transversality to (horizontal source) x K_B for the symmetric matrix B."""
+    m, n = v.source_half_dim, v.target_half_dim
+    columns = list(v.vectors)
+    for i in range(m):
+        columns.append(unit_vector(2 * m, i) + zero_vector(2 * n))
+    for j in range(n):
+        kvec = tuple(frac(b_rows[i][j]) for i in range(n)) + unit_vector(n, j)
+        columns.append(zero_vector(2 * m) + kvec)
+    return rank(tuple(columns)) == 2 * (m + n)

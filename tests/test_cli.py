@@ -242,3 +242,18 @@ def test_dimensions_at_the_limit_are_accepted():
     assert parse_core_map("domain=64 codomain=1\nf1 = x64\n").domain_dim == 64
     lines = "".join(f"f{i} = x1\n" for i in range(1, 65))
     assert parse_core_map("domain=1 codomain=64\n" + lines).codomain_dim == 64
+
+
+@pytest.mark.parametrize("verb, record", [
+    ("check", "source=-1 target=1 order=1\nS = 0\n"),
+    ("check", "source=1 target=-2 order=1\nS = 0\n"),
+    ("check", "source=-1 target=65 order=1\nS = 0\n"),
+    ("lift", "domain=-1 codomain=1\nf1 = 0\n"),
+    ("lift", "domain=1 codomain=-2"),
+    ("lift", "domain=65 codomain=-2"),
+])
+def test_negative_dimensions_in_record_headers(capsys, verb, record):
+    code, out, err = run(capsys, verb, record)
+    assert code == 1
+    assert out == ""
+    assert "line 1: dimensions must be non-negative" in err

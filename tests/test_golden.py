@@ -4,6 +4,15 @@
 ``reduce_span``, ``nullspace``, ``compose_linear``, ``image_of_point`` and
 ``mat_inverse`` on a fixed seeded set of ``sampling`` inputs.
 
+``tests/golden/linear.txt`` holds the linear checks of a micromorphism on
+seeded ``sampling`` inputs at core dimensions 0-3: the ``tangent_relation_at``
+vectors, ``is_lagrangian`` verdicts and reasons (on the relation, on a
+non-isotropic perturbation and on a rank-deficient set),
+``check_linear_micromorphism`` verdicts (true and perturbed core map),
+``transverse_to_splitting`` over five splittings (and on a zero-section
+relation, which is never transverse when m > 0), and ``subspace_contains``
+and ``subspace_equal`` results.
+
 ``tests/golden/jetalg.txt`` holds the ``FiberGradedPoly.to_text`` of seeded
 products, powers, ``substitute`` and ``substitute_many`` results (mixed
 denominators, large coefficients, ``None`` identity entries) at fiber and
@@ -15,7 +24,7 @@ base arities 0-3 and orders 0-4.
 ``sampling.rand_affine_core_micromorphism`` at core dimensions 1-3 and
 orders 1-4.
 
-After an intended change of output, rewrite all three with
+After an intended change of output, rewrite all four with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -25,11 +34,15 @@ from pathlib import Path
 
 from microsympl import micro
 from microsympl.jetalg import substitute_many
-from microsympl.linsympl import (compose_linear, image_of_point, lin_combo,
-                                 mat_inverse, nullspace, reduce_span)
+from microsympl.linsympl import (check_linear_micromorphism, compose_linear,
+                                 image_of_point, is_lagrangian, lin_combo,
+                                 mat_inverse, nullspace, reduce_span,
+                                 subspace_contains, subspace_equal,
+                                 transverse_to_splitting, zero_section_relation)
 from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
                                  rand_invertible_int_matrix,
-                                 rand_lagrangian_relation, rand_point, rand_poly,
+                                 rand_lagrangian_relation, rand_micromorphism,
+                                 rand_point, rand_poly, rand_splitting,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
 from microsympl.textio import format_germ, format_matrix, format_morphism
@@ -39,6 +52,7 @@ CASES = 40
 MICRO_CASES = 30
 MICRO_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 JETALG_CASES = 80
+LINEAR_CASES = 48
 
 
 def _rand_rows(rng, nrows, ncols):
@@ -82,6 +96,54 @@ def _case_lines(case):
 def linsympl_text() -> str:
     return "".join(f"{case} {name} {text}\n"
                    for case in range(CASES) for name, text in _case_lines(case))
+
+
+def _verdict(result) -> str:
+    return f"{bool(result)} {result.describe()}"
+
+
+def _linear_lines(case):
+    rng = rng_for(case, "golden-linear")
+    m, n = case % 4, (case // 4) % 4
+    f = rand_micromorphism(rng, m, n, rng.randint(1, 4))
+    b = rand_point(rng, n)
+    rel = micro.tangent_relation_at(f, b)
+    vecs, space = rel.vectors, rel.subspace.space
+    yield "tangent_relation_at", format_matrix(vecs)
+    yield "is_lagrangian", _verdict(is_lagrangian(space, vecs))
+    if vecs:
+        # break isotropy by adding a random vector to the first one
+        bump = rand_point(rng, space.dim, 5, 4)
+        yield "is_lagrangian", _verdict(is_lagrangian(
+            space, (tuple(x + y for x, y in zip(vecs[0], bump)),) + vecs[1:]))
+        # rank-deficient: the last vector repeats a combination of the others
+        combo = lin_combo(vecs[:-1], [rand_fraction(rng) for _ in vecs[:-1]]) \
+            if len(vecs) > 1 else (0,) * space.dim
+        yield "is_lagrangian", _verdict(is_lagrangian(space, vecs[:-1] + (combo,)))
+    phi = f.core.jacobian_at(b)
+    yield "check_linear_micromorphism", _verdict(check_linear_micromorphism(rel, phi))
+    if m and n:
+        wrong = tuple(tuple(x + (1 if (i, j) == (0, 0) else 0) for j, x in enumerate(row))
+                      for i, row in enumerate(phi))
+        yield "check_linear_micromorphism", _verdict(check_linear_micromorphism(rel, wrong))
+    splittings = [rand_splitting(rng, n) for _ in range(5)]
+    yield "transverse_to_splitting", ",".join(
+        str(transverse_to_splitting(rel, s)) for s in splittings)
+    yield "transverse_to_splitting", ",".join(
+        str(transverse_to_splitting(zero_section_relation(m, n), s)) for s in splittings)
+    inside = lin_combo(vecs, [rand_fraction(rng) for _ in vecs]) if vecs else ()
+    outside = rand_point(rng, space.dim)
+    yield "subspace_contains", ",".join(
+        str(subspace_contains(vecs, v)) for v in (inside, outside, (0,) * space.dim))
+    other = rand_lagrangian_relation(rng, m, n).vectors
+    yield "subspace_equal", ",".join(
+        str(subspace_equal(vecs, w)) for w in (reduce_span(vecs), other, vecs[:-1],
+                                                tuple(reversed(vecs))))
+
+
+def linear_text() -> str:
+    return "".join(f"{case} {name} {text}\n"
+                   for case in range(LINEAR_CASES) for name, text in _linear_lines(case))
 
 
 def _micro_blocks(case):
@@ -139,11 +201,15 @@ def jetalg_text() -> str:
 
 
 CORPORA = {"linsympl.txt": linsympl_text, "micro.txt": micro_text,
-           "jetalg.txt": jetalg_text}
+           "jetalg.txt": jetalg_text, "linear.txt": linear_text}
 
 
 def test_golden_corpus_is_byte_identical():
     assert linsympl_text().encode() == (GOLDEN_DIR / "linsympl.txt").read_bytes()
+
+
+def test_linear_checks_golden_corpus_is_byte_identical():
+    assert linear_text().encode() == (GOLDEN_DIR / "linear.txt").read_bytes()
 
 
 def test_jetalg_golden_corpus_is_byte_identical():

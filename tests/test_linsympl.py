@@ -9,7 +9,7 @@ from microsympl.linsympl import (AffineSubspace, LinCanonicalRelation, Splitting
                                  compose_linear, graph_relation, identity_relation,
                                  image_of_point, is_lagrangian, lin_combo,
                                  mat_mul, mat_vec, nullspace, rank, reduce_span,
-                                 solve, subspace_equal, unit_vector,
+                                 solve, subspace_contains, subspace_equal, unit_vector,
                                  zero_section_relation, zero_vector)
 from microsympl.sampling import (rand_lagrangian_relation, rand_splitting,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
@@ -36,6 +36,17 @@ def test_solve_consistent_and_inconsistent():
     assert solve(m, (F(3), F(1))) == (F(2), F(1))
     singular = vecs((1, 1), (2, 2))
     assert solve(singular, (F(1), F(3))) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rank(((1,), (0, 1))),
+    lambda: subspace_contains(((0, 1),), (0, 1, 3)),
+    lambda: AffineSubspace(2, (1, 0), ((0, 1),)).contains((1, 5, 7)),
+    lambda: solve(((1, 0), (0, 1)), (3,)),
+], ids=["rank-ragged", "contains-width", "affine-contains-length", "solve-rhs-length"])
+def test_shape_mismatches_raise_instead_of_truncating(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 def test_subspace_equality_is_basis_independent():

@@ -1,4 +1,11 @@
-"""The fraction-free elimination kernel against the frozen Fraction oracle."""
+"""The integer linear layer against the frozen Fraction oracle.
+
+The elimination routines, and the linear checks that run on cached integer
+rows (``is_lagrangian``, ``subspace_contains``, ``subspace_equal``,
+``compose_linear``, ``image_of_point``, ``check_linear_micromorphism``,
+``transverse_to_splitting``), must agree with ``reference_linsympl`` exactly,
+failure reasons included.
+"""
 
 from fractions import Fraction as F
 
@@ -6,7 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_linsympl as ref
-from microsympl import linsympl
+from microsympl import linsympl, micro
+from microsympl.sampling import (rand_lagrangian_relation, rand_micromorphism, rand_point,
+                                 rng_for)
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -112,3 +121,162 @@ def test_float_entries_are_rejected(entry):
         linsympl.rank(rows)
     with pytest.raises(TypeError):
         linsympl.rref(rows)
+
+
+# -- the linear checks on relations ------------------------------------------------
+
+NONZERO = st.one_of(SMALL, NEGATIVE_DEN, HUGE).filter(bool)
+HALF_DIM = st.integers(0, 3)
+
+
+@st.composite
+def rebased(draw, vectors):
+    """The same span in another basis: an upper triangular change with ENTRY entries."""
+    k = len(vectors)
+    out = []
+    for i in range(k):
+        coeffs = [draw(NONZERO) if j == i else draw(ENTRY) if j > i else F(0)
+                  for j in range(k)]
+        out.append(ref.lin_combo(vectors, coeffs))
+    return tuple(out)
+
+
+def symmetric(draw, n):
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(ENTRY)
+    return rows
+
+
+@st.composite
+def relations(draw, m=HALF_DIM, n=HALF_DIM):
+    """Lagrangian relations of three kinds, each in a drawn basis.
+
+    ``sampled``: a seeded symplectic move of a zero section.  ``graph``: the
+    graph of a symmetric matrix C with ENTRY entries, {(x, C x)} in the
+    standard block, moved to the relation's signed coordinates; with
+    ``decoupled`` the x1/x2 block of C is zero, so the relation is a product
+    and the image of a generic point is empty.  ``micro``: the tangent
+    relation of a seeded micromorphism.
+    """
+    m, n = draw(m), draw(n)
+    kind = draw(st.sampled_from(["sampled", "graph", "micro"]))
+    if kind == "sampled":
+        vectors = rand_lagrangian_relation(rng_for(draw(st.integers(0, 999)), "oracle"),
+                                           m, n).vectors
+    elif kind == "micro":
+        rng = rng_for(draw(st.integers(0, 999)), "oracle-micro")
+        f = rand_micromorphism(rng, m, n, rng.randint(1, 3))
+        vectors = micro.tangent_relation_at(f, tuple(draw(ENTRY) for _ in range(n))).vectors
+    else:
+        c = symmetric(draw, m + n)
+        if draw(st.booleans()):
+            for i in range(m):
+                for j in range(m, m + n):
+                    c[i][j] = c[j][i] = F(0)
+        vectors = []
+        for i in range(m + n):
+            x_all, p_all = ref.unit_vector(m + n, i), tuple(c[r][i] for r in range(m + n))
+            vectors.append(x_all[:m] + tuple(-v for v in p_all[:m]) + x_all[m:] + p_all[m:])
+    return linsympl.LinCanonicalRelation.from_vectors(m, n, draw(rebased(tuple(vectors))))
+
+
+def verdict(result):
+    return result.ok, result.reasons
+
+
+@given(rel=relations(), data=st.data())
+def test_is_lagrangian_matches_oracle(rel, data):
+    space = rel.subspace.space
+    vecs = rel.vectors
+    candidates = [vecs, vecs[:-1], tuple(data.draw(st.lists(ENTRY, min_size=space.dim,
+                                                            max_size=space.dim))
+                                         for _ in vecs)]
+    if vecs:
+        bump = tuple(data.draw(st.lists(ENTRY, min_size=space.dim, max_size=space.dim)))
+        # non-isotropic: one vector moved off the subspace
+        candidates.append((tuple(a + b for a, b in zip(vecs[0], bump)),) + vecs[1:])
+        # rank-deficient: the last vector a combination of the others
+        coeffs = data.draw(st.lists(ENTRY, min_size=len(vecs) - 1, max_size=len(vecs) - 1))
+        candidates.append(vecs[:-1] + (ref.lin_combo(vecs[:-1], coeffs)
+                                       if len(vecs) > 1 else (F(0),) * space.dim,))
+    for cand in candidates:
+        assert verdict(linsympl.is_lagrangian(space, cand)) == ref.is_lagrangian(space.blocks,
+                                                                                cand)
+
+
+@given(span=matrices("wide"), data=st.data())
+def test_subspace_contains_and_equal_match_oracle(span, data):
+    width = len(span[0])
+    inside = ref.lin_combo(span, data.draw(st.lists(ENTRY, min_size=len(span),
+                                                    max_size=len(span))))
+    outside = tuple(data.draw(st.lists(ENTRY, min_size=width, max_size=width)))
+    for v in (inside, outside, (F(0),) * width):
+        assert linsympl.subspace_contains(span, v) == ref.subspace_contains(span, v)
+        assert linsympl.subspace_contains((), v) == ref.subspace_contains((), v)
+    for other in (data.draw(rebased(span)), span[1:], span[:-1] + (outside,),
+                  data.draw(matrices("wide").filter(lambda r: len(r[0]) == width))):
+        assert linsympl.subspace_equal(span, other) == ref.subspace_equal(span, other)
+        assert linsympl.subspace_equal(other, span) == ref.subspace_equal(other, span)
+
+
+@given(data=st.data())
+def test_compose_linear_matches_oracle(data):
+    mid = data.draw(HALF_DIM)
+    v = data.draw(relations(n=st.just(mid)))
+    w = data.draw(relations(m=st.just(mid)))
+    assert linsympl.compose_linear(w, v).vectors == ref.compose_linear(w, v)
+
+
+@given(rel=relations(), data=st.data())
+def test_image_of_point_matches_oracle(rel, data):
+    source = 2 * rel.source_half_dim
+    reachable = ref.lin_combo(rel.vectors, data.draw(
+        st.lists(ENTRY, min_size=len(rel.vectors), max_size=len(rel.vectors))))[:source]
+    for u in (reachable, tuple(data.draw(st.lists(ENTRY, min_size=source, max_size=source)))):
+        image = linsympl.image_of_point(rel, u)
+        want = ref.image_of_point(rel, u)
+        assert image.is_empty == (want is None)
+        if want is not None:
+            assert (image.point, image.directions) == want
+            assert all_fractions((image.point,) + image.directions)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_image_of_point_on_seeded_relations_matches_oracle(case):
+    # the particular point depends on the basis, so this also pins the basis
+    # order of the cached rows
+    rng = rng_for(case, "oracle-image")
+    m, n = rng.randint(1, 3), rng.randint(0, 3)
+    rel = rand_lagrangian_relation(rng, m, n)
+    u = rand_point(rng, 2 * m)
+    image = linsympl.image_of_point(rel, u)
+    want = ref.image_of_point(rel, u)
+    assert (None if image.is_empty else (image.point, image.directions)) == want
+
+
+@given(rel=relations(), data=st.data())
+def test_check_linear_micromorphism_matches_oracle(rel, data):
+    m, n = rel.source_half_dim, rel.target_half_dim
+    # the core map read off the relation when it is a graph over the x2 block,
+    # and a drawn one
+    phis = [tuple(tuple(data.draw(ENTRY) for _ in range(n)) for _ in range(m))]
+    p1_free = ref.nullspace(tuple(tuple(vec[m + r] for vec in rel.vectors)
+                                  for r in range(m)), ncols=len(rel.vectors))
+    horizontal = [ref.lin_combo(rel.vectors, c) for c in p1_free]
+    if len(horizontal) == n and ref.rank(tuple(h[2 * m:2 * m + n] for h in horizontal)) == n:
+        rows = ref.reduce_span(tuple(h[2 * m:2 * m + n] + h[:m] for h in horizontal))
+        phis.append(tuple(tuple(rows[j][n + i] for j in range(n)) for i in range(m)))
+    for phi in phis:
+        got = verdict(linsympl.check_linear_micromorphism(rel, phi))
+        assert got == ref.check_linear_micromorphism(rel, phi)
+
+
+@given(rel=relations(), data=st.data())
+def test_transverse_to_splitting_matches_oracle(rel, data):
+    n = rel.target_half_dim
+    b_rows = tuple(tuple(r) for r in symmetric(data.draw, n))
+    splitting = linsympl.Splitting(n, b_rows)
+    assert linsympl.transverse_to_splitting(rel, splitting) == \
+        ref.transverse_to_splitting(rel, b_rows)
