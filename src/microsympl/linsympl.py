@@ -9,10 +9,15 @@ the two-block space ((m, -1), (n, +1)) with coordinates (x1, p1, x2, p2).
 
 Inside the layer the working form is integer rows, each scaled by the lcm of
 its denominators (the span is kept): a matrix is converted once where it
-enters (``_integer_rows``), and ``LagrangianSubspace`` caches the rows of its
-basis.  Ranks, Gram matrices of the form (positive scaling keeps which
-entries vanish), nullspaces, combinations and membership tests stay integer.
-Subspace equality is decided by ranks and containment, never by bases.
+enters (``_integer_rows``), ``LagrangianSubspace`` caches the rows of its
+basis, and ``Splitting`` the rows of its vertical basis, whose p block is
+s_j e_j with s_j > 0.  Ranks, Gram matrices of the form (positive scaling
+keeps which entries vanish), nullspaces, combinations and membership tests
+stay integer.  Subspace equality is decided by ranks and containment, never
+by bases.  A ``LinCanonicalRelation`` keeps the echelon form of its rows and
+the horizontal source block, computed on its first transversality test;
+each splitting's rows are then reduced against it (``_reduce``) and only the
+residuals are ranked.
 
 All elimination runs through one fraction-free (Bareiss, Math. Comp. 22,
 1968) kernel, ``_eliminate``: ``row_i = (a * row_i - b * row_r) // prev``
@@ -179,16 +184,22 @@ def _span_basis(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     return _fractions(work[:len(pivots)], d)
 
 
-def _in_span(work: list, pivots: list[int], v: Sequence[int]) -> bool:
-    """Whether v lies in the span of rows in echelon form, by one reduction pass."""
-    if work and len(v) != len(work[0]):
-        raise ShapeError(f"vector length {len(v)} does not match the span width {len(work[0])}")
+def _reduce(work: list, pivots: list[int], v: Sequence[int]) -> Sequence[int]:
+    """v reduced against rows in echelon form: a nonzero multiple of v minus a
+    combination of the rows, zero in every pivot column."""
     for row, c in zip(work, pivots):
         b = v[c]
         if b:
             a = row[c]
             v = [a * x - b * y for x, y in zip(v, row)]
-    return not any(v)
+    return v
+
+
+def _in_span(work: list, pivots: list[int], v: Sequence[int]) -> bool:
+    """Whether v lies in the span of rows in echelon form, by one reduction pass."""
+    if work and len(v) != len(work[0]):
+        raise ShapeError(f"vector length {len(v)} does not match the span width {len(work[0])}")
+    return not any(_reduce(work, pivots, v))
 
 
 def _same_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
@@ -369,6 +380,8 @@ class Splitting:
 
     half_dim: int
     rows: Matrix
+    # the integer rows of ``vertical_vectors()``, computed once
+    _rows: tuple[list[int], ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", matrix(self.rows))
@@ -379,9 +392,12 @@ class Splitting:
             for j in range(i + 1, n):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValidityError(f"splitting matrix not symmetric at ({i},{j})")
-        # K_B meets {p = 0} trivially; automatic for graphs over the vertical
-        if rank(self.vertical_vectors()) != n:
-            raise InternalInvariantError("splitting basis degenerate")
+        rows = _integer_rows(self.vertical_vectors())
+        # K_B meets {p = 0} trivially: the p block of row j is s_j e_j, s_j > 0
+        for j, row in enumerate(rows):
+            if row[n + j] <= 0 or any(row[n + k] for k in range(n) if k != j):
+                raise InternalInvariantError("splitting basis degenerate")
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def vertical_vectors(self) -> tuple[Vector, ...]:
         """Basis of K_B inside one standard block, coordinates (x..., p...)."""
@@ -396,6 +412,9 @@ class LinCanonicalRelation:
     source_half_dim: int
     target_half_dim: int
     subspace: LagrangianSubspace
+    # echelon rows and pivots of the relation's rows plus the horizontal
+    # source block, filled by the first ``transverse_to_splitting`` call
+    _echelon: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = SymplecticSpace.relation_space(self.source_half_dim, self.target_half_dim)
@@ -548,9 +567,11 @@ def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting,
     """Transversality of the relation to (horizontal source) x K_B.
 
     Both subspaces have half the ambient dimension, so transversality is
-    equivalent to their intersection being zero, decided by an exact rank
-    computation on integer rows.  When given, ``core_graph`` vectors are
-    checked to lie in the relation as a consistency guard.
+    equivalent to their sum being everything.  The relation's rows and the m
+    horizontal unit rows are eliminated once per relation, on the first call;
+    their rank must be 2m + n, and the n rows of K_B, reduced against that
+    echelon form, must leave residuals of rank n.  When given, ``core_graph``
+    vectors are checked to lie in the relation as a consistency guard.
     """
     m, n = v.source_half_dim, v.target_half_dim
     if splitting.half_dim != n:
@@ -561,8 +582,14 @@ def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting,
         for g in _integer_rows(core_graph):
             if not _in_span(work, pivots, g):
                 raise ShapeError("core graph vector not contained in the relation")
-    width = 2 * (m + n)
-    rows = list(vrows)
-    rows += [[int(i == j) for j in range(width)] for i in range(m)]
-    rows += _integer_rows(zero_vector(2 * m) + kvec for kvec in splitting.vertical_vectors())
-    return len(_eliminate(rows, False)[1]) == width
+    if v._echelon is None:
+        width = 2 * (m + n)
+        rows = list(vrows) + [[int(i == j) for j in range(width)] for i in range(m)]
+        work, pivots, _ = _eliminate(rows, False)
+        object.__setattr__(v, "_echelon", (tuple(work[:len(pivots)]), tuple(pivots)))
+    work, pivots = v._echelon
+    if len(pivots) != 2 * m + n:
+        return False
+    pad = [0] * (2 * m)
+    residuals = [_reduce(work, pivots, pad + row) for row in splitting._rows]
+    return len(_eliminate(residuals, False)[1]) == n

@@ -366,17 +366,53 @@ def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRe
     Works for any generating function; for a valid micromorphism the base
     Hessian block vanishes and this reduces to the normal-form formula
     dx1 = Q dp1 + Dphi dx2, dp2 = Dphi^T dp1 with Q = d2S/dp2(0, point).
+    The second derivatives at (0, point) are read off the terms of fiber
+    degree at most 2 in one pass: c p_i p_j x^a adds c b^a to spp[i][j] and
+    spp[j][i] (2 c b^a on the diagonal, from c p_i^2 x^a), c p_i x^a adds
+    d/dx_j (c x^a) at b to spx[i][j], and c x^a adds its second base
+    derivatives to sxx.
     """
     m, n = gen.fiber_arity, gen.base_arity
     b = tuple(frac(v) for v in point)
     if len(b) != n:
         raise ShapeError(f"point has dimension {len(b)}, expected {n}")
-    zeros = (Fraction(0),) * m
-    dp = [gen.partial_fiber(i) for i in range(m)]
-    dx = [gen.partial_base(j) for j in range(n)]
-    spp = [[dp[i].partial_fiber(j).evaluate(zeros, b) for j in range(m)] for i in range(m)]
-    spx = [[dp[i].partial_base(j).evaluate(zeros, b) for j in range(n)] for i in range(m)]
-    sxx = [[dx[i].partial_base(j).evaluate(zeros, b) for j in range(n)] for i in range(n)]
+
+    def at_b(c, xe):
+        for v, e in zip(b, xe):
+            if e:
+                c *= v ** e
+        return c
+
+    def lowered(xe, j):
+        return xe[:j] + (xe[j] - 1,) + xe[j + 1:]
+
+    zero = Fraction(0)
+    spp = [[zero] * m for _ in range(m)]
+    spx = [[zero] * n for _ in range(m)]
+    sxx = [[zero] * n for _ in range(n)]
+    for (pe, xe), c in gen.terms.items():
+        degree = sum(pe)
+        if degree == 2:
+            i = next(k for k, e in enumerate(pe) if e)
+            if pe[i] == 2:
+                spp[i][i] += 2 * at_b(c, xe)
+            else:
+                j = pe.index(1, i + 1)
+                val = at_b(c, xe)
+                spp[i][j] += val
+                spp[j][i] += val
+        elif degree == 1:
+            row = spx[pe.index(1)]
+            for j, e in enumerate(xe):
+                if e:
+                    row[j] += at_b(c * e, lowered(xe, j))
+        elif degree == 0:
+            for i, e in enumerate(xe):
+                if e:
+                    xi = lowered(xe, i)
+                    for j, f in enumerate(xi):
+                        if f:
+                            sxx[i][j] += at_b(c * e * f, lowered(xi, j))
     vectors = []
     for a in range(m):
         vectors.append(tuple(spp[i][a] for i in range(m)) + unit_vector(m, a)

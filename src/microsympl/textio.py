@@ -24,10 +24,15 @@ Input limits: a record's order is at most ``MAX_ORDER``, its dimensions
 (``source``/``target`` of a morphism, ``domain``/``codomain`` of a core map)
 at most ``MAX_DIM``, and every exponent written after ``^`` at most
 ``MAX_EXPONENT``; a larger value raises ParseError, so a short record cannot
-ask for a huge power, order or dimension.  An
-integer literal (coefficient, denominator, exponent or variable index) longer
-than the interpreter's integer string conversion limit (4,300 digits by
-default) raises ParseError as well.
+ask for a huge power, order or dimension.  A morphism record's largest
+working space, 2 * max(source, target) fiber variables at order K + 1 (the
+germ shift and composition work there), may hold at most
+``MAX_FIBER_MONOMIALS`` fiber monomials, so that dimension and order cannot
+combine into unbounded expansions either; the limit admits every record of
+order at most 2 within ``MAX_DIM``.  An integer literal (coefficient,
+denominator, exponent or variable index) longer than the interpreter's
+integer string conversion limit (4,300 digits by default) raises ParseError
+as well.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 from .errors import ParseError, ShapeError
 from .jetalg import FiberGradedPoly
@@ -45,6 +51,9 @@ from .micro import CoreMap, GermJet, MicroObject, Micromorphism
 MAX_ORDER = 64
 MAX_EXPONENT = 1024
 MAX_DIM = 64
+# fiber monomials of degree <= 3 in 2 * MAX_DIM variables, 366,145: the
+# working space of every record of order at most 2 within MAX_DIM
+MAX_FIBER_MONOMIALS = comb(2 * MAX_DIM + 3, 3)
 
 # the characters of str.isdigit(), so that literals end where they always
 # did: the decimal digits of \d, which int() reads, and the other Unicode
@@ -233,6 +242,13 @@ def parse_morphism(text: str) -> Micromorphism:
         raise ParseError("order must be at least 1", header_line)
     if order > MAX_ORDER:
         raise ParseError(f"order {order} exceeds the limit of {MAX_ORDER}", header_line)
+    fibers = 2 * max(m, n)
+    monomials = comb(fibers + order + 1, fibers)
+    if monomials > MAX_FIBER_MONOMIALS:
+        raise ParseError(
+            f"working space of {fibers} fiber variables at order {order + 1} has "
+            f"{monomials} fiber monomials, beyond MAX_FIBER_MONOMIALS = "
+            f"{MAX_FIBER_MONOMIALS}", header_line)
     gen = None
     core_lines: list[tuple[int, int, str]] = []
     for lineno, line in lines[1:]:

@@ -9,12 +9,18 @@ candidate ``X = phi(x) + W`` into the base slots of the equations, seeded at
 ``Micromorphism.core`` of the same era: one fiber derivative, core
 restriction and fiber strip per source dimension.  The input checks of the library
 functions are left out: the oracle is only ever called on valid germs, and
-the checks are covered by ``tests/test_micro.py``.  Tests require the
+the checks are covered by ``tests/test_micro.py``.  ``linearized_relation``
+is the tangent relation of the same era: every first and second derivative
+of S built as a polynomial, then evaluated at (0, point).  Tests require the
 library to agree with these functions exactly; do not optimise this file.
 """
 
-from microsympl.jetalg import FiberGradedPoly, solve_triangular_fixed_point, substitute_many
-from microsympl.linsympl import mat_inverse
+from fractions import Fraction
+
+from microsympl.errors import ShapeError
+from microsympl.jetalg import (FiberGradedPoly, frac, solve_triangular_fixed_point,
+                               substitute_many)
+from microsympl.linsympl import LinCanonicalRelation, mat_inverse, unit_vector, zero_vector
 from microsympl.micro import GermJet, Micromorphism, MicroObject
 
 
@@ -113,3 +119,24 @@ def _radial_potential(fiber_comps, base_comps, space):
     terms += [((pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:]), c / (sum(pe) + sum(xe) + 1))
               for j, comp in enumerate(base_comps) for (pe, xe), c in comp.terms.items()]
     return FiberGradedPoly(tm, tn, torder, terms)
+
+
+def linearized_relation(gen, point):
+    m, n = gen.fiber_arity, gen.base_arity
+    b = tuple(frac(v) for v in point)
+    if len(b) != n:
+        raise ShapeError(f"point has dimension {len(b)}, expected {n}")
+    zeros = (Fraction(0),) * m
+    dp = [gen.partial_fiber(i) for i in range(m)]
+    dx = [gen.partial_base(j) for j in range(n)]
+    spp = [[dp[i].partial_fiber(j).evaluate(zeros, b) for j in range(m)] for i in range(m)]
+    spx = [[dp[i].partial_base(j).evaluate(zeros, b) for j in range(n)] for i in range(m)]
+    sxx = [[dx[i].partial_base(j).evaluate(zeros, b) for j in range(n)] for i in range(n)]
+    vectors = []
+    for a in range(m):
+        vectors.append(tuple(spp[i][a] for i in range(m)) + unit_vector(m, a)
+                       + zero_vector(n) + tuple(spx[a][j] for j in range(n)))
+    for c in range(n):
+        vectors.append(tuple(spx[i][c] for i in range(m)) + zero_vector(m)
+                       + unit_vector(n, c) + tuple(sxx[j][c] for j in range(n)))
+    return LinCanonicalRelation.from_vectors(m, n, vectors)

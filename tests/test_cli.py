@@ -257,3 +257,30 @@ def test_negative_dimensions_in_record_headers(capsys, verb, record):
     assert code == 1
     assert out == ""
     assert "line 1: dimensions must be non-negative" in err
+
+
+def test_working_space_over_the_term_limit_is_rejected(capsys):
+    # 8 fiber variables at order 64: compose and the germ shift would expand
+    # toward C(81, 16) fiber monomials; the header is refused before the body
+    code, out, err = run(capsys, "germ", "source=8 target=8 order=64\nS = p1*x1\n")
+    assert code == 1
+    assert out == ""
+    assert "line 1: working space of 16 fiber variables at order 65 has" in err
+    assert "beyond MAX_FIBER_MONOMIALS = 366145" in err
+
+
+def test_working_space_at_the_term_limit_is_accepted():
+    from math import comb
+
+    from microsympl.errors import ParseError
+    from microsympl.textio import MAX_DIM, MAX_FIBER_MONOMIALS, parse_morphism
+    # 2 * 64 fiber variables at order 3: exactly the limit
+    assert comb(2 * MAX_DIM + 3, 3) == MAX_FIBER_MONOMIALS
+    f = parse_morphism("source=64 target=64 order=2\nS = p64*x64\n")
+    assert (f.source.core_dim, f.target.core_dim, f.order) == (64, 64, 2)
+    # one order more at the same dimensions is over it
+    with pytest.raises(ParseError, match="MAX_FIBER_MONOMIALS"):
+        parse_morphism("source=64 target=64 order=3\nS = p64*x64\n")
+    # an operad composite of arity 8 at dimension 2 and order 3: 32 fiber
+    # variables at order 4
+    assert parse_morphism("source=16 target=2 order=3\nS = p16*x2\n").order == 3

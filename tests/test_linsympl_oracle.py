@@ -141,11 +141,11 @@ def rebased(draw, vectors):
     return tuple(out)
 
 
-def symmetric(draw, n):
+def symmetric(draw, n, entry=ENTRY):
     rows = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = draw(ENTRY)
+            rows[i][j] = rows[j][i] = draw(entry)
     return rows
 
 
@@ -280,3 +280,58 @@ def test_transverse_to_splitting_matches_oracle(rel, data):
     splitting = linsympl.Splitting(n, b_rows)
     assert linsympl.transverse_to_splitting(rel, splitting) == \
         ref.transverse_to_splitting(rel, b_rows)
+
+
+SPLIT_ENTRY = st.one_of(st.integers(-2, 2).map(F), ENTRY)
+
+
+def meeting_splitting(rel):
+    """A symmetric B with K_B meeting rel + (horizontal source), so that rel is
+    not transverse to it: B p2 = x2 for some (x1, 0, x2, p2) in rel with
+    p2 != 0.  None when there is no such vector."""
+    m, n = rel.source_half_dim, rel.target_half_dim
+    p1_free = ref.nullspace(tuple(tuple(vec[m + r] for vec in rel.vectors) for r in range(m)),
+                            ncols=len(rel.vectors))
+    for c in p1_free:
+        w = ref.lin_combo(rel.vectors, c)
+        x, p = w[2 * m:2 * m + n], w[2 * m + n:]
+        pp = sum(v * v for v in p)
+        if pp:
+            xp = sum(a * b for a, b in zip(x, p))
+            return tuple(tuple((x[i] * p[j] + p[i] * x[j]) / pp - xp * p[i] * p[j] / pp ** 2
+                               for j in range(n)) for i in range(n))
+    return None
+
+
+@given(seed=st.integers(0, 999), m=HALF_DIM, n=HALF_DIM, zero=st.booleans(),
+       data=st.data())
+def test_cached_transversality_matches_oracle_in_call_order(seed, m, n, zero, data):
+    # one relation against 2-8 splittings: the first call fills the cached
+    # echelon form and the later ones reuse it.  Splittings that meet the
+    # relation plus the horizontal source are drawn often, so that the
+    # residual rank decides many answers; the zero section with m > 0 meets
+    # the horizontal source, so its rank falls short and every answer is False
+    if zero:
+        rel = linsympl.zero_section_relation(m, n)
+    else:
+        rel = rand_lagrangian_relation(rng_for(seed, "oracle-cache"), m, n)
+    fresh = linsympl.LinCanonicalRelation.from_vectors(m, n, rel.vectors)
+
+    def same_as_fresh():
+        return rel == fresh and hash(rel) == hash(fresh) and repr(rel) == repr(fresh)
+
+    assert same_as_fresh()
+    meeting = meeting_splitting(rel)
+    answers = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        if meeting is not None and data.draw(st.booleans()):
+            b_rows = meeting
+        else:
+            b_rows = tuple(tuple(r) for r in symmetric(data.draw, n, SPLIT_ENTRY))
+        answers.append(linsympl.transverse_to_splitting(rel, linsympl.Splitting(n, b_rows)))
+        assert answers[-1] == ref.transverse_to_splitting(rel, b_rows)
+        assert not (b_rows is meeting and answers[-1])
+    assert rel._echelon is not None
+    assert same_as_fresh()
+    if zero and m:
+        assert not any(answers)
