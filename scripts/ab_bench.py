@@ -14,6 +14,13 @@ one side.  For every end-to-end metric named in the parent's
 median, the ratio of the medians, and in how many pairs the change was better
 (ties count for neither side).  It also prints whether every run of both
 sides gave the same output digest, and the number of failed operations.
+
+A metric whose change median is worse than the parent median by more than
+its ``bound`` in the parent's ``BENCHMARK.json`` is flagged ``REGRESSED``.
+``--claim METRIC`` also prints whether a claimed gain on METRIC holds: the
+change is better in at least nine pairs of ten, and its median is better
+than the parent median by more than the parent's quartile spread (q3 - q1).
+The exit status is 1 when a metric regressed or a claim does not hold.
 """
 
 from __future__ import annotations
@@ -49,26 +56,58 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
+def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
+    """One metric of paired runs: the parent's quartiles, the change's median,
+    the wins of the change, and how much better its median is (``gain``,
+    relative to the parent median, negative when worse)."""
+    name, higher = spec["name"], spec["better"] == "higher"
+    a = [run["metrics"][name] for run in parent]
+    b = [run["metrics"][name] for run in change]
+    q1, med, q3 = quartiles(a)
+    changed = statistics.median(b)
+    gap = changed - med if higher else med - changed
+    return {"name": name, "q1": q1, "median": med, "q3": q3, "change": changed,
+            "wins": sum((y > x) if higher else (y < x) for x, y in zip(a, b)),
+            "pairs": len(a), "gap": gap, "gain": gap / med if med else 0.0}
+
+
+def regressed(stats: dict, spec: dict) -> bool:
+    """The change median is worse than the parent median by more than the bound."""
+    return "bound" in spec and -stats["gain"] > spec["bound"]
+
+
+def claim_holds(stats: dict) -> bool:
+    """At least 9 wins in 10 pairs, and a median gap wider than the parent's
+    quartile spread."""
+    return (10 * stats["wins"] >= 9 * stats["pairs"]
+            and stats["gap"] > stats["q3"] - stats["q1"])
+
+
+def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
+              claim: str | None = None) -> list[str]:
     """Report lines for paired runs; ``end_to_end`` is BENCHMARK.json's list."""
     lines = [f"{'metric':<16} {'parent median [q1, q3]':>32} {'change':>10} "
              f"{'ratio':>7} {'wins':>6}"]
+    flags = []
     for spec in end_to_end:
-        name, higher = spec["name"], spec["better"] == "higher"
-        a = [run["metrics"][name] for run in parent]
-        b = [run["metrics"][name] for run in change]
-        q1, med, q3 = quartiles(a)
-        changed = statistics.median(b)
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-        ratio = changed / med if med else float("nan")
-        lines.append(f"{name:<16} {med:>12.4g} [{q1:>8.4g}, {q3:>8.4g}] {changed:>10.4g} "
-                     f"{ratio:>7.3f} {wins:>3}/{len(a)}")
+        st = compare(parent, change, spec)
+        med = st["median"]
+        ratio = st["change"] / med if med else float("nan")
+        lines.append(f"{st['name']:<16} {med:>12.4g} [{st['q1']:>8.4g}, {st['q3']:>8.4g}] "
+                     f"{st['change']:>10.4g} {ratio:>7.3f} {st['wins']:>3}/{st['pairs']}")
+        if regressed(st, spec):
+            flags.append(f"REGRESSED {st['name']}: {-st['gain']:.1%} worse than the parent "
+                         f"median, beyond the bound of {spec['bound']:.0%}")
+        if st["name"] == claim:
+            flags.append(f"claim {claim}: {'holds' if claim_holds(st) else 'does NOT hold'} "
+                         f"({st['wins']}/{st['pairs']} wins, median gap {st['gap']:.4g}, "
+                         f"parent quartile spread {st['q3'] - st['q1']:.4g})")
     digests = {run["digest"] for run in parent + change}
     lines.append("digests " + ("match: " + digests.pop() if len(digests) == 1
                                else "DIFFER: " + ", ".join(sorted(map(str, digests)))))
     lines.append(f"failed operations: parent {sum(r['failed'] for r in parent)}, "
                  f"change {sum(r['failed'] for r in change)}")
-    return lines
+    return lines + flags
 
 
 def main(argv=None) -> int:
@@ -79,9 +118,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="report whether a gain on this end-to-end metric holds")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    if args.claim and args.claim not in {m["name"] for m in spec["end_to_end"]}:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric")
     key = spec["end_to_end"][0]["name"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -93,8 +136,11 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
     print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"pairs={args.pairs}")
-    print("\n".join(summarize(runs["parent"], runs["change"], spec["end_to_end"])))
-    return 0
+    end_to_end = spec["end_to_end"]
+    print("\n".join(summarize(runs["parent"], runs["change"], end_to_end, args.claim)))
+    stats = {m["name"]: compare(runs["parent"], runs["change"], m) for m in end_to_end}
+    bad = any(regressed(stats[m["name"]], m) for m in end_to_end)
+    return 1 if bad or (args.claim and not claim_holds(stats[args.claim])) else 0
 
 
 if __name__ == "__main__":

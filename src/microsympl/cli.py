@@ -156,7 +156,7 @@ def _run(args: argparse.Namespace) -> int:
             n = morphism.target.core_dim
             from .linsympl import Splitting, transverse_to_splitting
             rows = textio.parse_matrix(args.splitting)
-            point = textio.parse_vector(args.at) if args.at else (0,) * n
+            point = textio.parse_vector(args.at) if args.at is not None else (0,) * n
             relation = micro.tangent_relation_at(morphism, point)
             transverse = transverse_to_splitting(relation, Splitting(n, rows))
             shown = ", ".join(str(v) for v in point)

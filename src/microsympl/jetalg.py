@@ -11,18 +11,18 @@ directions.
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
 
-Coefficients are public as ``Fraction`` values in ``terms``, but products,
-powers and substitutions run on integers, in the layout of FLINT's
-``fmpq_poly``: each instance caches, on first use, an integer form
-``(den, rows)`` with ``den`` the lcm of its coefficient denominators and one
-row ``(fiber degree, pe, xe, coefficient * den)`` per term, sorted by fiber
-degree.  One helper multiplies integer numerators against such rows and
-stops each row scan at the truncation order; a substitution keeps its pieces
-and the cached powers of its values in integer form, sums the pieces over one
-running common denominator (widened by lcm only when a piece's denominator
-does not divide it), and builds one Fraction per output term at the end.
-The cache is computed from immutable data and always to the same value, so
-filling it needs no lock.
+Storage follows FLINT's ``fmpq_poly``: an instance holds one common
+denominator and an integer numerator per monomial, in lowest terms.  Sums,
+scalings, derivatives, reshaping, equality and the fixed-point residual work
+on these integers: linear combinations are summed by one helper, ``combine``,
+over the lcm of the operands' denominators, with zeros dropped once at the
+end.  Products, powers and substitutions multiply numerators against
+degree-sorted rows and stop each row scan at the truncation order; a
+substitution sums its pieces over one running common denominator (widened by
+lcm only when a piece's denominator does not divide it).  ``Fraction``s are
+built only when the public ``terms`` map is read.  Derived caches are
+computed from immutable data and always to the same value, so filling them
+needs no lock.
 
 Text form (also the CLI input grammar): terms are written with ``+ - * ^``,
 rational coefficients ``a/b``, and variables ``p1..pm``, ``x1..xn``, e.g.
@@ -34,7 +34,7 @@ uses it so output is stable across runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add as _add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -42,8 +42,8 @@ from .errors import ConvergenceError, FiltrationError, ShapeError
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
-# (common denominator, rows (fiber degree, pe, xe, numerator) sorted by degree)
-IntegerForm = tuple[int, list[tuple[int, Exponents, Exponents, int]]]
+# (fiber degree, pe, xe, numerator) rows, sorted by degree
+Rows = list[tuple[int, Exponents, Exponents, int]]
 
 
 def frac(value) -> Fraction:
@@ -63,37 +63,31 @@ def grlex_key(key: TermKey) -> tuple[int, Exponents]:
     return (sum(pe) + sum(xe), tuple(-e for e in pe + xe))
 
 
-def _term_text(key: TermKey, coeff: Fraction) -> str:
-    pe, xe = key
-    factors = []
-    for i, e in enumerate(pe):
-        if e:
-            factors.append(f"p{i + 1}" + (f"^{e}" if e > 1 else ""))
-    for j, e in enumerate(xe):
-        if e:
-            factors.append(f"x{j + 1}" + (f"^{e}" if e > 1 else ""))
+def _term_text(pe: Exponents, xe: Exponents, num: int, den: int) -> str:
+    # one term with the reduced coefficient num/den
+    factors = [f"{name}{i + 1}" + (f"^{e}" if e > 1 else "")
+               for name, exps in (("p", pe), ("x", xe)) for i, e in enumerate(exps) if e]
+    coeff = f"{num}/{den}" if den != 1 else str(num)
     if not factors:
-        return str(coeff)
+        return coeff
     body = "*".join(factors)
-    if coeff == 1:
-        return body
-    return f"{coeff}*{body}"
+    return body if num == den == 1 else f"{coeff}*{body}"
 
 
 class FiberGradedPoly:
     """Polynomial in fiber variables p and base variables x, truncated in p.
 
-    Invariants: every stored term has total fiber degree at most ``order``,
-    no stored coefficient is zero, and coefficients are reduced Fractions.
-    The zero polynomial is an empty term map that still carries its arities
-    and order, so shape mismatches stay detectable on zeros.
-
-    ``_ints`` caches the integer form ``(den, rows)`` used by ``*``, ``**``
-    and substitution (see the module docstring); it starts as None and is
-    filled by ``_integer_form`` on first use.
+    The stored form is ``(den, nums)``: a denominator ``den > 0`` and an
+    integer numerator per monomial, in lowest terms (no zero numerator,
+    ``gcd(den, *nums) == 1``), so equal polynomials have equal forms.  Every
+    monomial has fiber degree at most ``order``.  The zero polynomial is ``(1,
+    {})`` and still carries its arities and order, so shape mismatches stay
+    detectable on zeros.  Two caches are derived on first use: ``_rows``, the
+    degree-sorted rows that products read, and ``_terms``, the public
+    ``terms`` map of reduced nonzero Fractions.
     """
 
-    __slots__ = ("fiber_arity", "base_arity", "order", "terms", "_hash", "_ints")
+    __slots__ = ("fiber_arity", "base_arity", "order", "den", "nums", "_rows", "_terms")
 
     def __init__(self, fiber_arity: int, base_arity: int, order: int,
                  terms: Mapping[TermKey, Fraction] | Iterable[tuple[TermKey, Fraction]] = ()):
@@ -101,51 +95,52 @@ class FiberGradedPoly:
             raise ShapeError("arities must be non-negative")
         if order < 0:
             raise ShapeError("truncation order must be non-negative")
-        clean: dict[TermKey, Fraction] = {}
+        parts = []
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            pe, xe = key
-            pe = tuple(int(e) for e in pe)
-            xe = tuple(int(e) for e in xe)
+        for (pe, xe), coeff in items:
+            pe, xe = tuple(map(int, pe)), tuple(map(int, xe))
             if len(pe) != fiber_arity or len(xe) != base_arity:
                 raise ShapeError(
                     f"term exponents ({len(pe)}, {len(xe)}) do not match arities "
                     f"({fiber_arity}, {base_arity})")
-            if any(e < 0 for e in pe) or any(e < 0 for e in xe):
+            if min(pe + xe, default=0) < 0:
                 raise ShapeError("negative exponent")
             if sum(pe) > order:
                 raise ShapeError(f"fiber degree {sum(pe)} exceeds order {order}")
             c = frac(coeff)
-            if not c:
-                continue
-            k = (pe, xe)
-            prev = clean.get(k)
-            total = c if prev is None else prev + c
-            if total:
-                clean[k] = total
-            elif prev is not None:
-                del clean[k]
-        self.fiber_arity = fiber_arity
-        self.base_arity = base_arity
-        self.order = order
-        self.terms = clean
-        self._hash = None
-        self._ints = None
+            parts.append(((pe, xe), c.numerator, c.denominator))
+        self.fiber_arity, self.base_arity, self.order = fiber_arity, base_arity, order
+        self.den, self.nums = _merge_terms(parts)
+        self._rows = self._terms = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, fiber_arity: int, base_arity: int, order: int,
-             terms: dict[TermKey, Fraction]) -> "FiberGradedPoly":
-        # trusted fast path: caller guarantees canonical terms
+    def _raw(cls, fiber_arity: int, base_arity: int, order: int, den: int,
+             nums: dict[TermKey, int]) -> "FiberGradedPoly":
+        # trusted fast path: caller guarantees a form in lowest terms
         obj = object.__new__(cls)
-        obj.fiber_arity = fiber_arity
-        obj.base_arity = base_arity
-        obj.order = order
-        obj.terms = terms
-        obj._hash = None
-        obj._ints = None
+        obj.fiber_arity, obj.base_arity, obj.order = fiber_arity, base_arity, order
+        obj.den, obj.nums = den, nums
+        obj._rows = obj._terms = None
         return obj
+
+    @classmethod
+    def _reduced(cls, fiber_arity: int, base_arity: int, order: int, den: int,
+                 nums: dict[TermKey, int]) -> "FiberGradedPoly":
+        # trusted keys over any den > 0; zeros are dropped and the form reduced
+        return cls._raw(fiber_arity, base_arity, order, *_lowest_terms(den, nums))
+
+    @classmethod
+    def from_integer_terms(cls, fiber_arity: int, base_arity: int, order: int,
+                           terms: list[tuple[TermKey, int, int]]) -> "FiberGradedPoly":
+        """The sum of ``num/den * p^pe x^xe`` over ``((pe, xe), num, den)``
+        with ``den > 0``; the exponent tuples must already match the arities
+        and hold no negative entry, so only fiber degrees are checked."""
+        for (pe, _), _, _ in terms:
+            if sum(pe) > order:
+                raise ShapeError(f"fiber degree {sum(pe)} exceeds order {order}")
+        return cls._raw(fiber_arity, base_arity, order, *_merge_terms(terms))
 
     @classmethod
     def zero(cls, fiber_arity: int, base_arity: int, order: int) -> "FiberGradedPoly":
@@ -178,6 +173,23 @@ class FiberGradedPoly:
         return cls(fiber_arity, base_arity, order,
                    {(tuple(fiber_exps), tuple(base_exps)): frac(coeff)})
 
+    # -- derived views -----------------------------------------------------
+
+    @property
+    def terms(self) -> dict[TermKey, Fraction]:
+        """The coefficients as reduced nonzero Fractions, built on first use."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = self._terms = {key: Fraction(n, den) for key, n in self.nums.items()}
+        return terms
+
+    def _sorted_rows(self) -> Rows:
+        """Rows ``(fiber degree, pe, xe, numerator)`` sorted by fiber degree."""
+        if self._rows is None:
+            self._rows = _sorted_rows(self.nums.items())
+        return self._rows
+
     # -- shape helpers -----------------------------------------------------
 
     def _require_same_space(self, other: "FiberGradedPoly") -> None:
@@ -191,65 +203,35 @@ class FiberGradedPoly:
         return (self.fiber_arity, self.base_arity, self.order)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def min_fiber_degree(self) -> int | None:
         """Smallest fiber degree carrying a term, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(sum(pe) for pe, _ in self.terms)
+        return min((sum(pe) for pe, _ in self.nums), default=None)
 
     def max_fiber_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(pe) for pe, _ in self.terms)
+        return max((sum(pe) for pe, _ in self.nums), default=0)
 
     def coefficient(self, fiber_exps: Sequence[int], base_exps: Sequence[int]) -> Fraction:
-        return self.terms.get((tuple(fiber_exps), tuple(base_exps)), Fraction(0))
-
-    def _integer_form(self) -> IntegerForm:
-        """``(den, rows)``: ``den`` is the lcm of the coefficient denominators
-        and each row ``(fiber degree, pe, xe, coefficient * den)`` holds an
-        integer; rows are sorted by fiber degree.  Computed on first use."""
-        form = self._ints
-        if form is None:
-            den = lcm(*[c.denominator for c in self.terms.values()])
-            form = self._ints = _sorted_form(
-                den, [(key, c.numerator * (den // c.denominator))
-                      for key, c in self.terms.items()])
-        return form
+        return Fraction(self.nums.get((tuple(fiber_exps), tuple(base_exps)), 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, FiberGradedPoly):
             return NotImplemented
-        self._require_same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            total = c if prev is None else prev + c
-            if total:
-                out[key] = total
-            elif prev is not None:
-                del out[key]
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        return combine((self, other), (1, 1))
 
     def __neg__(self):
-        out = {key: -c for key, c in self.terms.items()}
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        return combine((self,), (-1,))
 
     def __sub__(self, other):
         if not isinstance(other, FiberGradedPoly):
             return NotImplemented
-        return self + (-other)
+        return combine((self, other), (1, -1))
 
     def scale(self, value) -> "FiberGradedPoly":
-        c = frac(value)
-        if not c:
-            return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, {})
-        out = {key: c * v for key, v in self.terms.items()}
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        return combine((self,), (value,))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -259,13 +241,9 @@ class FiberGradedPoly:
         self._require_same_space(other)
         # the shorter operand supplies the degree-sorted rows, so truncation
         # prunes early
-        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        a_den, a_rows = a._integer_form()
-        b_den, b_rows = b._integer_form()
-        den = a_den * b_den
-        out = _mul_rows({(pe, xe): n for _, pe, xe, n in a_rows}, b_rows, self.order)
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order,
-                                    {key: Fraction(n, den) for key, n in out.items() if n})
+        a, b = (self, other) if len(self.nums) >= len(other.nums) else (other, self)
+        out = _mul_rows(a.nums, b._sorted_rows(), self.order)
+        return FiberGradedPoly._reduced(*self.space(), a.den * b.den, out)
 
     __rmul__ = __mul__
 
@@ -275,8 +253,8 @@ class FiberGradedPoly:
         if not exponent:
             return FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
         den, rows = _power_form({}, (0, 0), self, exponent, self.order)
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order,
-                                    {(pe, xe): Fraction(n, den) for _, pe, xe, n in rows})
+        return FiberGradedPoly._reduced(*self.space(), den,
+                                        {(pe, xe): n for _, pe, xe, n in rows})
 
     # -- calculus ----------------------------------------------------------
 
@@ -289,25 +267,17 @@ class FiberGradedPoly:
         """
         if not 0 <= index < self.fiber_arity:
             raise ShapeError(f"fiber index {index} out of range for arity {self.fiber_arity}")
-        out: dict[TermKey, Fraction] = {}
-        for (pe, xe), c in self.terms.items():
-            e = pe[index]
-            if e:
-                key = (pe[:index] + (e - 1,) + pe[index + 1:], xe)
-                out[key] = c * e
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        out = {(pe[:index] + (pe[index] - 1,) + pe[index + 1:], xe): n * pe[index]
+               for (pe, xe), n in self.nums.items() if pe[index]}
+        return FiberGradedPoly._reduced(*self.space(), self.den, out)
 
     def partial_base(self, index: int) -> "FiberGradedPoly":
         """Formal derivative in the base variable x(index+1); exact at all orders."""
         if not 0 <= index < self.base_arity:
             raise ShapeError(f"base index {index} out of range for arity {self.base_arity}")
-        out: dict[TermKey, Fraction] = {}
-        for (pe, xe), c in self.terms.items():
-            e = xe[index]
-            if e:
-                key = (pe, xe[:index] + (e - 1,) + xe[index + 1:])
-                out[key] = c * e
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        out = {(pe, xe[:index] + (xe[index] - 1,) + xe[index + 1:]): n * xe[index]
+               for (pe, xe), n in self.nums.items() if xe[index]}
+        return FiberGradedPoly._reduced(*self.space(), self.den, out)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -333,8 +303,7 @@ class FiberGradedPoly:
                 if i >= tm:
                     raise ShapeError(f"identity fiber value p{i + 1} outside target arity {tm}")
             else:
-                bad = [key for key in v.terms if sum(key[0]) == 0]
-                if bad:
+                if any(sum(pe) == 0 for pe, _ in v.nums):
                     raise FiltrationError(
                         f"value for fiber variable p{i + 1} has a fiber-degree-0 term")
         for j, v in enumerate(base_values):
@@ -360,13 +329,13 @@ class FiberGradedPoly:
     def _substitute_cached(self, fiber_values, base_values,
                            target: tuple[int, int, int], pow_cache: dict) -> "FiberGradedPoly":
         tm, tn, torder = target
-        den, rows = self._integer_form()
+        den = self.den
         total: dict[TermKey, int] = {}
         total_den = 1
-        for _, pe, xe, num in rows:
+        for (pe, xe), num in self.nums.items():
             mono_pe = [0] * tm
             mono_xe = [0] * tn
-            factors: list[IntegerForm] = []
+            factors: list[tuple[int, Rows]] = []
             for i, e in enumerate(pe):
                 if not e:
                     continue
@@ -403,26 +372,20 @@ class FiberGradedPoly:
             total_get = total.get
             for key, n in piece.items():
                 total[key] = total_get(key, 0) + n * scale
-        return FiberGradedPoly._raw(tm, tn, torder, {key: Fraction(n, total_den)
-                                                     for key, n in total.items() if n})
+        return FiberGradedPoly._reduced(tm, tn, torder, total_den, total)
 
     def evaluate(self, fiber_point: Sequence, base_point: Sequence) -> Fraction:
         """Plain polynomial evaluation at an exact rational point."""
         if len(fiber_point) != self.fiber_arity or len(base_point) != self.base_arity:
             raise ShapeError("evaluation point does not match arities")
-        fp = [frac(v) for v in fiber_point]
-        bp = [frac(v) for v in base_point]
-        total = Fraction(0)
-        for (pe, xe), c in self.terms.items():
-            val = c
-            for v, e in zip(fp, pe):
-                if e:
-                    val *= v ** e
-            for v, e in zip(bp, xe):
+        point = [frac(v) for v in (*fiber_point, *base_point)]
+        total = 0
+        for (pe, xe), val in self.nums.items():
+            for v, e in zip(point, pe + xe):
                 if e:
                     val *= v ** e
             total += val
-        return total
+        return Fraction(total) / self.den
 
     # -- reshaping ---------------------------------------------------------
 
@@ -434,14 +397,15 @@ class FiberGradedPoly:
             return self
         if new_order > self.order:
             return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, new_order,
-                                        dict(self.terms))
-        out = {key: c for key, c in self.terms.items() if sum(key[0]) <= new_order}
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, new_order, out)
+                                        self.den, self.nums)
+        out = {key: n for key, n in self.nums.items() if sum(key[0]) <= new_order}
+        return FiberGradedPoly._reduced(self.fiber_arity, self.base_arity, new_order,
+                                        self.den, out)
 
     def core_part(self) -> "FiberGradedPoly":
         """The fiber-degree-zero part, i.e. the restriction to p = 0."""
-        out = {key: c for key, c in self.terms.items() if sum(key[0]) == 0}
-        return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, self.order, out)
+        out = {key: n for key, n in self.nums.items() if not any(key[0])}
+        return FiberGradedPoly._reduced(*self.space(), self.den, out)
 
     def embed(self, fiber_arity: int, base_arity: int,
               fiber_offset: int = 0, base_offset: int = 0) -> "FiberGradedPoly":
@@ -452,33 +416,32 @@ class FiberGradedPoly:
             raise ShapeError("fiber block does not fit in the target space")
         if base_offset + self.base_arity > base_arity:
             raise ShapeError("base block does not fit in the target space")
-        out: dict[TermKey, Fraction] = {}
-        for (pe, xe), c in self.terms.items():
-            new_pe = (0,) * fiber_offset + pe + (0,) * (fiber_arity - fiber_offset - self.fiber_arity)
-            new_xe = (0,) * base_offset + xe + (0,) * (base_arity - base_offset - self.base_arity)
-            out[(new_pe, new_xe)] = c
-        return FiberGradedPoly._raw(fiber_arity, base_arity, self.order, out)
+        p_pad = (0,) * fiber_offset, (0,) * (fiber_arity - fiber_offset - self.fiber_arity)
+        x_pad = (0,) * base_offset, (0,) * (base_arity - base_offset - self.base_arity)
+        out = {(p_pad[0] + pe + p_pad[1], x_pad[0] + xe + x_pad[1]): n
+               for (pe, xe), n in self.nums.items()}
+        return FiberGradedPoly._raw(fiber_arity, base_arity, self.order, self.den, out)
 
     # -- ordering, equality, text -------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
     def serialized_terms(self) -> tuple[tuple[Exponents, Exponents, int, int], ...]:
-        """Canonical tuple form: (fiber exponents, base exponents, numerator, denominator)."""
-        return tuple((pe, xe, c.numerator, c.denominator)
-                     for (pe, xe), c in self.sorted_terms())
+        """Canonical tuple form: (fiber exponents, base exponents, numerator,
+        denominator), each coefficient reduced; no Fraction is built."""
+        den = self.den
+        return tuple((pe, xe, n // g, den // g)
+                     for (pe, xe), n in sorted(self.nums.items(), key=lambda kv: grlex_key(kv[0]))
+                     for g in (gcd(n, den),))
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for key, c in self.sorted_terms():
-            body = _term_text(key, abs(c))
+        for pe, xe, n, d in self.serialized_terms():
+            body = _term_text(pe, xe, abs(n), d)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append((" + " if c > 0 else " - ") + body)
+                parts.append((" + " if n > 0 else " - ") + body)
         return "".join(parts)
 
     def __eq__(self, other):
@@ -487,23 +450,66 @@ class FiberGradedPoly:
         return (self.fiber_arity == other.fiber_arity
                 and self.base_arity == other.base_arity
                 and self.order == other.order
-                and self.terms == other.terms)
+                and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.fiber_arity, self.base_arity, self.order,
-                               frozenset(self.terms.items())))
-        return self._hash
+        return hash((*self.space(), self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         return (f"FiberGradedPoly({self.fiber_arity}, {self.base_arity}, "
                 f"K={self.order}: {self.to_text()})")
 
 
-def _sorted_form(den: int, items: Iterable[tuple[TermKey, int]]) -> IntegerForm:
+def _sorted_rows(items: Iterable[tuple[TermKey, int]]) -> Rows:
     rows = [(sum(pe), pe, xe, n) for (pe, xe), n in items if n]
     rows.sort(key=itemgetter(0))
-    return den, rows
+    return rows
+
+
+def _lowest_terms(den: int, nums: dict[TermKey, int]) -> tuple[int, dict[TermKey, int]]:
+    """``(den, nums)`` without zero numerators and divided by their gcd."""
+    if 0 in nums.values():
+        nums = {key: n for key, n in nums.items() if n}
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        nums = {key: n // g for key, n in nums.items()}
+    return den, nums
+
+
+def _summed(den: int, parts) -> tuple[int, dict[TermKey, int]]:
+    """``den`` and the per-key sums of ``s * n`` over ``(s, items)`` parts of
+    ``(key, n)`` items, in lowest terms: the merge of ``combine`` and the constructor."""
+    out: dict[TermKey, int] = {}
+    get = out.get
+    for s, items in parts:
+        for key, n in items:
+            out[key] = get(key, 0) + n * s
+    return _lowest_terms(den, out)
+
+
+def _merge_terms(terms: list[tuple[TermKey, int, int]]) -> tuple[int, dict[TermKey, int]]:
+    # single terms (key, num, den), repeated keys allowed
+    den = lcm(*[d for _, _, d in terms])
+    return _summed(den, [(1, [(key, n * (den // d)) for key, n, d in terms])])
+
+
+def combine(polys: Sequence[FiberGradedPoly], coeffs: Sequence) -> FiberGradedPoly:
+    """The linear combination ``sum(c * p)`` of polynomials of one space, with
+    exact rational ``coeffs``, summed on numerators over one denominator."""
+    first = polys[0]
+    parts = []
+    for p, c in zip(polys, coeffs):
+        if p is not first:
+            first._require_same_space(p)
+        if c.__class__ is not int:
+            c = frac(c)
+        if c and p.nums:
+            parts.append((p.den * c.denominator, c.numerator, p.nums.items()))
+    den = lcm(*[d for d, _, _ in parts])
+    return FiberGradedPoly._raw(first.fiber_arity, first.base_arity, first.order,
+                                *_summed(den, [(den // d * a, items) for d, a, items in parts]))
 
 
 def _mul_rows(left: dict[TermKey, int], rows, order: int) -> dict[TermKey, int]:
@@ -525,10 +531,10 @@ def _mul_rows(left: dict[TermKey, int], rows, order: int) -> dict[TermKey, int]:
 
 
 def _power_form(cache: dict, slot: tuple[int, int], value: FiberGradedPoly, e: int,
-                order: int) -> IntegerForm:
+                order: int) -> tuple[int, Rows]:
     """Integer form of ``value ** e`` truncated at ``order``, built as
     v^e = v^(e-1) * v with every power cached under ``(*slot, e)``."""
-    base = value._integer_form()
+    base = value.den, value._sorted_rows()
     k = e
     while k > 1 and (*slot, k) not in cache:
         k -= 1
@@ -538,7 +544,7 @@ def _power_form(cache: dict, slot: tuple[int, int], value: FiberGradedPoly, e: i
         k += 1
         den, rows = got
         prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, base_rows, order)
-        got = cache[(*slot, k)] = _sorted_form(den * base_den, prod.items())
+        got = cache[(*slot, k)] = den * base_den, _sorted_rows(prod.items())
     return got
 
 
@@ -558,13 +564,13 @@ def substitute_many(polys: Sequence[FiberGradedPoly], fiber_values, base_values,
 
 
 def _lowest_change(new: FiberGradedPoly, old: FiberGradedPoly) -> int | None:
-    """``(new - old).min_fiber_degree()``, read off the two term maps without
-    building the difference: stored coefficients are never zero, so a term
-    of the difference is a key where the two maps differ."""
+    """``(new - old).min_fiber_degree()``, read off the two forms without
+    building the difference: numerators are never zero, so a term of the
+    difference is a key where the cross-multiplied numerators differ."""
     new._require_same_space(old)
-    old_terms, new_terms = old.terms, new.terms
-    degs = [sum(key[0]) for key, c in new_terms.items() if c != old_terms.get(key)]
-    degs += [sum(key[0]) for key in old_terms if key not in new_terms]
+    old_nums, new_nums, a, b = old.nums, new.nums, new.den, old.den
+    degs = [sum(key[0]) for key, n in new_nums.items() if n * b != old_nums.get(key, 0) * a]
+    degs += [sum(key[0]) for key in old_nums if key not in new_nums]
     return min(degs, default=None)
 
 

@@ -54,12 +54,15 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def unit_vector(n: int, index: int) -> Vector:
-    return tuple(Fraction(1 if i == index else 0) for i in range(n))
+    return tuple(_ONE if i == index else _ZERO for i in range(n))
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -392,12 +395,16 @@ class Splitting:
             for j in range(i + 1, n):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValidityError(f"splitting matrix not symmetric at ({i},{j})")
-        rows = _integer_rows(self.vertical_vectors())
-        # K_B meets {p = 0} trivially: the p block of row j is s_j e_j, s_j > 0
-        for j, row in enumerate(rows):
-            if row[n + j] <= 0 or any(row[n + k] for k in range(n) if k != j):
-                raise InternalInvariantError("splitting basis degenerate")
-        object.__setattr__(self, "_rows", tuple(rows))
+        # K_B meets {p = 0} trivially: the p block of vertical vector j is e_j
+        if any(v[n:] != unit_vector(n, j) for j, v in enumerate(self.vertical_vectors())):
+            raise InternalInvariantError("splitting basis degenerate")
+        # its integer row: row j of B times s_j, then s_j e_j, with s_j the
+        # lcm of row j's denominators
+        scales = [lcm(*[v.denominator for v in row]) for row in self.rows]
+        object.__setattr__(self, "_rows", tuple(
+            [v.numerator * (s // v.denominator) for v in row]
+            + [s if k == j else 0 for k in range(n)]
+            for j, (row, s) in enumerate(zip(self.rows, scales))))
 
     def vertical_vectors(self) -> tuple[Vector, ...]:
         """Basis of K_B inside one standard block, coordinates (x..., p...)."""

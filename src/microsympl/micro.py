@@ -39,7 +39,8 @@ from typing import Sequence
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      InternalInvariantError, NormalFormError, ShapeError,
                      UnsupportedCoreError, ValidityError)
-from .jetalg import FiberGradedPoly, frac, solve_triangular_fixed_point, substitute_many
+from .jetalg import (FiberGradedPoly, combine, frac, solve_triangular_fixed_point,
+                     substitute_many)
 from .linsympl import (LinCanonicalRelation, Matrix, check_linear_micromorphism,
                        mat_inverse, mat_mul, mat_vec, transpose, unit_vector,
                        zero_vector)
@@ -71,10 +72,10 @@ def unit_object() -> MicroObject:
 
 def _strip_fiber(poly: FiberGradedPoly) -> FiberGradedPoly:
     # project a fiber-degree-0 polynomial onto the pure base space
-    terms = {((), xe): c for (pe, xe), c in poly.terms.items() if sum(pe) == 0}
-    if len(terms) != len(poly.terms):
+    nums = {((), xe): n for (pe, xe), n in poly.nums.items() if not any(pe)}
+    if len(nums) != len(poly.nums):
         raise InternalInvariantError("fiber terms survived a core restriction")
-    return FiberGradedPoly(0, poly.base_arity, 0, terms)
+    return FiberGradedPoly._raw(0, poly.base_arity, 0, poly.den, nums)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class CoreMap:
                      for c in self.components)
 
     def is_affine(self) -> bool:
-        return all(all(sum(xe) <= 1 for _, xe in comp.terms)
+        return all(all(sum(xe) <= 1 for _, xe in comp.nums)
                    for comp in self.components)
 
     def affine_parts(self) -> tuple[Matrix, tuple[Fraction, ...]]:
@@ -193,18 +194,18 @@ class Micromorphism:
                 f"objects ({m} -> {n})")
         if self.gen.order < 1:
             raise ShapeError("micromorphisms need fiber order K >= 1")
-        offending = self.gen.core_part()
-        if not offending.is_zero():
-            raise NormalFormError(
-                f"S(0, x) = {offending.to_text()} but must vanish; offending "
-                f"monomials: {', '.join(t for t in _monomial_names(offending))}")
         # dS/dp_i(0, x) is the sum of the terms c * p_i * x^a, read as c * x^a
         comps = [{} for _ in range(m)]
-        for (pe, xe), c in self.gen.terms.items():
+        for (pe, xe), c in self.gen.nums.items():
             if sum(pe) == 1:
                 comps[pe.index(1)][((), xe)] = c
+            elif not any(pe):
+                offending = self.gen.core_part()
+                raise NormalFormError(
+                    f"S(0, x) = {offending.to_text()} but must vanish; offending "
+                    f"monomials: {', '.join(_monomial_names(offending))}")
         object.__setattr__(self, "core", CoreMap(n, tuple(
-            FiberGradedPoly._raw(0, n, 0, terms) for terms in comps)))
+            FiberGradedPoly._reduced(0, n, 0, self.gen.den, nums) for nums in comps)))
 
     @property
     def order(self) -> int:
@@ -217,7 +218,7 @@ class Micromorphism:
 
 def _monomial_names(poly: FiberGradedPoly) -> list[str]:
     from .jetalg import _term_text
-    return [_term_text(key, c) for key, c in poly.sorted_terms()]
+    return [_term_text(*term) for term in poly.serialized_terms()]
 
 
 # -- constructors -------------------------------------------------------------
@@ -509,7 +510,7 @@ def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
         raise ShapeError(f"orders differ: {outer.order} vs {inner.order}")
     n, k = outer.dim, outer.order
     for comp in inner.p_out:
-        if any(sum(pe) == 0 for pe, _ in comp.terms):
+        if any(sum(pe) == 0 for pe, _ in comp.nums):
             raise ValidityError("inner germ does not preserve the core")
     outs = substitute_many((*outer.x_out, *outer.p_out), inner.p_out, inner.x_out,
                            (n, n, k))
@@ -532,15 +533,8 @@ def _corrected(z, targets, shifted, fiber_values, inv):
         vals = substitute_many(shifted, fiber_values, [None] * len(z), z[0].space())
     except FiltrationError as exc:
         raise InternalInvariantError(f"germ solve left the core: {exc}") from exc
-    deltas = [t - v for t, v in zip(targets, vals)]
-    out = []
-    for zi, row in zip(z, inv):
-        corr = FiberGradedPoly.zero(*zi.space())
-        for c, delta in zip(row, deltas):
-            if c:
-                corr = corr + delta.scale(c)
-        out.append(zi + corr)
-    return out
+    return [combine((zi, *targets, *vals), (1, *row, *(-c for c in row)))
+            for zi, row in zip(z, inv)]
 
 
 def _affine_solve(phi: CoreMap, equations, space):
@@ -703,9 +697,9 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
 def _radial_potential(fiber_comps, base_comps, space) -> FiberGradedPoly:
     """Potential of the closed 1-form (fiber_comps) dp + (base_comps) dx with S(0) = 0."""
     tm, tn, torder = space
-    terms = [((pe[:i] + (pe[i] + 1,) + pe[i + 1:], xe), c / (sum(pe) + sum(xe) + 1))
+    terms = [((pe[:i] + (pe[i] + 1,) + pe[i + 1:], xe), n, comp.den * (sum(pe) + sum(xe) + 1))
              for i, comp in enumerate(fiber_comps)
-             for (pe, xe), c in comp.terms.items() if sum(pe) < torder]
-    terms += [((pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:]), c / (sum(pe) + sum(xe) + 1))
-              for j, comp in enumerate(base_comps) for (pe, xe), c in comp.terms.items()]
-    return FiberGradedPoly(tm, tn, torder, terms)
+             for (pe, xe), n in comp.nums.items() if sum(pe) < torder]
+    terms += [((pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:]), n, comp.den * (sum(pe) + sum(xe) + 1))
+              for j, comp in enumerate(base_comps) for (pe, xe), n in comp.nums.items()]
+    return FiberGradedPoly.from_integer_terms(tm, tn, torder, terms)

@@ -37,7 +37,7 @@ def rand_exponents(rng: random.Random, arity: int, total: int) -> tuple[int, ...
 def rand_poly(rng: random.Random, fiber_arity: int, base_arity: int, order: int,
               terms: int = 3, min_fiber_deg: int = 0,
               max_base_deg: int = 2) -> FiberGradedPoly:
-    collected = {}
+    collected = []
     for _ in range(terms):
         lo = min(min_fiber_deg, order) if fiber_arity else 0
         pdeg = rng.randint(lo, order) if fiber_arity else 0
@@ -47,7 +47,7 @@ def rand_poly(rng: random.Random, fiber_arity: int, base_arity: int, order: int,
         xe = rand_exponents(rng, base_arity, rng.randint(0, max_base_deg)) \
             if base_arity else ()
         coeff = rand_fraction(rng, nonzero=True)
-        collected[(pe, xe)] = collected.get((pe, xe), Fraction(0)) + coeff
+        collected.append(((pe, xe), coeff))
     return FiberGradedPoly(fiber_arity, base_arity, order, collected)
 
 
@@ -75,12 +75,12 @@ def rand_core_map(rng: random.Random, domain_dim: int, codomain_dim: int,
                   max_deg: int = 2, terms: int = 2) -> CoreMap:
     comps = []
     for _ in range(codomain_dim):
-        collected = {}
+        collected = []
         for _ in range(terms):
             xe = rand_exponents(rng, domain_dim, rng.randint(0, max_deg)) \
                 if domain_dim else ()
             coeff = rand_fraction(rng, nonzero=True)
-            collected[((), xe)] = collected.get(((), xe), Fraction(0)) + coeff
+            collected.append((((), xe), coeff))
         comps.append(FiberGradedPoly(0, domain_dim, 0, collected))
     return CoreMap(domain_dim, tuple(comps))
 
@@ -117,24 +117,21 @@ def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int,
                                    extra_terms: int = 2) -> Micromorphism:
     """Valid micromorphism whose core map is affine with invertible linear part."""
     a_rows = rand_invertible_int_matrix(rng, dim)
-    collected = {}
+    collected = []
     for i in range(dim):
         const = Fraction(rng.randint(-2, 2))
         if const:
-            collected[(unit_exp(dim, i), (0,) * dim)] = const
+            collected.append(((unit_exp(dim, i), (0,) * dim), const))
         for j in range(dim):
             if a_rows[i][j]:
-                key = (unit_exp(dim, i), unit_exp(dim, j))
-                collected[key] = collected.get(key, Fraction(0)) + a_rows[i][j]
-    gen = FiberGradedPoly(dim, dim, order, collected)
+                collected.append(((unit_exp(dim, i), unit_exp(dim, j)), a_rows[i][j]))
     if order >= 2:
         for _ in range(extra_terms):
             pdeg = rng.randint(2, order)
             pe = rand_exponents(rng, dim, pdeg)
             xe = rand_exponents(rng, dim, rng.randint(0, 2))
-            gen = gen + FiberGradedPoly.monomial(dim, dim, order,
-                                                 rand_fraction(rng, nonzero=True),
-                                                 pe, xe)
+            collected.append(((pe, xe), rand_fraction(rng, nonzero=True)))
+    gen = FiberGradedPoly(dim, dim, order, collected)
     return Micromorphism(MicroObject(dim), MicroObject(dim), gen)
 
 

@@ -17,8 +17,8 @@ Tokenizer" recipe of the ``re`` documentation) turns each line into plain
 ``(kind, text, line, column)`` tuples, and the whole text is scanned before
 the grammar is read, so a bad character is reported before a grammar error
 earlier in the text.  A recursive descent keeps each term's coefficient as
-an integer numerator and denominator, builds one Fraction per term, and sums
-repeated monomials in a dict before the FiberGradedPoly constructor.
+an integer numerator and denominator and hands them to the FiberGradedPoly
+constructor, which sums repeated monomials on integers.
 
 Input limits: a record's order is at most ``MAX_ORDER``, its dimensions
 (``source``/``target`` of a morphism, ``domain``/``codomain`` of a core map)
@@ -120,14 +120,13 @@ def _exponent(tokens: list[Token], pos: int) -> tuple[int, int]:
 
 
 def _parse_terms(tokens: list[Token], fiber_arity: int,
-                 base_arity: int) -> dict[tuple, Fraction]:
+                 base_arity: int) -> list[tuple[tuple, int, int]]:
     """Sums of signed products of rationals and powers, read left to right.
 
-    Signs may repeat before the first term only.  Each term's coefficient is
-    kept as an integer numerator and denominator and becomes one Fraction;
-    repeated monomials are summed into one entry (zeros stay for the
-    FiberGradedPoly constructor to drop)."""
-    terms: dict[tuple, Fraction] = {}
+    Signs may repeat before the first term only.  Each term is returned as
+    its monomial, integer numerator and positive denominator; the
+    FiberGradedPoly constructor sums repeated monomials and drops zeros."""
+    terms: list[tuple[tuple, int, int]] = []
     pos, sign = 0, 1
     while tokens[pos][1] in _SIGNS:
         if tokens[pos][1] == "-":
@@ -167,10 +166,7 @@ def _parse_terms(tokens: list[Token], fiber_arity: int,
             if tokens[pos][1] != "*":
                 break
             pos += 1
-        key = (tuple(pe), tuple(xe))
-        coeff = Fraction(num, den)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
+        terms.append(((tuple(pe), tuple(xe)), num, den))
         tok = tokens[pos]
         if tok[1] in _SIGNS:
             sign = 1 if tok[1] == "+" else -1
@@ -187,8 +183,8 @@ def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
     tokens = _tokenize(text, first_line)
     if len(tokens) == 1:
         raise ParseError("empty polynomial", tokens[0][2], None)
-    return FiberGradedPoly(fiber_arity, base_arity, order,
-                           _parse_terms(tokens, fiber_arity, base_arity))
+    return FiberGradedPoly.from_integer_terms(fiber_arity, base_arity, order,
+                                              _parse_terms(tokens, fiber_arity, base_arity))
 
 
 # -- morphism records ---------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Reference oracle: the plain Fraction product, power and substitution.
+"""Reference oracle: the plain Fraction kernels of ``FiberGradedPoly``.
 
-A frozen copy of ``microsympl.jetalg``'s ``FiberGradedPoly.__mul__``,
-``__pow__``, ``substitute`` and ``substitute_many`` as they were before the
-integer-numerator kernel, written as functions over ``FiberGradedPoly``
-values; and of the residual test of ``solve_triangular_fixed_point`` as it
-was before it compared term maps, ``lowest_change``.  Every coefficient operation is a ``Fraction`` operation and every
-merge drops zeros as it goes.  Tests require the library to agree with these
-functions exactly; do not optimise this file.
+Frozen copies, written as functions over ``FiberGradedPoly`` values, of
+``microsympl.jetalg`` as it was before the integer-numerator kernels:
+``__mul__``, ``__pow__``, ``substitute`` and ``substitute_many`` from before
+products ran on integers; ``__add__``, ``__sub__``, ``__neg__``, ``scale``,
+``partial_fiber``, ``partial_base``, ``at_order``, ``core_part``, ``embed``
+and ``_lowest_change`` from before the stored form became integer numerators
+over one denominator; and the residual test of ``solve_triangular_fixed_point``
+as it was before it compared term maps, ``lowest_change``.  Every
+coefficient operation is a ``Fraction`` operation and every merge drops zeros
+as it goes; results are built by the public constructor from the term map.
+Tests require the library to agree with these functions exactly; do not
+optimise this file.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add as add_exponents
 
+from microsympl.errors import ShapeError
 from microsympl.jetalg import FiberGradedPoly
 
 
@@ -33,7 +39,7 @@ def mul(a, b):
         for db, pb, xb, cb in b_items:
             if da + db > order:
                 break
-            key = (tuple(map(add, pa, pb)), tuple(map(add, xa, xb)))
+            key = (tuple(map(add_exponents, pa, pb)), tuple(map(add_exponents, xa, xb)))
             c = ca * cb
             prev = out.get(key)
             total = c if prev is None else prev + c
@@ -129,4 +135,93 @@ def substitute_many(polys, fiber_values, base_values, space):
 def lowest_change(new, old):
     """The lowest fiber degree of ``new - old``, or None when they are equal;
     a ShapeError when their spaces differ."""
-    return (new - old).min_fiber_degree()
+    terms = sub(new, old).terms
+    return min((sum(pe) for pe, _ in terms), default=None)
+
+
+def _poly(like, terms, fiber_arity=None, base_arity=None, order=None):
+    """The polynomial with the term map ``terms``, checked to keep it exactly,
+    so that a fault of the constructor cannot hide in both sides of a test."""
+    out = FiberGradedPoly(like.fiber_arity if fiber_arity is None else fiber_arity,
+                          like.base_arity if base_arity is None else base_arity,
+                          like.order if order is None else order, terms)
+    assert out.terms == {key: c for key, c in terms.items() if c}
+    return out
+
+
+def add(a, b):
+    a._require_same_space(b)
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        prev = out.get(key)
+        total = c if prev is None else prev + c
+        if total:
+            out[key] = total
+        elif prev is not None:
+            del out[key]
+    return _poly(a, out)
+
+
+def neg(a):
+    return _poly(a, {key: -c for key, c in a.terms.items()})
+
+
+def sub(a, b):
+    return add(a, neg(b))
+
+
+def scale(a, value):
+    c = Fraction(value)
+    if not c:
+        return _poly(a, {})
+    return _poly(a, {key: c * v for key, v in a.terms.items()})
+
+
+def partial_fiber(a, index):
+    if not 0 <= index < a.fiber_arity:
+        raise ShapeError(f"fiber index {index} out of range for arity {a.fiber_arity}")
+    out = {}
+    for (pe, xe), c in a.terms.items():
+        e = pe[index]
+        if e:
+            out[(pe[:index] + (e - 1,) + pe[index + 1:], xe)] = c * e
+    return _poly(a, out)
+
+
+def partial_base(a, index):
+    if not 0 <= index < a.base_arity:
+        raise ShapeError(f"base index {index} out of range for arity {a.base_arity}")
+    out = {}
+    for (pe, xe), c in a.terms.items():
+        e = xe[index]
+        if e:
+            out[(pe, xe[:index] + (e - 1,) + xe[index + 1:])] = c * e
+    return _poly(a, out)
+
+
+def at_order(a, new_order):
+    if new_order < 0:
+        raise ShapeError("truncation order must be non-negative")
+    if new_order >= a.order:
+        return _poly(a, dict(a.terms), order=new_order)
+    out = {key: c for key, c in a.terms.items() if sum(key[0]) <= new_order}
+    return _poly(a, out, order=new_order)
+
+
+def core_part(a):
+    return _poly(a, {key: c for key, c in a.terms.items() if sum(key[0]) == 0})
+
+
+def embed(a, fiber_arity, base_arity, fiber_offset=0, base_offset=0):
+    if fiber_offset < 0 or base_offset < 0:
+        raise ShapeError("offsets must be non-negative")
+    if fiber_offset + a.fiber_arity > fiber_arity:
+        raise ShapeError("fiber block does not fit in the target space")
+    if base_offset + a.base_arity > base_arity:
+        raise ShapeError("base block does not fit in the target space")
+    out = {}
+    for (pe, xe), c in a.terms.items():
+        new_pe = (0,) * fiber_offset + pe + (0,) * (fiber_arity - fiber_offset - a.fiber_arity)
+        new_xe = (0,) * base_offset + xe + (0,) * (base_arity - base_offset - a.base_arity)
+        out[(new_pe, new_xe)] = c
+    return _poly(a, out, fiber_arity, base_arity)

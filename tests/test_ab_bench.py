@@ -10,6 +10,8 @@ spec.loader.exec_module(ab_bench)
 
 END_TO_END = [{"name": "ops_per_s", "better": "higher"},
               {"name": "latency_p50_ms", "better": "lower"}]
+BOUNDED = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
 
 
 def runs(ops, p50, digest="d"):
@@ -31,3 +33,55 @@ def test_wins_follow_each_metric_direction_and_ties_count_for_neither():
 def test_differing_digests_are_reported():
     lines = ab_bench.summarize(runs([1], [1], "a"), runs([1], [1], "b"), END_TO_END)
     assert lines[3] == "digests DIFFER: a, b"
+
+
+def test_a_metric_beyond_its_bound_is_flagged_in_its_own_direction():
+    parent = runs([100] * 4, [2] * 4)
+    # ops 24% lower stays inside the bound; p50 26% higher does not
+    change = runs([76] * 4, [2.52] * 4)
+    lines = ab_bench.summarize(parent, change, BOUNDED)
+    assert lines[5:] == ["REGRESSED latency_p50_ms: 26.0% worse than the parent median, "
+                         "beyond the bound of 25%"]
+    stats = [ab_bench.compare(parent, change, m) for m in BOUNDED]
+    assert [ab_bench.regressed(st, m) for st, m in zip(stats, BOUNDED)] == [False, True]
+    # a gain is never a regression, and a metric without a bound is never flagged
+    assert not ab_bench.regressed(ab_bench.compare(change, parent, BOUNDED[1]), BOUNDED[1])
+    assert ab_bench.summarize(parent, change, END_TO_END)[5:] == []
+
+
+def test_a_claim_needs_nine_wins_in_ten_and_a_gap_wider_than_the_quartiles():
+    parent = runs([100, 101, 102, 103, 104, 100, 101, 102, 103, 104], [2] * 10)
+    # nine wins, median 108 against 102 with quartiles [100.75, 103.25]
+    change = runs([108] * 9 + [99], [2] * 10)
+    st = ab_bench.compare(parent, change, END_TO_END[0])
+    assert (st["wins"], st["pairs"], st["gap"]) == (9, 10, 6)
+    assert ab_bench.claim_holds(st)
+    assert ab_bench.summarize(parent, change, END_TO_END, "ops_per_s")[-1] == \
+        "claim ops_per_s: holds (9/10 wins, median gap 6, parent quartile spread 2.5)"
+    # eight wins are too few, and a gap inside the spread is too small
+    eight = runs([108] * 8 + [99, 99], [2] * 10)
+    assert not ab_bench.claim_holds(ab_bench.compare(parent, eight, END_TO_END[0]))
+    narrow = runs([104.5] * 10, [2] * 10)
+    st = ab_bench.compare(parent, narrow, END_TO_END[0])
+    assert (st["wins"], st["gap"]) == (10, 2.5) and not ab_bench.claim_holds(st)
+    # a lower-is-better metric counts its gap downwards
+    faster = runs([100] * 10, [1] * 10)
+    assert ab_bench.claim_holds(ab_bench.compare(runs([100] * 10, [2, 2.1] * 5), faster,
+                                                 END_TO_END[1]))
+
+
+def test_exit_status_reports_a_regression_or_a_claim_that_fails(tmp_path, monkeypatch, capsys):
+    import json
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": BOUNDED}))
+    ops = {}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return runs([ops[checkout]], [2])[0]
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    argv = [str(tmp_path), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]
+    for change_ops, claim, status in ((120, [], 0), (120, ["--claim", "ops_per_s"], 0),
+                                      (100, ["--claim", "ops_per_s"], 1), (70, [], 1)):
+        ops.update({tmp_path: 100, tmp_path / "change": change_ops})
+        assert ab_bench.main(argv + claim) == status
+    assert "REGRESSED ops_per_s" in capsys.readouterr().out

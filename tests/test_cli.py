@@ -64,6 +64,15 @@ def test_check_with_splitting_option(capsys):
     assert "transverse to the splitting at (1): true" in out
 
 
+def test_check_with_an_empty_at_is_a_parse_error(capsys):
+    # an explicit empty point is not the origin
+    code, out, err = run(capsys, "check", "source=2 target=2 order=2\nS = p1*x1 + p2*x2\n",
+                         "--splitting", "1,2;2,1", "--at", "")
+    assert code == 1
+    assert "transverse" not in out
+    assert "error" in err and "bad rational entry ''" in err
+
+
 def test_germ_command_roundtrip(capsys):
     record = "source=1 target=1 order=2\nS = p1*x1 + 1/2*p1^2\n"
     code, out, _ = run(capsys, "germ", record, "--roundtrip")

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from microsympl.errors import ConvergenceError, FiltrationError, ShapeError
 from microsympl.jetalg import FiberGradedPoly, solve_triangular_fixed_point
+from microsympl.textio import parse_polynomial
 
 
 def poly(m, n, k, terms):
@@ -303,3 +305,70 @@ def test_all_coefficients_stay_fractions():
     b = poly(1, 1, 2, {((1,), (0,)): F(3, 7)})
     for p in (a + b, a * b, a.partial_fiber(0), a.scale(5)):
         assert all(isinstance(c, F) for c in p.terms.values())
+
+
+# -- canonical form -------------------------------------------------------------
+
+COEFFS = st.one_of(st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+                   st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**90)))
+
+
+@st.composite
+def twins(draw):
+    """Two polynomials that are equal but reached by different routes."""
+    m, n, k = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    keys = st.tuples(st.lists(st.integers(0, k), min_size=m, max_size=m)
+                     .filter(lambda pe: sum(pe) <= k).map(tuple),
+                     st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple))
+    items = st.lists(st.tuples(keys, COEFFS), max_size=5)
+    a, b, c = (FiberGradedPoly(m, n, k, draw(items)) for _ in range(3))
+    route = draw(st.sampled_from(["constructor", "sum", "distributive", "scale", "order",
+                                  "embed", "substitute", "parse", "cancel"]))
+    if route == "constructor":
+        # repeated keys and unreduced coefficients merge to the summed map
+        pairs = draw(items)
+        doubled = [(key, v / 2) for key, v in pairs] * 2
+        summed = {}
+        for key, v in pairs:
+            summed[key] = summed.get(key, 0) + v
+        return FiberGradedPoly(m, n, k, doubled), FiberGradedPoly(m, n, k, summed)
+    if route == "sum":
+        return a + b, b + a
+    if route == "distributive":
+        return a * (b + c), a * b + a * c
+    if route == "scale":
+        v = draw(COEFFS.filter(bool))
+        return a.scale(v).scale(1 / v), a
+    if route == "order":
+        return a.at_order(k + draw(st.integers(0, 2))).at_order(k), a.at_order(k)
+    if route == "embed":
+        shifted = {((0,) + pe, xe + (0,)): v for (pe, xe), v in a.terms.items()}
+        return a.embed(m + 1, n + 1, 1, 0), FiberGradedPoly(m + 1, n + 1, k, shifted)
+    if route == "substitute":
+        ps = [FiberGradedPoly.fiber_var(m, n, k, i) for i in range(m)] if k else [None] * m
+        xs = [FiberGradedPoly.base_var(m, n, k, j) for j in range(n)]
+        return a.substitute(ps, xs, space=(m, n, k)), a
+    if route == "parse":
+        return parse_polynomial(a.to_text(), m, n, k), a
+    return a + b - b, a
+
+
+def assert_canonical(p):
+    assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1 and 0 not in p.nums.values()
+    for c in p.terms.values():
+        assert type(c) is F and c != 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@given(twins())
+def test_equal_polynomials_have_one_form_and_one_hash(pair):
+    x, y = pair
+    for p in (x, y, -x, x.scale(F(-3, 2))):
+        assert_canonical(p)
+    assert x == y and hash(x) == hash(y)
+    assert (x.den, x.nums) == (y.den, y.nums) and x.terms == y.terms
+    # cancellation to zero gives the zero polynomial of the same space
+    for zero in (x - y, y - x, x + (-y), x.scale(0)):
+        assert zero.space() == x.space()
+        assert (zero.den, zero.nums, zero.terms) == (1, {}, {})
+        assert zero == FiberGradedPoly.zero(*x.space())
+        assert hash(zero) == hash(FiberGradedPoly.zero(*x.space()))

@@ -1,13 +1,16 @@
-"""The integer-numerator kernel of FiberGradedPoly against the frozen Fraction oracle.
+"""The integer-numerator kernels of FiberGradedPoly against the frozen Fraction oracle.
 
-Products, powers, ``substitute`` and ``substitute_many`` must agree with
+Products, powers, substitutions, sums, scalings, derivatives, the reshaping
+methods and the fixed-point residual must agree with
 ``tests/reference_jetalg.py`` exactly: the same arities, the same truncation
-order and the same term map.  Every result must also keep the class
-invariants: no zero coefficient, every coefficient a Fraction, and every
-fiber degree at most the order.
+order, the same term map, and so equal polynomials with equal hashes.  Every
+result must also keep the class invariants: a stored form in lowest terms
+(positive denominator, no zero numerator, gcd 1), every public coefficient a
+nonzero Fraction, and every fiber degree at most the order.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,10 +24,13 @@ NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
 # pairwise coprime denominators, so the common denominator is their product
 COPRIME = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 5, 7, 11, 13, 49, 125]))
 HUGE = st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**70))
-COEFF = st.one_of(SMALL, NEGATIVE_DEN, COPRIME, HUGE)
+HUGE_DEN = st.builds(F, st.integers(-2**90, 2**90), st.integers(2**89, 2**90))
+COEFF = st.one_of(SMALL, NEGATIVE_DEN, COPRIME, HUGE, HUGE_DEN)
 
 
 def assert_invariants(p):
+    assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+    assert 0 not in p.nums.values() and p.terms.keys() == p.nums.keys()
     for (pe, xe), c in p.terms.items():
         assert type(c) is F and c != 0
         assert len(pe) == p.fiber_arity and len(xe) == p.base_arity
@@ -36,6 +42,7 @@ def assert_same(got, want):
     assert_invariants(got)
     assert got.space() == want.space()
     assert got.terms == want.terms
+    assert got == want and hash(got) == hash(want)
 
 
 @st.composite
@@ -202,3 +209,62 @@ def test_lowest_change_across_spaces_is_the_same_shape_error(a, b):
     with pytest.raises(ShapeError) as got:
         _lowest_change(new, old)
     assert str(got.value) == str(want.value)
+
+
+@given(operand_pairs(), COEFF)
+def test_linear_operations_match_oracle(pair, c):
+    a, b = pair
+    assert_same(a + b, ref.add(a, b))
+    assert_same(a - b, ref.sub(a, b))
+    assert_same(-a, ref.neg(a))
+    for value in (c, -c, 0, 1, -1, 3):
+        assert_same(a.scale(value), ref.scale(a, value))
+        assert_same(a * value, ref.scale(a, value))
+
+
+@given(operand_pairs())
+def test_sums_cancelling_to_zero(pair):
+    a, b = pair
+    # a + b - b - a passes through sums that cancel some or all terms
+    partial = a + b - b
+    assert_same(partial, ref.sub(ref.add(a, b), b))
+    for zero in (a - a, a + (-a), partial - a, a.scale(0)):
+        assert zero.is_zero() and zero.space() == a.space()
+        assert (zero.den, zero.nums) == (1, {})
+        assert_same(zero, ref.sub(a, a))
+
+
+@given(SPACES.flatmap(lambda s: polys(*s)), st.data())
+def test_partials_match_oracle(a, data):
+    for i in range(a.fiber_arity):
+        assert_same(a.partial_fiber(i), ref.partial_fiber(a, i))
+    for j in range(a.base_arity):
+        assert_same(a.partial_base(j), ref.partial_base(a, j))
+    for index in (-1, max(a.fiber_arity, a.base_arity)):
+        for name in ("partial_fiber", "partial_base"):
+            with pytest.raises(ShapeError) as want:
+                getattr(ref, name)(a, index)
+            with pytest.raises(ShapeError) as got:
+                getattr(a, name)(index)
+            assert str(got.value) == str(want.value)
+
+
+@given(SPACES.flatmap(lambda s: polys(*s)), st.data())
+def test_reshaping_matches_oracle(a, data):
+    for k in range(a.order + 3):
+        down_up = a.at_order(k).at_order(a.order)
+        assert_same(down_up, ref.at_order(ref.at_order(a, k), a.order))
+        assert_same(a.at_order(k), ref.at_order(a, k))
+    assert_same(a.core_part(), ref.core_part(a))
+    m = a.fiber_arity + data.draw(st.integers(0, 2))
+    n = a.base_arity + data.draw(st.integers(0, 2))
+    fo = data.draw(st.integers(0, m - a.fiber_arity))
+    bo = data.draw(st.integers(0, n - a.base_arity))
+    assert_same(a.embed(m, n, fo, bo), ref.embed(a, m, n, fo, bo))
+    for args in ((m, n, -1, 0), (a.fiber_arity - 1, n) if a.fiber_arity else (m, n, 0, -1),
+                 (m, n, m + 1, 0), (m, n, 0, n + 1)):
+        with pytest.raises(ShapeError) as want:
+            ref.embed(a, *args)
+        with pytest.raises(ShapeError) as got:
+            a.embed(*args)
+        assert str(got.value) == str(want.value)

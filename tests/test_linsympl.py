@@ -300,7 +300,7 @@ class _Flattened(Splitting):
 
 @pytest.mark.parametrize("cls", [_Negated, _Sheared, _Flattened])
 def test_splitting_guard_rejects_a_basis_that_is_not_s_j_e_j_in_p(cls):
-    # the guard reads the p block of each integer row: s_j e_j with s_j > 0
+    # the guard reads the p block of each vertical vector: e_j
     rows = vecs((F(1, 2), 3), (3, F(-2, 7)))
     with pytest.raises(InternalInvariantError, match="splitting basis degenerate"):
         cls(2, rows)

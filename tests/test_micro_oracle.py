@@ -53,6 +53,19 @@ def test_invert_germ_on_a_large_germ_is_the_identity_both_ways():
     assert compose_germs(germ, inverse) == ident
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_invert_germ_on_a_composed_germ_is_the_identity_both_ways(n, k):
+    # composed germs are not extracted ones: their X block carries its own
+    # top-degree data, and at (3, 2) they reach hundreds of terms
+    rng = rng_for(10 * n + k, "invert-composed")
+    g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k)) for _ in range(2))
+    germ = compose_germs(g2, g1)
+    inverse = invert_germ(germ)
+    ident = identity_germ(n, k)
+    assert compose_germs(inverse, germ) == ident
+    assert compose_germs(germ, inverse) == ident
+
+
 def test_a_fiber_value_off_the_core_is_an_internal_error():
     # the solves never produce one; if they did, it is a broken invariant of
     # the solve, not a filtration error in the caller's input
