@@ -17,10 +17,13 @@ sides gave the same output digest, and the number of failed operations.
 
 A metric whose change median is worse than the parent median by more than
 its ``bound`` in the parent's ``BENCHMARK.json`` is flagged ``REGRESSED``.
-``--claim METRIC`` also prints whether a claimed gain on METRIC holds: the
-change is better in at least nine pairs of ten, and its median is better
-than the parent median by more than the parent's quartile spread (q3 - q1).
-The exit status is 1 when a metric regressed or a claim does not hold.
+Runs whose digests are not all the same are flagged ``DIGESTS DIFFER``, and
+a change that fails a larger share of its attempted operations than the
+parent is flagged ``MORE FAILURES``.  ``--claim METRIC`` also prints whether
+a claimed gain on METRIC holds: the change is better in at least nine pairs
+of ten, and its median is better than the parent median by more than the
+parent's quartile spread (q3 - q1).  The exit status is 1 when anything is
+flagged or a claim does not hold.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     digest = next((line.split()[1].partition("=")[2] for line in lines
                    if line.startswith("digest sha256=")), None)
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "digest": digest, "failed": result["failed"], "correct": result["correct"]}
+            "digest": digest, "failed": result["failed"], "attempted": result["attempted"],
+            "correct": result["correct"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -83,6 +87,20 @@ def claim_holds(stats: dict) -> bool:
             and stats["gap"] > stats["q3"] - stats["q1"])
 
 
+def output_flags(parent: list[dict], change: list[dict]) -> list[str]:
+    """Flags for runs whose output digests differ, and for a change that
+    fails a larger share of its attempted operations than the parent."""
+    flags = []
+    if len({run["digest"] for run in parent + change}) > 1:
+        flags.append("DIGESTS DIFFER: the runs do not all give the same outputs")
+    shares = [sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+              for runs in (parent, change)]
+    if shares[1] > shares[0]:
+        flags.append(f"MORE FAILURES: the change failed {shares[1]:.2%} of its operations, "
+                     f"the parent {shares[0]:.2%}")
+    return flags
+
+
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
               claim: str | None = None) -> list[str]:
     """Report lines for paired runs; ``end_to_end`` is BENCHMARK.json's list."""
@@ -107,7 +125,7 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
                                else "DIFFER: " + ", ".join(sorted(map(str, digests)))))
     lines.append(f"failed operations: parent {sum(r['failed'] for r in parent)}, "
                  f"change {sum(r['failed'] for r in change)}")
-    return lines + flags
+    return lines + flags + output_flags(parent, change)
 
 
 def main(argv=None) -> int:
@@ -139,7 +157,8 @@ def main(argv=None) -> int:
     end_to_end = spec["end_to_end"]
     print("\n".join(summarize(runs["parent"], runs["change"], end_to_end, args.claim)))
     stats = {m["name"]: compare(runs["parent"], runs["change"], m) for m in end_to_end}
-    bad = any(regressed(stats[m["name"]], m) for m in end_to_end)
+    bad = (any(regressed(stats[m["name"]], m) for m in end_to_end)
+           or output_flags(runs["parent"], runs["change"]))
     return 1 if bad or (args.claim and not claim_holds(stats[args.claim])) else 0
 
 

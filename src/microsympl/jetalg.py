@@ -17,12 +17,22 @@ scalings, derivatives, reshaping, equality and the fixed-point residual work
 on these integers: linear combinations are summed by one helper, ``combine``,
 over the lcm of the operands' denominators, with zeros dropped once at the
 end.  Products, powers and substitutions multiply numerators against
-degree-sorted rows and stop each row scan at the truncation order; a
-substitution sums its pieces over one running common denominator (widened by
-lcm only when a piece's denominator does not divide it).  ``Fraction``s are
-built only when the public ``terms`` map is read.  Derived caches are
-computed from immutable data and always to the same value, so filling them
-needs no lock.
+degree-sorted rows and stop each row scan at the truncation order.
+
+A substitution splits each term into an identity monomial (the variables
+whose value is ``None``) and a product of slot powers v^e.  A batch
+(``substitute_many``) shares one cache: every truncated power under
+``(block, index, e)``, and, for a term in two or more substituted slots,
+the truncated product of its powers, built smallest factor first under the
+tuple of its ``(block, index, e)`` triples.  Each term then adds its scaled
+rows straight into one running total, shifted by its identity monomial and
+cut at the order minus the identity monomial's fiber degree; the total is
+kept over one running common denominator, widened by lcm only when a term's
+denominator does not divide it.
+
+``Fraction``s are built only when the public ``terms`` map is read.  Derived
+caches are computed from immutable data and always to the same value, so
+filling them needs no lock.
 
 Text form (also the CLI input grammar): terms are written with ``+ - * ^``,
 rational coefficients ``a/b``, and variables ``p1..pm``, ``x1..xn``, e.g.
@@ -252,7 +262,7 @@ class FiberGradedPoly:
             raise ShapeError("exponent must be a non-negative integer")
         if not exponent:
             return FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
-        den, rows = _power_form({}, (0, 0), self, exponent, self.order)
+        den, rows = _power_form({}, 0, 0, self, exponent, self.order)
         return FiberGradedPoly._reduced(*self.space(), den,
                                         {(pe, xe): n for _, pe, xe, n in rows})
 
@@ -327,51 +337,67 @@ class FiberGradedPoly:
         return self._substitute_cached(fiber_values, base_values, target, {})
 
     def _substitute_cached(self, fiber_values, base_values,
-                           target: tuple[int, int, int], pow_cache: dict) -> "FiberGradedPoly":
+                           target: tuple[int, int, int], cache: dict) -> "FiberGradedPoly":
         tm, tn, torder = target
+        values = (fiber_values, base_values)
+        unit = 1, [(0, (0,) * tm, (0,) * tn, 1)]
         den = self.den
         total: dict[TermKey, int] = {}
+        total_get = total.get
         total_den = 1
         for (pe, xe), num in self.nums.items():
-            mono_pe = [0] * tm
-            mono_xe = [0] * tn
-            factors: list[tuple[int, Rows]] = []
+            # the term is (identity monomial) * (product of slot powers)
+            mono_pe = mono_xe = None
+            slots = []
+            cut = torder
             for i, e in enumerate(pe):
-                if not e:
-                    continue
-                v = fiber_values[i]
-                if v is None:
-                    mono_pe[i] += e
-                else:
-                    factors.append(_power_form(pow_cache, (0, i), v, e, torder))
+                if e:
+                    if fiber_values[i] is None:
+                        if mono_pe is None:
+                            mono_pe = [0] * tm
+                        mono_pe[i] = e
+                        cut -= e
+                    else:
+                        slots.append((0, i, e))
             for j, e in enumerate(xe):
-                if not e:
-                    continue
-                v = base_values[j]
-                if v is None:
-                    mono_xe[j] += e
-                else:
-                    factors.append(_power_form(pow_cache, (1, j), v, e, torder))
-            if sum(mono_pe) > torder:
+                if e:
+                    if base_values[j] is None:
+                        if mono_xe is None:
+                            mono_xe = [0] * tn
+                        mono_xe[j] = e
+                    else:
+                        slots.append((1, j, e))
+            if cut < 0:
                 continue
-            piece = {(tuple(mono_pe), tuple(mono_xe)): num}
-            piece_den = den
-            factors.sort(key=lambda f: len(f[1]))
-            for f_den, f_rows in factors:
-                piece = _mul_rows(piece, f_rows, torder)
-                piece_den *= f_den
-            if not piece:
+            if not slots:
+                f_den, rows = unit
+            elif len(slots) == 1:
+                block, index, e = slots[0]
+                f_den, rows = _power_form(cache, block, index, values[block][index], e, torder)
+            else:
+                key = tuple(slots)
+                got = cache.get(key)
+                if got is None:
+                    got = cache[key] = _product_form(cache, slots, values, torder)
+                f_den, rows = got
+            if not rows or rows[0][0] > cut:
                 continue
+            piece_den = den * f_den
             if total_den % piece_den:
                 # widen the running denominator to the lcm
                 widen = lcm(total_den, piece_den) // total_den
                 for key in total:
                     total[key] *= widen
                 total_den *= widen
-            scale = total_den // piece_den
-            total_get = total.get
-            for key, n in piece.items():
-                total[key] = total_get(key, 0) + n * scale
+            c = num * (total_den // piece_den)
+            mp = None if mono_pe is None else tuple(mono_pe)
+            mx = None if mono_xe is None else tuple(mono_xe)
+            for db, pb, xb, cb in rows:
+                if db > cut:
+                    break
+                key = (pb if mp is None else tuple(map(_add, mp, pb)),
+                       xb if mx is None else tuple(map(_add, mx, xb)))
+                total[key] = total_get(key, 0) + c * cb
         return FiberGradedPoly._reduced(tm, tn, torder, total_den, total)
 
     def evaluate(self, fiber_point: Sequence, base_point: Sequence) -> Fraction:
@@ -530,28 +556,43 @@ def _mul_rows(left: dict[TermKey, int], rows, order: int) -> dict[TermKey, int]:
     return out
 
 
-def _power_form(cache: dict, slot: tuple[int, int], value: FiberGradedPoly, e: int,
+def _power_form(cache: dict, block: int, index: int, value: FiberGradedPoly, e: int,
                 order: int) -> tuple[int, Rows]:
     """Integer form of ``value ** e`` truncated at ``order``, built as
-    v^e = v^(e-1) * v with every power cached under ``(*slot, e)``."""
+    v^e = v^(e-1) * v with every power cached under ``(block, index, e)``."""
     base = value.den, value._sorted_rows()
     k = e
-    while k > 1 and (*slot, k) not in cache:
+    while k > 1 and (block, index, k) not in cache:
         k -= 1
-    got = cache[(*slot, k)] if k > 1 else base
+    got = cache[(block, index, k)] if k > 1 else base
     base_den, base_rows = base
     while k < e:
         k += 1
         den, rows = got
         prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, base_rows, order)
-        got = cache[(*slot, k)] = den * base_den, _sorted_rows(prod.items())
+        got = cache[(block, index, k)] = den * base_den, _sorted_rows(prod.items())
     return got
+
+
+def _product_form(cache: dict, slots: list[tuple[int, int, int]], values,
+                  order: int) -> tuple[int, Rows]:
+    """Integer form of the product of the slot powers ``values[block][index] **
+    e`` over ``(block, index, e)`` slots, truncated at ``order`` and built
+    smallest factor first; the powers come from, and go to, ``cache``."""
+    factors = sorted((_power_form(cache, block, index, values[block][index], e, order)
+                      for block, index, e in slots), key=lambda f: len(f[1]))
+    den, rows = factors[0]
+    for f_den, f_rows in factors[1:]:
+        prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, f_rows, order)
+        den, rows = den * f_den, _sorted_rows(prod.items())
+    return den, rows
 
 
 def substitute_many(polys: Sequence[FiberGradedPoly], fiber_values, base_values,
                     space: tuple[int, int, int]) -> list[FiberGradedPoly]:
     """Substitute the same values into several polynomials of one space,
-    sharing the cache of value powers across the whole batch."""
+    sharing the cache of value powers and of their products across the
+    whole batch."""
     if not polys:
         return []
     first = polys[0]

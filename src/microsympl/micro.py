@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
@@ -41,9 +42,8 @@ from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      UnsupportedCoreError, ValidityError)
 from .jetalg import (FiberGradedPoly, combine, frac, solve_triangular_fixed_point,
                      substitute_many)
-from .linsympl import (LinCanonicalRelation, Matrix, check_linear_micromorphism,
-                       mat_inverse, mat_mul, mat_vec, transpose, unit_vector,
-                       zero_vector)
+from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, check_linear_micromorphism,
+                       mat_inverse, unit_vector, zero_vector)
 
 
 @dataclass(frozen=True)
@@ -143,33 +143,49 @@ class CoreMap:
         return all(all(sum(xe) <= 1 for _, xe in comp.nums)
                    for comp in self.components)
 
+    def _affine_rows(self) -> list[tuple[int, list[int]]]:
+        """``(den, [a_1, ..., a_n, b])`` per component (a_1 x_1 + ... + a_n x_n
+        + b) / den of an affine map, read off the numerators in one pass."""
+        n = self.domain_dim
+        out = []
+        for comp in self.components:
+            row = [0] * (n + 1)
+            for (_, xe), num in comp.nums.items():
+                degree = sum(xe)
+                if degree > 1:
+                    raise UnsupportedCoreError("core map is not affine")
+                row[xe.index(1) if degree else n] = num
+            out.append((comp.den, row))
+        return out
+
     def affine_parts(self) -> tuple[Matrix, tuple[Fraction, ...]]:
         """Linear part and constant part of an affine map."""
-        if not self.is_affine():
-            raise UnsupportedCoreError("core map is not affine")
-        rows = []
-        consts = []
-        for comp in self.components:
-            rows.append(tuple(comp.coefficient((), unit_exp(self.domain_dim, j))
-                              for j in range(self.domain_dim)))
-            consts.append(comp.coefficient((), (0,) * self.domain_dim))
-        return tuple(rows), tuple(consts)
+        n = self.domain_dim
+        rows = self._affine_rows()
+        return (tuple(tuple(Fraction(a, den) for a in row[:n]) for den, row in rows),
+                tuple(Fraction(row[n], den) for den, row in rows))
 
     def affine_inverse(self) -> "CoreMap":
-        """Inverse of an affine map with invertible linear part."""
+        """Inverse of an affine map with invertible linear part.
+
+        The rows of [A | I | b] for y = A x + b, each scaled to integers by
+        its component's denominator, are eliminated once; they end as
+        d [I | A^-1 | A^-1 b], read as x = A^-1 y - A^-1 b.
+        """
         if self.codomain_dim != self.domain_dim:
             raise UnsupportedCoreError("core map is not square")
-        rows, consts = self.affine_parts()
-        inv = mat_inverse(rows)
-        if inv is None:
-            raise UnsupportedCoreError("linear part of the core map is not invertible")
         n = self.domain_dim
-        shift = mat_vec(inv, consts)
+        aug = [row[:n] + [den if j == i else 0 for j in range(n)] + [row[n]]
+               for i, (den, row) in enumerate(self._affine_rows())]
+        work, pivots, d = _eliminate(aug, True)
+        if pivots[:n] != list(range(n)):
+            raise UnsupportedCoreError("linear part of the core map is not invertible")
+        sign = 1 if d > 0 else -1
         comps = []
-        for i in range(n):
-            terms = {((), unit_exp(n, j)): inv[i][j] for j in range(n)}
-            terms[((), (0,) * n)] = -shift[i]
-            comps.append(FiberGradedPoly(0, n, 0, terms))
+        for row in work[:n]:
+            nums = {((), unit_exp(n, j)): sign * row[n + j] for j in range(n)}
+            nums[((), (0,) * n)] = -sign * row[2 * n]
+            comps.append(FiberGradedPoly._reduced(0, n, 0, sign * d, nums))
         return CoreMap(n, tuple(comps))
 
 
@@ -628,30 +644,54 @@ def invert_germ(germ: GermJet) -> GermJet:
 
 
 def _symplectic_jacobian_check(germ: GermJet, points) -> None:
-    """Raise ValidityError at the first core point where the Jacobian of the
-    germ at p = 0 is not symplectic; derivatives are taken once for all points."""
+    """Raise ValidityError at the first core point where the Jacobian J of the
+    germ at p = 0 is not symplectic.
+
+    Only terms of fiber degree <= 1 reach J: c x^a adds d/dx_j (c x^a) to
+    column j, and c p_i x^a adds c x^a to column n + i.  They are read once,
+    over the lcm ``c`` of the component denominators; at a point b = a / d
+    every entry is an integer over c d^top, top the largest degree of an
+    entry's monomial.  J^T Omega J is antisymmetric, so only omega(J e_a,
+    J e_b) = omega(e_a, e_b) for a < b is tested, times (c d^top)^2.
+    """
     n = germ.dim
-    zeros = (Fraction(0),) * n
-    derivs = []
-    for comp in (*germ.x_out, *germ.p_out):
-        # only fiber degrees <= 1 reach the Jacobian at p = 0, and only the
-        # core part of each derivative is evaluated there
-        comp = comp.at_order(1)
-        parts = ([comp.partial_base(j) for j in range(n)]
-                 + [comp.partial_fiber(j) for j in range(n)])
-        derivs.append([d.core_part() for d in parts])
-    omega = []
-    for i in range(n):
-        omega.append(zero_vector(n) + tuple(Fraction(-1 if j == i else 0)
-                                            for j in range(n)))
-    for i in range(n):
-        omega.append(unit_vector(n, i) + zero_vector(n))
-    omega = tuple(omega)
+    comps = (*germ.x_out, *germ.p_out)
+    c = lcm(*[comp.den for comp in comps])
+    entries = []  # per row of J: (column, numerator over c, monomial)
+    for comp in comps:
+        scale = c // comp.den
+        row = []
+        for (pe, xe), num in comp.nums.items():
+            degree = sum(pe)
+            if degree == 1:
+                row.append((n + pe.index(1), num * scale, xe))
+            elif not degree:
+                row += [(j, num * scale * e, xe[:j] + (e - 1,) + xe[j + 1:])
+                        for j, e in enumerate(xe) if e]
+        entries.append(row)
+    top = max((sum(xe) for row in entries for _, _, xe in row), default=0)
     for point in points:
-        j_mat = tuple(tuple(d.evaluate(zeros, point) for d in row) for row in derivs)
-        if mat_mul(transpose(j_mat), mat_mul(omega, j_mat)) != omega:
-            raise ValidityError(
-                f"linearization at core point {tuple(point)} is not symplectic")
+        b = [frac(v) for v in point]
+        d = lcm(*[v.denominator for v in b])
+        a = [v.numerator * (d // v.denominator) for v in b]
+        jac = []
+        for row in entries:
+            vals = [0] * (2 * n)
+            for col, num, xe in row:
+                val = num * d ** (top - sum(xe))
+                for v, e in zip(a, xe):
+                    if e:
+                        val *= v ** e
+                vals[col] += val
+            jac.append(vals)
+        unit = (c * d ** top) ** 2
+        xs, ps = jac[:n], jac[n:]
+        for i in range(2 * n):
+            for j in range(i + 1, 2 * n):
+                form = sum(p[i] * x[j] - x[i] * p[j] for x, p in zip(xs, ps))
+                if form != (-unit if j == i + n else 0):
+                    raise ValidityError(
+                        f"linearization at core point {tuple(point)} is not symplectic")
 
 
 def graph_of_germ(germ: GermJet) -> Micromorphism:

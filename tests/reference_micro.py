@@ -11,17 +11,25 @@ restriction and fiber strip per source dimension.  The input checks of the libra
 functions are left out: the oracle is only ever called on valid germs, and
 the checks are covered by ``tests/test_micro.py``.  ``linearized_relation``
 is the tangent relation of the same era: every first and second derivative
-of S built as a polynomial, then evaluated at (0, point).  Tests require the
-library to agree with these functions exactly; do not optimise this file.
+of S built as a polynomial, then evaluated at (0, point).
+``affine_parts`` and
+``affine_inverse`` are the ``CoreMap`` methods from before they read integer
+rows: coefficients looked up one by one, then ``mat_inverse`` and
+``mat_vec`` on ``Fraction``s.  ``symplectic_jacobian_check`` is ``_symplectic_jacobian_check`` from before it
+ran on integers: each component truncated at order 1 and differentiated in
+all 2n directions, and J^T Omega J compared with Omega through two
+``Fraction`` ``mat_mul`` products per point.  Tests require the library to
+agree with these functions exactly; do not optimise this file.
 """
 
 from fractions import Fraction
 
-from microsympl.errors import ShapeError
+from microsympl.errors import ShapeError, UnsupportedCoreError, ValidityError
 from microsympl.jetalg import (FiberGradedPoly, frac, solve_triangular_fixed_point,
                                substitute_many)
-from microsympl.linsympl import LinCanonicalRelation, mat_inverse, unit_vector, zero_vector
-from microsympl.micro import GermJet, Micromorphism, MicroObject
+from microsympl.linsympl import (LinCanonicalRelation, mat_inverse, mat_mul, mat_vec,
+                                 transpose, unit_vector, zero_vector)
+from microsympl.micro import CoreMap, GermJet, Micromorphism, MicroObject, unit_exp
 
 
 def core_components(gen):
@@ -140,3 +148,59 @@ def linearized_relation(gen, point):
         vectors.append(tuple(spx[i][c] for i in range(m)) + zero_vector(m)
                        + unit_vector(n, c) + tuple(sxx[j][c] for j in range(n)))
     return LinCanonicalRelation.from_vectors(m, n, vectors)
+
+
+def symplectic_jacobian_check(germ, points):
+    """Raise ValidityError at the first core point where the Jacobian of the
+    germ at p = 0 is not symplectic."""
+    n = germ.dim
+    zeros = (Fraction(0),) * n
+    derivs = []
+    for comp in (*germ.x_out, *germ.p_out):
+        comp = comp.at_order(1)
+        parts = ([comp.partial_base(j) for j in range(n)]
+                 + [comp.partial_fiber(j) for j in range(n)])
+        derivs.append([d.core_part() for d in parts])
+    omega = []
+    for i in range(n):
+        omega.append(zero_vector(n) + tuple(Fraction(-1 if j == i else 0)
+                                            for j in range(n)))
+    for i in range(n):
+        omega.append(unit_vector(n, i) + zero_vector(n))
+    omega = tuple(omega)
+    for point in points:
+        j_mat = tuple(tuple(d.evaluate(zeros, point) for d in row) for row in derivs)
+        if mat_mul(transpose(j_mat), mat_mul(omega, j_mat)) != omega:
+            raise ValidityError(
+                f"linearization at core point {tuple(point)} is not symplectic")
+
+
+def affine_parts(core):
+    """Linear part and constant part of an affine core map."""
+    if not core.is_affine():
+        raise UnsupportedCoreError("core map is not affine")
+    rows = []
+    consts = []
+    for comp in core.components:
+        rows.append(tuple(comp.coefficient((), unit_exp(core.domain_dim, j))
+                          for j in range(core.domain_dim)))
+        consts.append(comp.coefficient((), (0,) * core.domain_dim))
+    return tuple(rows), tuple(consts)
+
+
+def affine_inverse(core):
+    """Inverse of an affine core map with invertible linear part."""
+    if core.codomain_dim != core.domain_dim:
+        raise UnsupportedCoreError("core map is not square")
+    rows, consts = affine_parts(core)
+    inv = mat_inverse(rows)
+    if inv is None:
+        raise UnsupportedCoreError("linear part of the core map is not invertible")
+    n = core.domain_dim
+    shift = mat_vec(inv, consts)
+    comps = []
+    for i in range(n):
+        terms = {((), unit_exp(n, j)): inv[i][j] for j in range(n)}
+        terms[((), (0,) * n)] = -shift[i]
+        comps.append(FiberGradedPoly(0, n, 0, terms))
+    return CoreMap(n, tuple(comps))

@@ -14,9 +14,9 @@ BOUNDED = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
            {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
 
 
-def runs(ops, p50, digest="d"):
-    return [{"metrics": {"ops_per_s": o, "latency_p50_ms": p}, "digest": digest, "failed": 0}
-            for o, p in zip(ops, p50)]
+def runs(ops, p50, digest="d", failed=0, attempted=100):
+    return [{"metrics": {"ops_per_s": o, "latency_p50_ms": p}, "digest": digest,
+             "failed": failed, "attempted": attempted} for o, p in zip(ops, p50)]
 
 
 def test_wins_follow_each_metric_direction_and_ties_count_for_neither():
@@ -33,6 +33,28 @@ def test_wins_follow_each_metric_direction_and_ties_count_for_neither():
 def test_differing_digests_are_reported():
     lines = ab_bench.summarize(runs([1], [1], "a"), runs([1], [1], "b"), END_TO_END)
     assert lines[3] == "digests DIFFER: a, b"
+    assert lines[5:] == ["DIGESTS DIFFER: the runs do not all give the same outputs"]
+    # runs of one side that disagree among themselves are flagged too
+    assert ab_bench.output_flags(runs([1], [1], "a") + runs([1], [1], "b"),
+                                 runs([1, 1], [1, 1], "a")) == lines[5:]
+    assert ab_bench.output_flags(runs([1], [1], "a"), runs([1], [1], "a")) == []
+
+
+def test_a_larger_share_of_failed_operations_is_flagged():
+    parent = runs([10, 10], [2, 2], failed=1, attempted=100)
+    # the same share, and a smaller one over more attempts, are not flagged
+    assert ab_bench.output_flags(parent, runs([10, 10], [2, 2], failed=1)) == []
+    assert ab_bench.output_flags(parent, runs([10, 10], [2, 2], failed=1,
+                                              attempted=150)) == []
+    # one more failure in as many attempts is
+    worse = runs([10], [2], failed=1) + runs([10], [2], failed=2)
+    lines = ab_bench.summarize(parent, worse, END_TO_END)
+    assert lines[4] == "failed operations: parent 2, change 3"
+    assert lines[5:] == ["MORE FAILURES: the change failed 1.50% of its operations, "
+                         "the parent 1.00%"]
+    # a change that fails where the parent never did
+    assert ab_bench.output_flags(runs([10], [2]), runs([10], [2], failed=1))[0].startswith(
+        "MORE FAILURES: the change failed 1.00%")
 
 
 def test_a_metric_beyond_its_bound_is_flagged_in_its_own_direction():
@@ -85,3 +107,27 @@ def test_exit_status_reports_a_regression_or_a_claim_that_fails(tmp_path, monkey
         ops.update({tmp_path: 100, tmp_path / "change": change_ops})
         assert ab_bench.main(argv + claim) == status
     assert "REGRESSED ops_per_s" in capsys.readouterr().out
+
+
+def test_exit_status_reports_differing_digests_or_more_failures(tmp_path, monkeypatch,
+                                                                capsys):
+    import json
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": BOUNDED}))
+    change = tmp_path / "change"
+    outputs = {}
+
+    def fake_run(checkout, workload, seed, seconds):
+        digest, failed = outputs[checkout]
+        return runs([120 if checkout == change else 100], [2], digest, failed)[0]
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    argv = [str(tmp_path), str(change), "--workload", "w", "--pairs", "2",
+            "--claim", "ops_per_s"]
+    # the claim holds in every case: only the outputs decide
+    for parent_out, change_out, status in ((("d", 0), ("d", 0), 0), (("d", 1), ("d", 1), 0),
+                                           (("d", 1), ("d", 0), 0), (("d", 0), ("e", 0), 1),
+                                           (("d", 0), ("d", 1), 1)):
+        outputs.update({tmp_path: parent_out, change: change_out})
+        assert ab_bench.main(argv) == status
+    out = capsys.readouterr().out
+    assert "DIGESTS DIFFER" in out and "MORE FAILURES" in out

@@ -174,6 +174,108 @@ def test_large_exponent_of_a_base_value():
                 ref.substitute(p, [None], [v], space=(1, 1, 2)))
 
 
+# -- the batch cache of products of slot powers ------------------------------------
+
+
+@st.composite
+def shared_monomial_batches(draw):
+    """A batch of three polynomials drawn from one pool of monomials.  The
+    monomials of the pool differ only in their positive exponents in the
+    same two or three substituted slots, whose values are nonzero; the other
+    slots are substituted or left ``None`` at random.  The first polynomial
+    holds the whole pool."""
+    m, n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    tk = draw(st.integers(2, 4))
+    slots = [(0, i) for i in range(m)] + [(1, j) for j in range(n)]
+    support = draw(st.lists(st.sampled_from(slots), min_size=2, max_size=3, unique=True))
+
+    def value(block, index):
+        if (block, index) not in support and draw(st.booleans()):
+            return None
+        v = polys(m, n, tk, min_fiber_deg=1 - block, max_terms=3, max_base_exp=2)
+        return draw(v.filter(lambda p: not p.is_zero()))
+
+    fiber = [value(0, i) for i in range(m)]
+    base = [value(1, j) for j in range(n)]
+    rest = {slot: draw(st.integers(0, 2)) for slot in slots if slot not in support}
+    pool = set()
+    for _ in range(draw(st.integers(2, 5))):
+        exps = {slot: draw(st.integers(1, 3)) for slot in support} | rest
+        pe = tuple(exps[(0, i)] for i in range(m))
+        if sum(pe) <= k:
+            pool.add((pe, tuple(exps[(1, j)] for j in range(n))))
+    pool = sorted(pool)
+    batch = [FiberGradedPoly(m, n, k, [(key, draw(COEFF)) for key in pool
+                                       if not b or draw(st.booleans())]) for b in range(3)]
+    return batch, fiber, base, (m, n, tk)
+
+
+@given(shared_monomial_batches())
+def test_substitute_many_with_shared_products_matches_oracle(case):
+    batch, fiber, base, space = case
+    want = ref.substitute_many(batch, fiber, base, space)
+    for got, w in zip(substitute_many(batch, fiber, base, space), want):
+        assert_same(got, w)
+
+
+def test_products_of_slot_powers_match_oracle():
+    # (3, 2, K=4) -> (3, 2, K=3): p1 and x2 keep their target variables, p2,
+    # p3 and x1 receive values over different denominators
+    space = (3, 2, 3)
+
+    def poly(terms):
+        return FiberGradedPoly(3, 2, 4, terms)
+
+    p1, p2, p3 = (FiberGradedPoly.fiber_var(*space, i) for i in range(3))
+    x1, x2 = (FiberGradedPoly.base_var(*space, j) for j in range(2))
+    v2 = p2.scale(F(1, 3)) + (p1 * x2).scale(F(-2, 7))
+    v3 = p3 + (p1 * p2).scale(F(5, 11))
+    u1 = x1.scale(F(-1, 2)) + p1.scale(F(1, 9)) + FiberGradedPoly.constant(*space, F(3, 4))
+    fiber, base = [None, v2, v3], [u1, None]
+    batch = [
+        # two and three substituted slots, shared across the batch
+        poly({((0, 1, 0), (1, 0)): F(2, 5), ((0, 1, 1), (2, 1)): F(-7, 3),
+              ((1, 1, 0), (1, 1)): 1}),
+        poly({((0, 1, 0), (1, 0)): F(1, 6), ((0, 1, 1), (2, 1)): F(7, 3),
+              ((0, 2, 1), (3, 0)): F(1, 2**40)}),
+        # identity parts that reach the order: only fiber degree 0 of the
+        # slot product survives, none when a fiber slot is in it, and none
+        # past the order
+        poly({((3, 0, 0), (1, 0)): F(5, 7), ((3, 0, 0), (2, 1)): F(-1, 4),
+              ((3, 1, 0), (1, 0)): 3, ((3, 0, 1), (2, 0)): F(1, 8),
+              ((4, 0, 0), (1, 0)): 1, ((3, 0, 0), (0, 0)): 1, ((2, 1, 0), (1, 0)): 3}),
+        # a large exponent in a two-slot product
+        poly({((0, 1, 0), (100, 0)): F(2, 3), ((0, 0, 1), (99, 1)): -1}),
+    ]
+    got = substitute_many(batch, fiber, base, space)
+    want = ref.substitute_many(batch, fiber, base, space)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+    # x2 -> u1 as well: p2 x1^2 x2 - p2 x1 x2^2 cancels through two products
+    cancel = poly({((0, 1, 0), (2, 1)): 1, ((0, 1, 0), (1, 2)): -1,
+                   ((0, 1, 1), (1, 1)): F(1, 3)}) - poly({((0, 1, 1), (1, 1)): F(1, 3)})
+    zero = substitute_many([cancel, cancel.scale(3)], fiber, [u1, u1], space)
+    assert all(z.is_zero() and z.space() == space for z in zero)
+    # every cached product is the truncated product of its slot powers
+    cache = {}
+    values = (fiber, base)
+    for p in batch:
+        p._substitute_cached(fiber, base, space, cache)
+    products = [key for key in cache if isinstance(key[0], tuple)]
+    assert len(products) == 6
+    powers = {}
+    for key in products:
+        den, rows = cache[key]
+        want = FiberGradedPoly.constant(*space, 1)
+        for slot in key:
+            if slot not in powers:
+                block, index, e = slot
+                powers[slot] = ref.power(values[block][index], e)
+            want = ref.mul(want, powers[slot])
+        assert_same(FiberGradedPoly._reduced(*space, den, {(pe, xe): n for _, pe, xe, n in rows}),
+                    want)
+
+
 @st.composite
 def residual_pairs(draw):
     """``(new, old)`` of one space: unrelated, equal, or ``old`` plus a

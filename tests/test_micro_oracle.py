@@ -5,8 +5,12 @@ Inputs are seeded ``rand_affine_core_micromorphism`` pairs at core dimensions
 ``tests/golden/micro.txt``.  Equality is exact: same ``x_out``/``p_out`` and
 same generating function.  The tangent relation read off the terms is checked
 against the derivative-then-evaluate reference on drawn generating functions.
+The integer Jacobian check and the integer affine core inverse must raise
+where the ``Fraction`` references raise, with the same message, and return
+the same values where they do not.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,10 +18,11 @@ from hypothesis import given, strategies as st
 
 import reference_micro as ref
 from microsympl import micro
-from microsympl.errors import InternalInvariantError, ShapeError
+from microsympl.errors import (InternalInvariantError, ShapeError, UnsupportedCoreError,
+                               ValidityError)
 from microsympl.jetalg import FiberGradedPoly
-from microsympl.micro import (compose_germs, extract_germ, graph_of_germ,
-                              identity_germ, invert_germ)
+from microsympl.micro import (CoreMap, GermJet, compose_germs, extract_germ, graph_of_germ,
+                              identity_germ, invert_germ, unit_exp)
 from microsympl.sampling import rand_affine_core_micromorphism, rand_micromorphism, rng_for
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
@@ -134,3 +139,114 @@ def test_tangent_relation_of_a_violator_has_a_base_hessian():
     # the x2 columns end in the p2 block: d2S/dx2 at (-3/2, 5)
     sxx = [vec[6:] for vec in got.vectors[2:]]
     assert sxx == [(F(250), F(-449, 2)), (F(-449, 2), F(135, 2))]
+
+
+# -- the Jacobian check and the affine core ------------------------------------------
+
+
+def outcome(call, *args):
+    """``("ok", value)`` when ``call(*args)`` returns, else the type and text
+    of the ValidityError or UnsupportedCoreError it raises."""
+    try:
+        return "ok", call(*args)
+    except (ValidityError, UnsupportedCoreError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def with_added_terms(germ, row, terms):
+    """``germ`` with the terms ``{(pe, xe): c}`` added to component ``row`` of
+    (X, P)."""
+    n, k = germ.dim, germ.order
+    comps = [*germ.x_out, *germ.p_out]
+    comps[row] = comps[row] + FiberGradedPoly(n, n, k, terms)
+    return GermJet(n, k, tuple(comps[:n]), tuple(comps[n:]))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_jacobian_check_matches_the_reference(n, k):
+    # at p = 0 a term c p_i x_j is 0 at the origin and c at (1, ..., 1), and
+    # c p_i (x_1^2 - x_1) is 0 at both and -c/4 at (1/2, -1/2, ...): the
+    # perturbed copies first fail at the second or the third sample point
+    rng = rng_for(10 * n + k, "jacobian-oracle")
+    g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k)) for _ in range(2))
+    points = micro._sample_core_points(n)
+    first_failures = set()
+    for germ in (g1, compose_germs(g2, g1)):
+        assert outcome(micro._symplectic_jacobian_check, germ, points) == ("ok", None)
+        for row in range(2 * n):
+            i, j = row % n, (row + 1) % n
+            pi = unit_exp(n, i)
+            copies = [
+                with_added_terms(germ, row, {(pi, unit_exp(n, j)): F(1, 7)}),
+                with_added_terms(germ, row, {(pi, (2,) + (0,) * (n - 1)): F(-3, 5),
+                                             (pi, unit_exp(n, 0)): F(3, 5)}),
+            ]
+            for copy in copies:
+                assert len({c.den for c in (*copy.x_out, *copy.p_out)}) > 1
+                got = outcome(micro._symplectic_jacobian_check, copy, points)
+                assert got == outcome(ref.symplectic_jacobian_check, copy, points)
+                if got[0] != "ok":
+                    first_failures.add(next(b for b in points if str(b) in got[1]))
+    assert first_failures == set(points[1:])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobian_check_at_points_with_large_denominators(seed):
+    rng = rng_for(seed, "jacobian-oracle-points")
+    n = seed + 1
+    germ = extract_germ(rand_affine_core_micromorphism(rng, n, 3))
+    points = [tuple(F(rng.randint(-2**40, 2**40), rng.randint(1, 2**35)) for _ in range(n)),
+              tuple(rng.randint(-9, 9) for _ in range(n))]
+    bad = with_added_terms(germ, n, {(unit_exp(n, 0), (1,) * n): F(1, 2**33)})
+    for g in (germ, bad):
+        got = outcome(micro._symplectic_jacobian_check, g, points)
+        assert got == outcome(ref.symplectic_jacobian_check, g, points)
+    assert outcome(micro._symplectic_jacobian_check, bad, points)[0] == "ValidityError"
+
+
+def affine_core_maps(rng):
+    """Core maps of domain 0-3: invertible and singular affine ones with
+    components over different denominators, non-square and non-affine ones."""
+    def comp(n, coeffs, const):
+        terms = {((), unit_exp(n, j)): c for j, c in enumerate(coeffs)}
+        terms[((), (0,) * n)] = const
+        return FiberGradedPoly(0, n, 0, terms)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.choice([1, 2, 3, 7, 2**40]))
+
+    maps = []
+    for n in range(4):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        maps.append(CoreMap(n, tuple(comp(n, r, entry()) for r in rows)))
+        if n:
+            # a repeated direction makes the linear part singular
+            singular = rows[:-1] + [[2 * v for v in rows[0]]]
+            maps.append(CoreMap(n, tuple(comp(n, r, entry()) for r in singular)))
+            maps.append(CoreMap(n, tuple(comp(n, r, entry()) for r in rows[:-1])))
+            curved = comp(n, rows[0], entry()) + FiberGradedPoly(
+                0, n, 0, {((), (2,) + (0,) * (n - 1)): F(1, 3)})
+            maps.append(CoreMap(n, (curved,) + tuple(comp(n, r, 0) for r in rows[1:])))
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_affine_core_inverse_matches_the_reference(seed):
+    maps = affine_core_maps(random.Random(seed))
+    kinds = set()
+    for core in maps:
+        got = outcome(CoreMap.affine_parts, core)
+        assert got == outcome(ref.affine_parts, core)
+        if got[0] == "ok":
+            assert all(type(v) is F for row in got[1][0] for v in row)
+            assert all(type(v) is F for v in got[1][1])
+        got = outcome(CoreMap.affine_inverse, core)
+        assert got == outcome(ref.affine_inverse, core)
+        kinds.add(got[1] if got[0] != "ok" else "ok")
+        if got[0] == "ok":
+            inverse = got[1]
+            assert inverse.compose(core) == CoreMap.identity(core.domain_dim)
+            assert all(a.den == b.den and a.nums == b.nums for a, b in
+                       zip(inverse.components, ref.affine_inverse(core).components))
+    assert kinds == {"ok", "core map is not square", "core map is not affine",
+                     "linear part of the core map is not invertible"}
