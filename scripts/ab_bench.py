@@ -19,11 +19,15 @@ A metric whose change median is worse than the parent median by more than
 its ``bound`` in the parent's ``BENCHMARK.json`` is flagged ``REGRESSED``.
 Runs whose digests are not all the same are flagged ``DIGESTS DIFFER``, and
 a change that fails a larger share of its attempted operations than the
-parent is flagged ``MORE FAILURES``.  ``--claim METRIC`` also prints whether
+parent is flagged ``MORE FAILURES``.  A metric whose parent quartile spread
+(q3 - q1), relative to the parent median, is wider than its ``bound`` is
+flagged ``UNRESOLVED``, unless every run of the change is better than every
+run of the parent: such runs cannot show that the metric stayed inside its
+bound.  ``--claim METRIC`` also prints whether
 a claimed gain on METRIC holds: the change is better in at least nine pairs
 of ten, and its median is better than the parent median by more than the
-parent's quartile spread (q3 - q1).  The exit status is 1 when anything is
-flagged or a claim does not hold.
+parent's quartile spread (q3 - q1).  The exit status is 1 when a claim does
+not hold or anything but ``UNRESOLVED`` is flagged.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
     """One metric of paired runs: the parent's quartiles, the change's median,
-    the wins of the change, and how much better its median is (``gain``,
-    relative to the parent median, negative when worse)."""
+    the wins of the change, how much better its median is (``gain``,
+    relative to the parent median, negative when worse), and whether every
+    change run is better than every parent run (``separated``)."""
     name, higher = spec["name"], spec["better"] == "higher"
     a = [run["metrics"][name] for run in parent]
     b = [run["metrics"][name] for run in change]
@@ -72,12 +77,21 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
     gap = changed - med if higher else med - changed
     return {"name": name, "q1": q1, "median": med, "q3": q3, "change": changed,
             "wins": sum((y > x) if higher else (y < x) for x, y in zip(a, b)),
-            "pairs": len(a), "gap": gap, "gain": gap / med if med else 0.0}
+            "pairs": len(a), "gap": gap, "gain": gap / med if med else 0.0,
+            "separated": min(b) > max(a) if higher else max(b) < min(a)}
 
 
 def regressed(stats: dict, spec: dict) -> bool:
     """The change median is worse than the parent median by more than the bound."""
     return "bound" in spec and -stats["gain"] > spec["bound"]
+
+
+def unresolved(stats: dict, spec: dict) -> bool:
+    """The parent's quartile spread is wider than the bound, relative to the
+    parent median, and the runs of the two sides overlap."""
+    spread = stats["q3"] - stats["q1"]
+    return ("bound" in spec and spread > spec["bound"] * abs(stats["median"])
+            and not stats["separated"])
 
 
 def claim_holds(stats: dict) -> bool:
@@ -116,6 +130,11 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
         if regressed(st, spec):
             flags.append(f"REGRESSED {st['name']}: {-st['gain']:.1%} worse than the parent "
                          f"median, beyond the bound of {spec['bound']:.0%}")
+        if unresolved(st, spec):
+            spread = (st["q3"] - st["q1"]) / abs(med) if med else float("inf")
+            flags.append(f"UNRESOLVED {st['name']}: the parent's quartile spread is "
+                         f"{spread:.1%} of its median, wider than the bound of "
+                         f"{spec['bound']:.0%}")
         if st["name"] == claim:
             flags.append(f"claim {claim}: {'holds' if claim_holds(st) else 'does NOT hold'} "
                          f"({st['wins']}/{st['pairs']} wins, median gap {st['gap']:.4g}, "

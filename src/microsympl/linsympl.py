@@ -569,29 +569,21 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     return CheckResult(ok, reasons)
 
 
-def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting,
-                            core_graph: Sequence[Sequence[Fraction]] | None = None) -> bool:
+def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting) -> bool:
     """Transversality of the relation to (horizontal source) x K_B.
 
     Both subspaces have half the ambient dimension, so transversality is
     equivalent to their sum being everything.  The relation's rows and the m
     horizontal unit rows are eliminated once per relation, on the first call;
     their rank must be 2m + n, and the n rows of K_B, reduced against that
-    echelon form, must leave residuals of rank n.  When given, ``core_graph``
-    vectors are checked to lie in the relation as a consistency guard.
+    echelon form, must leave residuals of rank n.
     """
     m, n = v.source_half_dim, v.target_half_dim
     if splitting.half_dim != n:
         raise ShapeError(f"splitting half-dimension {splitting.half_dim} != target {n}")
-    vrows = v.subspace._rows
-    if core_graph is not None:
-        work, pivots, _ = _eliminate(vrows, False)
-        for g in _integer_rows(core_graph):
-            if not _in_span(work, pivots, g):
-                raise ShapeError("core graph vector not contained in the relation")
     if v._echelon is None:
         width = 2 * (m + n)
-        rows = list(vrows) + [[int(i == j) for j in range(width)] for i in range(m)]
+        rows = list(v.subspace._rows) + [[int(i == j) for j in range(width)] for i in range(m)]
         work, pivots, _ = _eliminate(rows, False)
         object.__setattr__(v, "_echelon", (tuple(work[:len(pivots)]), tuple(pivots)))
     work, pivots = v._echelon

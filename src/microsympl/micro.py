@@ -26,8 +26,11 @@ order is carried so fiber derivatives stay faithful at the stored order.
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
 part.  extract_germ, graph_of_germ and invert_germ expand their equations once
 at X = phi(x) + w, phi the affine core inverse and w new fiber variables
-(_shifted), then solve for W alone from 0 by one correction step, _corrected;
+(_shifted), drop the linear part L w once (_nonlinear), and solve for W alone
+from 0 by the step W -> L^-1 (targets - N(W)) on the remainder N, _corrected;
 invert_germ applies it to its momentum block before its position block.
+compose_germs shifts the outer jets to the inner core restriction the same
+way, so only fiber-degree >= 1 values are substituted.
 """
 
 from __future__ import annotations
@@ -491,7 +494,8 @@ class GermJet:
 
     extract_germ, graph_of_germ and invert_germ compute the affine inverse
     phi of the core once per call, shift their equations to X = phi(x) + W
-    once (_shifted) and solve for W alone with one correction step.
+    once (_shifted) and solve for W alone on their nonlinear remainder;
+    compose_germs shifts the outer jets to the inner X(x, 0) once.
     """
 
     dim: int
@@ -519,7 +523,9 @@ def identity_germ(dim: int, order: int) -> GermJet:
 
 
 def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
-    """Jet composition outer after inner, truncated at the common order."""
+    """Jet composition outer after inner, truncated at the common order: the
+    outer jets, shifted to X = X_inner(x, 0) + w for any polynomial core, take
+    P_inner and X_inner - X_inner(x, 0), both of fiber degree >= 1, in (p, w)."""
     if outer.dim != inner.dim:
         raise ShapeError(f"dimensions differ: {outer.dim} vs {inner.dim}")
     if outer.order != inner.order:
@@ -528,8 +534,9 @@ def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
     for comp in inner.p_out:
         if any(sum(pe) == 0 for pe, _ in comp.nums):
             raise ValidityError("inner germ does not preserve the core")
-    outs = substitute_many((*outer.x_out, *outer.p_out), inner.p_out, inner.x_out,
-                           (n, n, k))
+    shifted = _shifted((*outer.x_out, *outer.p_out), inner.core_restriction(), n, k)
+    outs = substitute_many(shifted, [*inner.p_out, *(x - x.core_part() for x in inner.x_out)],
+                           [None] * n, (n, n, k))
     return GermJet(n, k, tuple(outs[:n]), tuple(outs[n:]))
 
 
@@ -541,32 +548,53 @@ def _shifted(polys, phi: CoreMap, n: int, k: int) -> list[FiberGradedPoly]:
     return substitute_many(polys, [None] * n, w_at_core, (2 * n, n, k))
 
 
-def _corrected(z, targets, shifted, fiber_values, inv):
-    """The affine correction z + inv (targets - shifted(fiber_values, x))."""
+def _nonlinear(shifted, offset: int, inv) -> list[FiberGradedPoly]:
+    """The remainder N of shifted systems targets + L v + N(v) in (2n, n, K),
+    v_j the fiber variable offset + j: the terms c v_j with v_j alone are
+    dropped, once per solve.  ``inv`` must be L^-1, so that the correction
+    v + inv (targets - shifted(v)) is inv (targets - N(v)) exactly.  Row i
+    of inv L = I is checked on integers, over the lcm ``den`` of its terms.
+    """
+    n = len(inv)
+    keys = [(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)]
+    for i, row in enumerate(inv):
+        dens = [c.denominator * p.den for c, p in zip(row, shifted)]
+        den = lcm(*dens)
+        weights = [c.numerator * (den // d) for c, d in zip(row, dens)]
+        if any(sum(w * p.nums.get(key, 0) for w, p in zip(weights, shifted))
+               != (den if i == j else 0) for j, key in enumerate(keys)):
+            raise InternalInvariantError("germ solve: inverse does not invert the linear part")
+    return [FiberGradedPoly._reduced(*p.space(), p.den,
+                                     {key: c for key, c in p.nums.items() if key not in keys})
+            for p in shifted]
+
+
+def _corrected(targets, remainder, fiber_values, inv):
+    """The affine correction inv (targets - remainder(fiber_values, x))."""
     try:
         # W and P never get a fiber-degree-0 term: phi is the exact core
         # inverse and the momentum outputs vanish on the core (both checked)
-        vals = substitute_many(shifted, fiber_values, [None] * len(z), z[0].space())
+        vals = substitute_many(remainder, fiber_values, [None] * len(targets), targets[0].space())
     except FiltrationError as exc:
         raise InternalInvariantError(f"germ solve left the core: {exc}") from exc
-    return [combine((zi, *targets, *vals), (1, *row, *(-c for c in row)))
-            for zi, row in zip(z, inv)]
+    return [combine((*targets, *vals), (*row, *(-c for c in row))) for row in inv]
 
 
 def _affine_solve(phi: CoreMap, equations, space):
     """Positions X with equations(p, X) = x, as a filtered fixed point.
 
     ``phi`` is the affine inverse of the core map that the equations restrict
-    to at p = 0; the equations are shifted once to X = phi(x) + W, and W, seeded
-    at 0, is corrected by W -> W + A^-1 (x - equations(p, phi(x) + W)).
+    to at p = 0; the equations are shifted once to X = phi(x) + W, where they
+    read x + A W + N(p, W), and W, seeded at 0, is updated by
+    W -> A^-1 (x - N(p, W)).
     """
     n, _, k = space
     inv, _ = phi.affine_parts()
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
-    shifted = _shifted(equations, phi, n, k)
+    remainder = _nonlinear(_shifted(equations, phi, n, k), n, inv)
 
     def step(w):
-        return _corrected(w, xvars, shifted, [None] * n + list(w), inv)
+        return _corrected(xvars, remainder, [None] * n + list(w), inv)
 
     ws = solve_triangular_fixed_point((FiberGradedPoly.zero(*space),) * n, step)
     return tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, ws))
@@ -628,14 +656,16 @@ def invert_germ(germ: GermJet) -> GermJet:
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
     shifted = _shifted((*germ.p_out, *germ.x_out), phi, n, k)
+    # P reads C p + N(p, w) and X reads x + B w + N(p, w) once shifted
+    p_rem, x_rem = _nonlinear(shifted[:n], 0, c_inv), _nonlinear(shifted[n:], n, b_inv)
 
     def step(z):
         # momenta first, then positions against the refreshed momenta: the
         # momentum equation contracts on its own, the position one only
         # against momenta that are already one degree better
         ws, ps = z[:n], z[n:]
-        new_p = _corrected(ps, pvars, shifted[:n], [*ps, *ws], c_inv)
-        new_w = _corrected(ws, xvars, shifted[n:], [*new_p, *ws], b_inv)
+        new_p = _corrected(pvars, p_rem, [*ps, *ws], c_inv)
+        new_w = _corrected(xvars, x_rem, [*new_p, *ws], b_inv)
         return (*new_w, *new_p)
 
     sol = solve_triangular_fixed_point((FiberGradedPoly.zero(n, n, k),) * (2 * n), step)

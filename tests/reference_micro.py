@@ -18,12 +18,16 @@ rows: coefficients looked up one by one, then ``mat_inverse`` and
 ``mat_vec`` on ``Fraction``s.  ``symplectic_jacobian_check`` is ``_symplectic_jacobian_check`` from before it
 ran on integers: each component truncated at order 1 and differentiated in
 all 2n directions, and J^T Omega J compared with Omega through two
-``Fraction`` ``mat_mul`` products per point.  Tests require the library to
-agree with these functions exactly; do not optimise this file.
+``Fraction`` ``mat_mul`` products per point.  ``compose_germs`` is the germ
+composition from before it was shifted to the core: the whole inner position
+X(x, p) goes into the base slots of the outer jets, through the frozen
+``reference_jetalg.substitute_many``.  Tests require the library to agree
+with these functions exactly; do not optimise this file.
 """
 
 from fractions import Fraction
 
+import reference_jetalg
 from microsympl.errors import ShapeError, UnsupportedCoreError, ValidityError
 from microsympl.jetalg import (FiberGradedPoly, frac, solve_triangular_fixed_point,
                                substitute_many)
@@ -80,6 +84,18 @@ def extract_germ(f):
     ps = tuple(substitute_many([gen.partial_base(i) for i in range(n)],
                                [None] * n, list(xs), space))
     return GermJet(n, k, xs, ps)
+
+
+def compose_germs(outer, inner):
+    """Jet composition outer after inner by direct substitution of the inner
+    jets, truncated at the common order."""
+    n, k = outer.dim, outer.order
+    for comp in inner.p_out:
+        if any(sum(pe) == 0 for pe, _ in comp.terms):
+            raise ValidityError("inner germ does not preserve the core")
+    outs = reference_jetalg.substitute_many((*outer.x_out, *outer.p_out), inner.p_out,
+                                            inner.x_out, (n, n, k))
+    return GermJet(n, k, tuple(outs[:n]), tuple(outs[n:]))
 
 
 def invert_germ(germ):

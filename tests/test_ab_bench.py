@@ -71,6 +71,39 @@ def test_a_metric_beyond_its_bound_is_flagged_in_its_own_direction():
     assert ab_bench.summarize(parent, change, END_TO_END)[5:] == []
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path, monkeypatch, capsys):
+    # parent ops quartiles [85, 135] around 110: a spread of 45% against 25%
+    parent = runs([80, 100, 120, 140], [2] * 4)
+    overlapping = runs([130, 90, 125, 95], [2] * 4)
+    lines = ab_bench.summarize(parent, overlapping, BOUNDED)
+    assert lines[5:] == ["UNRESOLVED ops_per_s: the parent's quartile spread is 45.5% of "
+                         "its median, wider than the bound of 25%"]
+    # better in every pair is not enough while the runs of both sides overlap
+    paired = ab_bench.compare(parent, runs([90, 110, 130, 150], [2] * 4), BOUNDED[0])
+    assert paired["wins"] == 4 and ab_bench.unresolved(paired, BOUNDED[0])
+    # the flag is a report only: the exit status stays 0
+    import json
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": BOUNDED}))
+    sides = {tmp_path: iter(parent), tmp_path / "change": iter(overlapping)}
+    monkeypatch.setattr(ab_bench, "run_once", lambda checkout, *_: next(sides[checkout]))
+    assert ab_bench.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w",
+                          "--pairs", "4"]) == 0
+    assert "UNRESOLVED ops_per_s" in capsys.readouterr().out
+
+
+def test_a_change_better_than_every_parent_run_or_a_narrow_spread_is_resolved():
+    parent = runs([80, 100, 120, 140], [2, 3, 4, 5])
+    # every change run beats every parent run, in each metric's own direction
+    better = runs([150, 141, 160, 170], [1.9, 1.5, 1, 1.2])
+    assert ab_bench.summarize(parent, better, BOUNDED)[5:] == []
+    # a narrow spread: [100.25, 102.75] around 101.5 is 2.5%, inside the bound
+    narrow = runs([100, 101, 102, 103], [2] * 4)
+    stats = ab_bench.compare(narrow, runs([101, 100, 103, 102], [2] * 4), BOUNDED[0])
+    assert not ab_bench.unresolved(stats, BOUNDED[0])
+    # a metric without a bound is never unresolved
+    assert ab_bench.summarize(parent, runs([90] * 4, [2] * 4), END_TO_END)[5:] == []
+
+
 def test_a_claim_needs_nine_wins_in_ten_and_a_gap_wider_than_the_quartiles():
     parent = runs([100, 101, 102, 103, 104, 100, 101, 102, 103, 104], [2] * 10)
     # nine wins, median 108 against 102 with quartiles [100.75, 103.25]

@@ -309,16 +309,6 @@ def test_splitting_guard_rejects_a_basis_that_is_not_s_j_e_j_in_p(cls):
     assert repr(s) == f"Splitting(half_dim=2, rows={s.rows!r})"
 
 
-def test_core_graph_containment_guard():
-    from microsympl.linsympl import transverse_to_splitting
-    v = identity_relation(1)
-    graph = [(F(1), F(0), F(1), F(0))]
-    assert transverse_to_splitting(v, Splitting(1, vecs((0,))), core_graph=graph)
-    with pytest.raises(ShapeError):
-        transverse_to_splitting(v, Splitting(1, vecs((0,))),
-                                core_graph=[(F(1), F(0), F(2), F(0))])
-
-
 def test_micromorphism_check_implies_transversality_to_all_splittings():
     # relations of graph type (dx1 = Q dp + C dx2, dp2 = C^T dp) pass the
     # core-graph check and are then transverse to every sampled splitting;

@@ -3,8 +3,11 @@
 Inputs are seeded ``rand_affine_core_micromorphism`` pairs at core dimensions
 1-3 and orders 1-4, drawn under their own label, so none of them is in
 ``tests/golden/micro.txt``.  Equality is exact: same ``x_out``/``p_out`` and
-same generating function.  The tangent relation read off the terms is checked
-against the derivative-then-evaluate reference on drawn generating functions.
+same generating function.  ``compose_germs`` is checked against the frozen
+direct substitution on extracted, composed, identity and hand-built germs,
+some with a core restriction that is not affine.  The tangent relation read
+off the terms is checked against the derivative-then-evaluate reference on
+drawn generating functions.
 The integer Jacobian check and the integer affine core inverse must raise
 where the ``Fraction`` references raise, with the same message, and return
 the same values where they do not.
@@ -78,7 +81,108 @@ def test_a_fiber_value_off_the_core_is_an_internal_error():
     shifted = [w * w]
     off_core = FiberGradedPoly.constant(1, 1, 2, 1)
     with pytest.raises(InternalInvariantError, match="left the core"):
-        micro._corrected([off_core], [off_core], shifted, [None, off_core], ((1,),))
+        micro._corrected([off_core], shifted, [None, off_core], ((1,),))
+
+
+def test_the_remainder_drops_exactly_the_linear_part():
+    # shifted to X = phi(x) + w, the positions read x + A w + N(p, w); a wrong
+    # inverse of A is a broken invariant of the solve
+    rng = rng_for(0, "germ-remainder")
+    for n in (1, 2, 3):
+        germ = extract_germ(rand_affine_core_micromorphism(rng, n, 2))
+        phi = micro._core_inverse(germ)
+        inv, _ = phi.affine_parts()
+        a_rows, _ = germ.core_restriction().affine_parts()
+        shifted = micro._shifted(germ.x_out, phi, n, 2)
+        for poly, rem, row in zip(shifted, micro._nonlinear(shifted, n, inv), a_rows):
+            linear = FiberGradedPoly.zero(2 * n, n, 2)
+            for j, c in enumerate(row):
+                linear = linear + FiberGradedPoly.fiber_var(2 * n, n, 2, n + j).scale(c)
+            assert poly - rem == linear
+        for wrong in ([[2 * c for c in row] for row in inv],
+                      [[c + (i == j) for j, c in enumerate(row)] for i, row in enumerate(inv)]):
+            with pytest.raises(InternalInvariantError, match="does not invert the linear part"):
+                micro._nonlinear(shifted, n, wrong)
+
+
+# -- germ composition -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k", SHAPES)
+def test_compose_germs_matches_the_reference(n, k):
+    # one extra term per draw keeps the Fraction reference near a second in
+    # all: some (3, 3) and (3, 4) draws compose to thousands of terms
+    rng = rng_for(10 * n + k, "germ-composition")
+    g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k, 1)) for _ in range(2))
+    composed, ident = compose_germs(g2, g1), identity_germ(n, k)
+    assert same_germ(composed, ref.compose_germs(g2, g1))
+    for outer, inner in ((g1, composed), (composed, g1), (ident, composed), (composed, ident),
+                         (ident, ident)):
+        assert same_germ(compose_germs(outer, inner), ref.compose_germs(outer, inner))
+
+
+def hand_built_germ(rng, n, k, core):
+    """A GermJet with three random terms of fiber degree 1..K in every
+    component, its positions added to a core restriction X(x, 0) that is a
+    polynomial of degree 2-3, a nonzero constant or zero in each position."""
+    def terms(fiber_degrees, base_degrees, count):
+        out = {}
+        for _ in range(count):
+            pe, xe = [0] * n, [0] * n
+            for _ in range(rng.choice(fiber_degrees)):
+                pe[rng.randrange(n)] += 1
+            for _ in range(rng.choice(base_degrees)):
+                xe[rng.randrange(n)] += 1
+            out[(tuple(pe), tuple(xe))] = F(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                            rng.choice([1, 2, 5, 7]))
+        return out
+
+    cores = {"polynomial": lambda: {**terms([0], [0, 1], 2), **terms([0], [2, 3], 2)},
+             "constant": lambda: terms([0], [0], 1), "zero": dict}
+    fiber = range(1, k + 1)
+    xs = tuple(FiberGradedPoly(n, n, k, {**cores[core](), **terms(fiber, [0, 1, 2], 3)})
+               for _ in range(n))
+    ps = tuple(FiberGradedPoly(n, n, k, terms(fiber, [0, 1, 2], 3)) for _ in range(n))
+    return GermJet(n, k, xs, ps)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_compose_germs_off_the_affine_class_matches_the_reference(n, k):
+    # the shift needs no affine core: it expands at any polynomial X(x, 0)
+    rng = rng_for(10 * n + k, "germ-composition-hand-built")
+    germs = [hand_built_germ(rng, n, k, core) for core in ("polynomial", "constant", "zero")]
+    core_degrees = [{sum(xe) for c in g.core_restriction().components for _, xe in c.nums}
+                    for g in germs]
+    assert max(core_degrees[0]) in (2, 3) and core_degrees[1:] == [{0}, set()]
+    germs.append(extract_germ(rand_affine_core_micromorphism(rng, n, k, 1)))
+    for outer in germs:
+        for inner in germs:
+            assert same_germ(compose_germs(outer, inner), ref.compose_germs(outer, inner))
+
+
+def test_compose_germs_in_dimension_zero():
+    for k in (1, 2, 3):
+        empty = identity_germ(0, k)
+        assert same_germ(compose_germs(empty, empty), ref.compose_germs(empty, empty))
+        assert compose_germs(empty, empty) == GermJet(0, k, (), ())
+
+
+def test_compose_germs_rejects_what_the_reference_rejects():
+    rng = rng_for(0, "germ-composition-errors")
+    for n, k in ((1, 1), (2, 2), (3, 3)):
+        germ = extract_germ(rand_affine_core_micromorphism(rng, n, k, 1))
+        for xe in ((0,) * n, unit_exp(n, n - 1)):
+            # a momentum output with a fiber-degree-0 term leaves the core
+            off = with_added_terms(germ, n, {((0,) * n, xe): F(2, 3)})
+            got = outcome(compose_germs, germ, off)
+            assert got == outcome(ref.compose_germs, germ, off)
+            assert got == ("ValidityError", "inner germ does not preserve the core")
+            # only the inner germ is checked
+            assert same_germ(compose_germs(off, germ), ref.compose_germs(off, germ))
+    with pytest.raises(ShapeError, match="dimensions differ: 1 vs 2"):
+        compose_germs(identity_germ(1, 2), identity_germ(2, 2))
+    with pytest.raises(ShapeError, match="orders differ: 2 vs 3"):
+        compose_germs(identity_germ(2, 2), identity_germ(2, 3))
 
 
 @pytest.mark.parametrize("seed", range(4))
