@@ -20,15 +20,16 @@ end.  Products, powers and substitutions multiply numerators against
 degree-sorted rows and stop each row scan at the truncation order.
 
 A substitution splits each term into an identity monomial (the variables
-whose value is ``None``) and a product of slot powers v^e.  A batch
-(``substitute_many``) shares one cache: every truncated power under
-``(block, index, e)``, and, for a term in two or more substituted slots,
-the truncated product of its powers, built smallest factor first under the
-tuple of its ``(block, index, e)`` triples.  Each term then adds its scaled
-rows straight into one running total, shifted by its identity monomial and
-cut at the order minus the identity monomial's fiber degree; the total is
-kept over one running common denominator, widened by lcm only when a term's
-denominator does not divide it.
+whose value is ``None``) and a product of slot powers v^e, keyed by the
+tuple of its ``(block, index, e)`` slots.  A batch (``substitute_many``)
+shares one prefix cache of these truncated products: each is built as its
+parent, the key with its last exponent lowered by one (or that slot dropped
+at exponent 1), times one value, and every product on the way is cached, so
+powers and multi-slot products share their common prefixes.  Each term then
+adds its scaled rows straight into one running total, shifted by its
+identity monomial and cut at the order minus the identity monomial's fiber
+degree; the total is kept over one running common denominator, widened by
+lcm only when a term's denominator does not divide it.
 
 ``Fraction``s are built only when the public ``terms`` map is read.  Derived
 caches are computed from immutable data and always to the same value, so
@@ -215,10 +216,6 @@ class FiberGradedPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def min_fiber_degree(self) -> int | None:
-        """Smallest fiber degree carrying a term, or None for the zero polynomial."""
-        return min((sum(pe) for pe, _ in self.nums), default=None)
-
     def max_fiber_degree(self) -> int:
         return max((sum(pe) for pe, _ in self.nums), default=0)
 
@@ -262,7 +259,7 @@ class FiberGradedPoly:
             raise ShapeError("exponent must be a non-negative integer")
         if not exponent:
             return FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
-        den, rows = _power_form({}, 0, 0, self, exponent, self.order)
+        den, rows = _monomial_form({}, ((0, 0, exponent),), ((self,),), self.order)
         return FiberGradedPoly._reduced(*self.space(), den,
                                         {(pe, xe): n for _, pe, xe, n in rows})
 
@@ -340,7 +337,8 @@ class FiberGradedPoly:
                            target: tuple[int, int, int], cache: dict) -> "FiberGradedPoly":
         tm, tn, torder = target
         values = (fiber_values, base_values)
-        unit = 1, [(0, (0,) * tm, (0,) * tn, 1)]
+        if () not in cache:
+            cache[()] = 1, [(0, (0,) * tm, (0,) * tn, 1)]
         den = self.den
         total: dict[TermKey, int] = {}
         total_get = total.get
@@ -369,17 +367,8 @@ class FiberGradedPoly:
                         slots.append((1, j, e))
             if cut < 0:
                 continue
-            if not slots:
-                f_den, rows = unit
-            elif len(slots) == 1:
-                block, index, e = slots[0]
-                f_den, rows = _power_form(cache, block, index, values[block][index], e, torder)
-            else:
-                key = tuple(slots)
-                got = cache.get(key)
-                if got is None:
-                    got = cache[key] = _product_form(cache, slots, values, torder)
-                f_den, rows = got
+            key = tuple(slots)
+            f_den, rows = cache.get(key) or _monomial_form(cache, key, values, torder)
             if not rows or rows[0][0] > cut:
                 continue
             piece_den = den * f_den
@@ -556,43 +545,38 @@ def _mul_rows(left: dict[TermKey, int], rows, order: int) -> dict[TermKey, int]:
     return out
 
 
-def _power_form(cache: dict, block: int, index: int, value: FiberGradedPoly, e: int,
-                order: int) -> tuple[int, Rows]:
-    """Integer form of ``value ** e`` truncated at ``order``, built as
-    v^e = v^(e-1) * v with every power cached under ``(block, index, e)``."""
-    base = value.den, value._sorted_rows()
-    k = e
-    while k > 1 and (block, index, k) not in cache:
-        k -= 1
-    got = cache[(block, index, k)] if k > 1 else base
-    base_den, base_rows = base
-    while k < e:
-        k += 1
+def _monomial_form(cache: dict, key: tuple[tuple[int, int, int], ...], values,
+                   order: int) -> tuple[int, Rows]:
+    """Integer form of the product of the slot powers ``values[block][index]
+    ** e`` over the ``(block, index, e)`` slots of ``key``, truncated at
+    ``order``.  The parent of a key lowers its last exponent by one, or drops
+    that slot at exponent 1; each product is its parent times one value, and
+    every product on the way up from the nearest cached ancestor is cached.
+    A lone first power is the value itself, and ``cache[()]`` the unit."""
+    chain = []
+    got = cache.get(key)
+    while got is None:
+        block, index, e = key[-1]
+        if e == 1 and len(key) == 1:
+            value = values[block][index]
+            got = cache[key] = value.den, value._sorted_rows()
+            break
+        chain.append(key)
+        key = key[:-1] if e == 1 else (*key[:-1], (block, index, e - 1))
+        got = cache.get(key)
+    for key in reversed(chain):
+        block, index, _ = key[-1]
+        value = values[block][index]
         den, rows = got
-        prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, base_rows, order)
-        got = cache[(block, index, k)] = den * base_den, _sorted_rows(prod.items())
+        prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, value._sorted_rows(), order)
+        got = cache[key] = den * value.den, _sorted_rows(prod.items())
     return got
-
-
-def _product_form(cache: dict, slots: list[tuple[int, int, int]], values,
-                  order: int) -> tuple[int, Rows]:
-    """Integer form of the product of the slot powers ``values[block][index] **
-    e`` over ``(block, index, e)`` slots, truncated at ``order`` and built
-    smallest factor first; the powers come from, and go to, ``cache``."""
-    factors = sorted((_power_form(cache, block, index, values[block][index], e, order)
-                      for block, index, e in slots), key=lambda f: len(f[1]))
-    den, rows = factors[0]
-    for f_den, f_rows in factors[1:]:
-        prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, f_rows, order)
-        den, rows = den * f_den, _sorted_rows(prod.items())
-    return den, rows
 
 
 def substitute_many(polys: Sequence[FiberGradedPoly], fiber_values, base_values,
                     space: tuple[int, int, int]) -> list[FiberGradedPoly]:
     """Substitute the same values into several polynomials of one space,
-    sharing the cache of value powers and of their products across the
-    whole batch."""
+    sharing the cache of slot products across the whole batch."""
     if not polys:
         return []
     first = polys[0]
@@ -605,9 +589,10 @@ def substitute_many(polys: Sequence[FiberGradedPoly], fiber_values, base_values,
 
 
 def _lowest_change(new: FiberGradedPoly, old: FiberGradedPoly) -> int | None:
-    """``(new - old).min_fiber_degree()``, read off the two forms without
-    building the difference: numerators are never zero, so a term of the
-    difference is a key where the cross-multiplied numerators differ."""
+    """The smallest fiber degree of a term of ``new - old``, or None when
+    they are equal, read off the two forms without building the difference:
+    numerators are never zero, so a term of the difference is a key where
+    the cross-multiplied numerators differ."""
     new._require_same_space(old)
     old_nums, new_nums, a, b = old.nums, new.nums, new.den, old.den
     degs = [sum(key[0]) for key, n in new_nums.items() if n * b != old_nums.get(key, 0) * a]

@@ -336,10 +336,9 @@ def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
     q = g.target.core_dim
     try:
         xb, pb, sf, sg, space = _stationary(g, f, k + 1)
-        total = sf.substitute([None] * m, xb, space=space)
-        total = total + sg.substitute(list(pb), [None] * q, space=space)
-        for y, p in zip(xb, pb):
-            total = total - p * y
+        total = combine((sf.substitute([None] * m, xb, space=space),
+                         sg.substitute(list(pb), [None] * q, space=space),
+                         *(p * y for y, p in zip(xb, pb))), (1, 1, *(-1,) * n))
         return Micromorphism(f.source, g.target, total.at_order(k))
     except (ConvergenceError, NormalFormError, FiltrationError) as exc:
         raise InternalInvariantError(
@@ -564,9 +563,13 @@ def _nonlinear(shifted, offset: int, inv) -> list[FiberGradedPoly]:
         if any(sum(w * p.nums.get(key, 0) for w, p in zip(weights, shifted))
                != (den if i == j else 0) for j, key in enumerate(keys)):
             raise InternalInvariantError("germ solve: inverse does not invert the linear part")
-    return [FiberGradedPoly._reduced(*p.space(), p.den,
-                                     {key: c for key, c in p.nums.items() if key not in keys})
-            for p in shifted]
+    out = []
+    for p in shifted:
+        nums = dict(p.nums)
+        for key in keys:
+            nums.pop(key, None)
+        out.append(FiberGradedPoly._reduced(*p.space(), p.den, nums))
+    return out
 
 
 def _corrected(targets, remainder, fiber_values, inv):
@@ -637,19 +640,17 @@ def invert_germ(germ: GermJet) -> GermJet:
         if not comp.core_part().is_zero():
             raise ValidityError("germ does not preserve the core")
     phi = _core_inverse(germ)
-    c_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            deriv = germ.p_out[i].partial_fiber(j).core_part()
-            const = deriv.coefficient((0,) * n, (0,) * n)
-            if deriv != FiberGradedPoly.constant(n, n, k, const):
-                raise UnsupportedCoreError(
-                    "momentum linearization varies along the core; inversion "
-                    "is supported only for the affine class")
-            row.append(const)
-        c_rows.append(tuple(row))
-    c_inv = mat_inverse(tuple(c_rows))
+    # C_ij is the coefficient of p_j in P_i, read off the fiber-degree-1 terms
+    c_rows = [[0] * n for _ in range(n)]
+    for row, comp in zip(c_rows, germ.p_out):
+        for (pe, xe), num in comp.nums.items():
+            if sum(pe) == 1:
+                if any(xe):
+                    raise UnsupportedCoreError(
+                        "momentum linearization varies along the core; inversion "
+                        "is supported only for the affine class")
+                row[pe.index(1)] = Fraction(num, comp.den)
+    c_inv = mat_inverse(c_rows)
     if c_inv is None:
         raise UnsupportedCoreError("momentum linearization is not invertible")
     b_inv, _ = phi.affine_parts()

@@ -174,7 +174,7 @@ def test_large_exponent_of_a_base_value():
                 ref.substitute(p, [None], [v], space=(1, 1, 2)))
 
 
-# -- the batch cache of products of slot powers ------------------------------------
+# -- the batch cache of slot products ---------------------------------------------
 
 
 @st.composite
@@ -256,22 +256,31 @@ def test_products_of_slot_powers_match_oracle():
                    ((0, 1, 1), (1, 1)): F(1, 3)}) - poly({((0, 1, 1), (1, 1)): F(1, 3)})
     zero = substitute_many([cancel, cancel.scale(3)], fiber, [u1, u1], space)
     assert all(z.is_zero() and z.space() == space for z in zero)
-    # every cached product is the truncated product of its slot powers
+    # the batch caches the slot product of every term in two or more
+    # substituted slots (the term p1^4 x1 is cut before any product) ...
     cache = {}
     values = (fiber, base)
     for p in batch:
         p._substitute_cached(fiber, base, space, cache)
-    products = [key for key in cache if isinstance(key[0], tuple)]
-    assert len(products) == 6
+    assert {((0, 1, 1), (1, 0, 1)), ((0, 2, 1), (1, 0, 2)),
+            ((0, 1, 1), (0, 2, 1), (1, 0, 2)), ((0, 1, 2), (0, 2, 1), (1, 0, 3)),
+            ((0, 1, 1), (1, 0, 100)), ((0, 2, 1), (1, 0, 99))} <= cache.keys()
+    # ... and every cached product, the prefixes and one-slot powers built on
+    # the way included, is the truncated product of its slot powers
+    # (the frozen powers v^e are built as v^(e-1) * v, one product each)
     powers = {}
-    for key in products:
+
+    def power(block, index, e):
+        if (block, index, e) not in powers:
+            v = values[block][index]
+            powers[block, index, e] = v if e == 1 else ref.mul(power(block, index, e - 1), v)
+        return powers[block, index, e]
+
+    for key in filter(None, cache):
         den, rows = cache[key]
         want = FiberGradedPoly.constant(*space, 1)
         for slot in key:
-            if slot not in powers:
-                block, index, e = slot
-                powers[slot] = ref.power(values[block][index], e)
-            want = ref.mul(want, powers[slot])
+            want = ref.mul(want, power(*slot))
         assert_same(FiberGradedPoly._reduced(*space, den, {(pe, xe): n for _, pe, xe, n in rows}),
                     want)
 
