@@ -52,6 +52,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     digest = next((line.split()[1].partition("=")[2] for line in lines
                    if line.startswith("digest sha256=")), None)
+    if digest is None:
+        raise RuntimeError(f"benchmark in {checkout} printed no digest line:\n{proc.stdout}")
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "digest": digest, "failed": result["failed"], "attempted": result["attempted"],
             "correct": result["correct"]}

@@ -23,8 +23,8 @@ _VALIDATION_ERRORS = (ParseError, NormalFormError, ShapeError, FiltrationError,
                       UnsupportedCoreError, ValidityError, OSError)
 _INTERNAL_ERRORS = (ConvergenceError, InternalInvariantError)
 
-# upper bounds of the operad flags, so that one command line cannot start
-# unbounded work
+# upper bounds of the operad flags; they do not bound the work, which also
+# grows steeply with --order
 MAX_OPERAD_DIM = 8
 MAX_OPERAD_ARITY = 8
 MAX_OPERAD_SAMPLES = 10_000

@@ -70,13 +70,19 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_vec(rows: Matrix, v: Sequence[Fraction]) -> Vector:
+    if any(len(row) != len(v) for row in rows):
+        raise ShapeError(f"matrix rows do not all have the vector's length {len(v)}")
     return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if any(len(row) != len(b) for row in a):
+        raise ShapeError(f"left factor rows do not all have length {len(b)}")
     if not a or not b:
         return tuple(() for _ in a)
     width = len(b[0])
+    if any(len(row) != width for row in b):
+        raise ShapeError("ragged matrix rows")
     out = []
     for row in a:
         acc = [Fraction(0)] * width
@@ -245,6 +251,8 @@ def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
 
 def mat_inverse(rows: Matrix) -> Matrix | None:
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ShapeError(f"matrix to invert must be {n}x{n}")
     aug = [tuple(row) + unit_vector(n, i) for i, row in enumerate(rows)]
     work, pivots, d = _eliminate(_integer_rows(aug), True)
     if pivots[:n] != list(range(n)):

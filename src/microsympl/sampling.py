@@ -2,16 +2,20 @@
 
 Everything takes an explicit ``random.Random`` so property suites and the
 CLI self-check are reproducible; no generator touches global entropy.
+Symplectic matrices and lagrangian relations are drawn as block moves on the
+x rows and p rows of a matrix; their draw order must not change, since every
+seeded corpus, golden file and benchmark digest follows the RNG sequence.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 from .jetalg import FiberGradedPoly
 from .linsympl import (LinCanonicalRelation, Matrix, Splitting, identity_matrix,
-                       mat_inverse, mat_mul, transpose, unit_vector)
+                       mat_inverse, mat_mul, transpose, zero_vector)
 from .micro import CoreMap, Micromorphism, MicroObject, unit_exp
 
 
@@ -135,59 +139,39 @@ def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int,
     return Micromorphism(MicroObject(dim), MicroObject(dim), gen)
 
 
-def _shear_lower(rows: Matrix, n: int) -> Matrix:
-    # [[I, 0], [C, I]] in (x..., p...) coordinates, C symmetric
-    out = [list(unit_vector(2 * n, i)) for i in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            out[n + i][j] = rows[i][j]
-    return tuple(tuple(r) for r in out)
+# moves per drawn matrix; every seeded input depends on the draw count
+_MOVES = 3
 
 
-def _shear_upper(rows: Matrix, n: int) -> Matrix:
-    out = [list(unit_vector(2 * n, i)) for i in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][n + j] = rows[i][j]
-    return tuple(tuple(r) for r in out)
+def _plus(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(map(add, r, s)) for r, s in zip(a, b))
 
 
-def _gl_block(rows: Matrix, n: int) -> Matrix:
-    inv_t = transpose(mat_inverse(rows))
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = rows[i][j]
-            out[n + i][n + j] = inv_t[i][j]
-    return tuple(tuple(r) for r in out)
-
-
-def _rotation(n: int) -> Matrix:
-    # (x, p) -> (p, -x)
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        out[i][n + i] = Fraction(1)
-        out[n + i][i] = Fraction(-1)
-    return tuple(tuple(r) for r in out)
-
-
-def rand_symplectic_matrix(rng: random.Random, n: int, steps: int = 3) -> Matrix:
-    """Random symplectic matrix in (x..., p...) coordinates, exact rational."""
-    if n == 0:
-        return ()
-    result = identity_matrix(2 * n)
-    for _ in range(steps):
+def _symplectic_moves(rng: random.Random, n: int, x: Matrix,
+                      p: Matrix) -> tuple[Matrix, Matrix]:
+    """The x rows and p rows of T M, given those of M (2n rows, in (x..., p...)
+    coordinates), for T a product of random symplectic moves; none when n = 0.
+    Each move is ``rng.randrange(4)``, then its matrix draw: p += C x, x += C p
+    (C symmetric), (x, p) -> (A x, A^-T p), or (x, p) -> (p, -x)."""
+    for _ in range(_MOVES if n else 0):
         kind = rng.randrange(4)
         if kind == 0:
-            gen = _shear_lower(rand_symmetric_matrix(rng, n, 2, 2), n)
+            p = _plus(p, mat_mul(rand_symmetric_matrix(rng, n, 2, 2), x))
         elif kind == 1:
-            gen = _shear_upper(rand_symmetric_matrix(rng, n, 2, 2), n)
+            x = _plus(x, mat_mul(rand_symmetric_matrix(rng, n, 2, 2), p))
         elif kind == 2:
-            gen = _gl_block(rand_invertible_int_matrix(rng, n, 2), n)
+            a = rand_invertible_int_matrix(rng, n, 2)
+            x, p = mat_mul(a, x), mat_mul(transpose(mat_inverse(a)), p)
         else:
-            gen = _rotation(n)
-        result = mat_mul(gen, result)
-    return result
+            x, p = p, tuple(tuple(-v for v in row) for row in x)
+    return x, p
+
+
+def rand_symplectic_matrix(rng: random.Random, n: int) -> Matrix:
+    """Random symplectic matrix in (x..., p...) coordinates, exact rational."""
+    ident = identity_matrix(2 * n)
+    x, p = _symplectic_moves(rng, n, ident[:n], ident[n:])
+    return x + p
 
 
 def rand_lagrangian_relation(rng: random.Random, source_dim: int,
@@ -195,14 +179,11 @@ def rand_lagrangian_relation(rng: random.Random, source_dim: int,
     """Random linear canonical relation, built by a symplectic move of a zero section."""
     m, n = source_dim, target_dim
     total = m + n
-    t_rows = rand_symplectic_matrix(rng, total, steps=3)
-    vectors = []
-    for i in range(total):
-        # i-th column of T, the image of the i-th zero-section basis vector
-        col = tuple(t_rows[r][i] for r in range(2 * total))
-        x_all, p_all = col[:total], col[total:]
-        # reorder to (x1, p1, x2, p2) and flip the sign of p1 to pass from the
-        # standard form to the signed relation form
-        vec = (x_all[:m] + tuple(-v for v in p_all[:m]) + x_all[m:] + p_all[m:])
-        vectors.append(vec)
+    x, p = _symplectic_moves(rng, total, identity_matrix(total),
+                             (zero_vector(total),) * total)
+    # column i is the image of the i-th zero-section basis vector; reorder it to
+    # (x1, p1, x2, p2) and flip the sign of p1 to pass from the standard form to
+    # the signed relation form
+    vectors = [xc[:m] + tuple(-v for v in pc[:m]) + xc[m:] + pc[m:]
+               for xc, pc in zip(transpose(x), transpose(p))]
     return LinCanonicalRelation.from_vectors(m, n, vectors)

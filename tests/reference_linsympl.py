@@ -1,11 +1,14 @@
 """Reference oracle: the plain Fraction Gauss-Jordan linear algebra.
 
 A frozen copy of ``microsympl.linsympl``'s elimination routines as they were
-before the fraction-free kernel.  Tests require the library to agree with
-these functions exactly; do not optimise this file.
+before the fraction-free kernel, and of ``microsympl.sampling``'s symplectic
+samplers as they were before block moves.  Tests require the library to agree
+with these functions exactly; do not optimise this file.
 """
 
 from fractions import Fraction
+
+from microsympl.sampling import rand_invertible_int_matrix, rand_symmetric_matrix
 
 
 def frac(value):
@@ -236,3 +239,100 @@ def transverse_to_splitting(v, b_rows):
         kvec = tuple(frac(b_rows[i][j]) for i in range(n)) + unit_vector(n, j)
         columns.append(zero_vector(2 * m) + kvec)
     return rank(tuple(columns)) == 2 * (m + n)
+
+
+# -- the samplers, as they were: dense generators multiplied in full ----------
+#
+# Draws go through ``microsympl.sampling``'s ``rand_symmetric_matrix`` and
+# ``rand_invertible_int_matrix``; the generators, their products and the
+# column read of a relation are frozen here.
+
+
+def transpose(rows):
+    if not rows:
+        return ()
+    return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return tuple(() for _ in a)
+    width = len(b[0])
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * width
+        for k, v in enumerate(row):
+            if v:
+                for j, w in enumerate(b[k]):
+                    if w:
+                        acc[j] += v * w
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _shear_lower(rows, n):
+    # [[I, 0], [C, I]] in (x..., p...) coordinates, C symmetric
+    out = [list(unit_vector(2 * n, i)) for i in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            out[n + i][j] = rows[i][j]
+    return tuple(tuple(r) for r in out)
+
+
+def _shear_upper(rows, n):
+    out = [list(unit_vector(2 * n, i)) for i in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            out[i][n + j] = rows[i][j]
+    return tuple(tuple(r) for r in out)
+
+
+def _gl_block(rows, n):
+    inv_t = transpose(mat_inverse(rows))
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            out[i][j] = rows[i][j]
+            out[n + i][n + j] = inv_t[i][j]
+    return tuple(tuple(r) for r in out)
+
+
+def _rotation(n):
+    # (x, p) -> (p, -x)
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        out[i][n + i] = Fraction(1)
+        out[n + i][i] = Fraction(-1)
+    return tuple(tuple(r) for r in out)
+
+
+def rand_symplectic_matrix(rng, n, steps=3):
+    if n == 0:
+        return ()
+    result = identity_matrix(2 * n)
+    for _ in range(steps):
+        kind = rng.randrange(4)
+        if kind == 0:
+            gen = _shear_lower(rand_symmetric_matrix(rng, n, 2, 2), n)
+        elif kind == 1:
+            gen = _shear_upper(rand_symmetric_matrix(rng, n, 2, 2), n)
+        elif kind == 2:
+            gen = _gl_block(rand_invertible_int_matrix(rng, n, 2), n)
+        else:
+            gen = _rotation(n)
+        result = mat_mul(gen, result)
+    return result
+
+
+def rand_lagrangian_relation(rng, source_dim, target_dim):
+    """The basis vectors of the drawn relation, in (x1, -p1, x2, p2) order."""
+    m, n = source_dim, target_dim
+    total = m + n
+    t_rows = rand_symplectic_matrix(rng, total, steps=3)
+    vectors = []
+    for i in range(total):
+        # i-th column of T, the image of the i-th zero-section basis vector
+        col = tuple(t_rows[r][i] for r in range(2 * total))
+        x_all, p_all = col[:total], col[total:]
+        vectors.append(x_all[:m] + tuple(-v for v in p_all[:m]) + x_all[m:] + p_all[m:])
+    return tuple(vectors)

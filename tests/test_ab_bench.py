@@ -1,7 +1,10 @@
 """The report of scripts/ab_bench.py on made-up paired runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
 spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
@@ -164,3 +167,20 @@ def test_exit_status_reports_differing_digests_or_more_failures(tmp_path, monkey
         assert ab_bench.main(argv) == status
     out = capsys.readouterr().out
     assert "DIGESTS DIFFER" in out and "MORE FAILURES" in out
+
+
+def test_a_run_without_a_digest_line_is_an_error(tmp_path, monkeypatch):
+    import json
+    result = json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "failed": 0,
+                         "attempted": 1, "correct": 1})
+
+    def fake_run(*args, **kwargs):
+        return subprocess.CompletedProcess(args, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    stdout = f"digest sha256=abc over 1 outputs\n{result}\n"
+    assert ab_bench.run_once(tmp_path, "w", 1, 1.0)["digest"] == "abc"
+    # without the line the run cannot show that both sides agree
+    stdout = f"{result}\n"
+    with pytest.raises(RuntimeError, match="no digest line"):
+        ab_bench.run_once(tmp_path, "w", 1, 1.0)

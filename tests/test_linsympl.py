@@ -8,7 +8,7 @@ from microsympl.linsympl import (AffineSubspace, LinCanonicalRelation, Splitting
                                  SymplecticSpace, check_linear_micromorphism,
                                  compose_linear, graph_relation, identity_relation,
                                  image_of_point, is_lagrangian, lin_combo,
-                                 mat_mul, mat_vec, nullspace, rank, reduce_span,
+                                 mat_inverse, mat_mul, mat_vec, nullspace, rank, reduce_span,
                                  solve, subspace_contains, subspace_equal, unit_vector,
                                  zero_section_relation, zero_vector)
 from microsympl.sampling import (rand_lagrangian_relation, rand_splitting,
@@ -43,7 +43,12 @@ def test_solve_consistent_and_inconsistent():
     lambda: subspace_contains(((0, 1),), (0, 1, 3)),
     lambda: AffineSubspace(2, (1, 0), ((0, 1),)).contains((1, 5, 7)),
     lambda: solve(((1, 0), (0, 1)), (3,)),
-], ids=["rank-ragged", "contains-width", "affine-contains-length", "solve-rhs-length"])
+    lambda: mat_inverse(((1, 0),)),
+    lambda: mat_mul(((1,),), ((1, 2), (3, 4))),
+    lambda: mat_mul(((1, 1),), ((1, 2), (3,))),
+    lambda: mat_vec(((1, 2),), (1,)),
+], ids=["rank-ragged", "contains-width", "affine-contains-length", "solve-rhs-length",
+        "inverse-not-square", "mul-inner-length", "mul-ragged", "mat-vec-length"])
 def test_shape_mismatches_raise_instead_of_truncating(call):
     with pytest.raises(ShapeError):
         call()

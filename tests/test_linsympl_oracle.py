@@ -4,7 +4,8 @@ The elimination routines, and the linear checks that run on cached integer
 rows (``is_lagrangian``, ``subspace_contains``, ``subspace_equal``,
 ``compose_linear``, ``image_of_point``, ``check_linear_micromorphism``,
 ``transverse_to_splitting``), must agree with ``reference_linsympl`` exactly,
-failure reasons included.
+failure reasons included.  The symplectic samplers must draw what its dense
+generator products draw.
 """
 
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 import reference_linsympl as ref
 from microsympl import linsympl, micro
 from microsympl.sampling import (rand_lagrangian_relation, rand_micromorphism, rand_point,
-                                 rng_for)
+                                 rand_symplectic_matrix, rng_for)
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -335,3 +336,17 @@ def test_cached_transversality_matches_oracle_in_call_order(seed, m, n, zero, da
     assert same_as_fresh()
     if zero and m:
         assert not any(answers)
+
+
+def test_samplers_match_the_dense_reference_and_its_draws():
+    # the golden corpora pin only some shapes; this pins every draw order
+    for seed in range(100):
+        rng, ref_rng = rng_for(seed, "sampler-oracle"), rng_for(seed, "sampler-oracle")
+        for n in range(4):
+            assert rand_symplectic_matrix(rng, n) == ref.rand_symplectic_matrix(ref_rng, n)
+            assert rng.getstate() == ref_rng.getstate()
+        for m in range(4):
+            for n in range(4):
+                rel = rand_lagrangian_relation(rng, m, n)
+                assert rel.vectors == ref.rand_lagrangian_relation(ref_rng, m, n)
+                assert rng.getstate() == ref_rng.getstate()
