@@ -275,16 +275,6 @@ def subspace_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     return _same_span(_integer_rows(a), _integer_rows(b))
 
 
-def lin_combo(vectors: Sequence[Vector], coeffs: Sequence[Fraction]) -> Vector:
-    n = len(vectors[0]) if vectors else 0
-    out = [Fraction(0)] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return tuple(out)
-
-
 # -- symplectic structure ----------------------------------------------------
 
 
@@ -321,22 +311,6 @@ class SymplecticSpace:
     def dim(self) -> int:
         return 2 * self.half_dim
 
-    def form(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ShapeError("vector length does not match the space dimension")
-        total = Fraction(0)
-        offset = 0
-        for n, sign in self.blocks:
-            for i in range(n):
-                a, b = u[offset + n + i], v[offset + i]
-                if a and b:
-                    total += sign * a * b
-                a, b = v[offset + n + i], u[offset + i]
-                if a and b:
-                    total -= sign * a * b
-            offset += 2 * n
-        return total
-
 
 def is_lagrangian(space: SymplecticSpace, vectors: Sequence[Sequence[Fraction]]) -> CheckResult:
     """True iff the span has full half-dimension and the signed form vanishes on it."""
@@ -355,16 +329,18 @@ def _lagrangian(space: SymplecticSpace, vectors: Sequence, rows: Sequence) -> Ch
     if r != n or len(rows) != n:
         reasons.append(f"rank defect: {len(rows)} vectors of rank {r}, expected {n}")
     for i, row in enumerate(rows):
-        # the form as a dual row: form(u, v) = <dual(u), v>
+        # the form as a dual row: form(u, v) = <dual(u), v>; row k is s_k
+        # times vectors[k], s_k the lcm of its denominators
         dual, offset = [], 0
         for half, sign in space.blocks:
             dual += [sign * x for x in row[offset + half:offset + 2 * half]]
             dual += [-sign * x for x in row[offset:offset + half]]
             offset += 2 * half
         for j in range(i + 1, len(rows)):
-            if sum(map(mul, dual, rows[j])):
-                val = space.form(vector(vectors[i]), vector(vectors[j]))
-                reasons.append(f"form(basis[{i}], basis[{j}]) = {val} != 0")
+            gram = sum(map(mul, dual, rows[j]))
+            if gram:
+                s_i, s_j = (lcm(*[frac(v).denominator for v in vectors[k]]) for k in (i, j))
+                reasons.append(f"form(basis[{i}], basis[{j}]) = {Fraction(gram, s_i * s_j)} != 0")
     return CheckResult(not reasons, tuple(reasons))
 
 

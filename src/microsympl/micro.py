@@ -26,9 +26,9 @@ order is carried so fiber derivatives stay faithful at the stored order.
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
 part.  extract_germ, graph_of_germ and invert_germ expand their equations once
 at X = phi(x) + w, phi the affine core inverse and w new fiber variables
-(_shifted), drop the linear part L w once (_nonlinear), and solve for W alone
-from 0 by the step W -> L^-1 (targets - N(W)) on the remainder N, _corrected;
-invert_germ applies it to its momentum block before its position block.
+(_shifted), invert the L read off their terms L w once (_split_linear), and
+solve for W alone from 0 by W -> L^-1 (targets - N(W)), _corrected; invert_germ
+applies it to its momentum block before its position block.
 compose_germs shifts the outer jets to the inner core restriction the same
 way, so only fiber-degree >= 1 values are substituted.
 """
@@ -71,14 +71,6 @@ class MicroObject:
 def unit_object() -> MicroObject:
     """The cotangent microbundle of the one-point manifold."""
     return MicroObject(0, "E")
-
-
-def _strip_fiber(poly: FiberGradedPoly) -> FiberGradedPoly:
-    # project a fiber-degree-0 polynomial onto the pure base space
-    nums = {((), xe): n for (pe, xe), n in poly.nums.items() if not any(pe)}
-    if len(nums) != len(poly.nums):
-        raise InternalInvariantError("fiber terms survived a core restriction")
-    return FiberGradedPoly._raw(0, poly.base_arity, 0, poly.den, nums)
 
 
 @dataclass(frozen=True)
@@ -252,10 +244,9 @@ def identity(obj: MicroObject, order: int) -> Micromorphism:
 def cotangent_lift(phi: CoreMap, order: int) -> Micromorphism:
     """The micromorphism with S = <p, phi(x)>; its core map is phi."""
     m, n = phi.codomain_dim, phi.domain_dim
-    gen = FiberGradedPoly.zero(m, n, order)
-    for i, comp in enumerate(phi.components):
-        p_i = FiberGradedPoly.monomial(m, n, order, 1, unit_exp(m, i), (0,) * n)
-        gen = gen + p_i * comp.embed(m, n).at_order(order)
+    gen = FiberGradedPoly.from_integer_terms(m, n, order, [
+        ((unit_exp(m, i), xe), num, comp.den)
+        for i, comp in enumerate(phi.components) for (_, xe), num in comp.nums.items()])
     return Micromorphism(MicroObject(m), MicroObject(n), gen)
 
 
@@ -493,7 +484,8 @@ class GermJet:
 
     extract_germ, graph_of_germ and invert_germ compute the affine inverse
     phi of the core once per call, shift their equations to X = phi(x) + W
-    once (_shifted) and solve for W alone on their nonlinear remainder;
+    once (_shifted), take the inverse linear part and the nonlinear remainder
+    off the shifted equations (_split_linear) and solve for W alone;
     compose_germs shifts the outer jets to the inner X(x, 0) once.
     """
 
@@ -512,7 +504,10 @@ class GermJet:
 
     def core_restriction(self) -> CoreMap:
         """The positional map along the core, X(x, 0)."""
-        return CoreMap(self.dim, tuple(_strip_fiber(c.core_part()) for c in self.x_out))
+        return CoreMap(self.dim, tuple(
+            FiberGradedPoly._reduced(0, self.dim, 0, c.den, {
+                ((), xe): num for (pe, xe), num in c.nums.items() if not any(pe)})
+            for c in self.x_out))
 
 
 def identity_germ(dim: int, order: int) -> GermJet:
@@ -547,33 +542,30 @@ def _shifted(polys, phi: CoreMap, n: int, k: int) -> list[FiberGradedPoly]:
     return substitute_many(polys, [None] * n, w_at_core, (2 * n, n, k))
 
 
-def _nonlinear(shifted, offset: int, inv) -> list[FiberGradedPoly]:
-    """The remainder N of shifted systems targets + L v + N(v) in (2n, n, K),
-    v_j the fiber variable offset + j: the terms c v_j with v_j alone are
-    dropped, once per solve.  ``inv`` must be L^-1, so that the correction
-    v + inv (targets - shifted(v)) is inv (targets - N(v)) exactly.  Row i
-    of inv L = I is checked on integers, over the lcm ``den`` of its terms.
+def _split_linear(shifted, offset: int):
+    """``(L^-1, N)`` for shifted systems targets + L v + N(v) in (2n, n, K),
+    v_j the fiber variable offset + j, once per solve: L is read off the terms
+    c v_j with v_j alone, and N is the rest.  L^-1 is None when L is singular.
     """
-    n = len(inv)
+    n = len(shifted)
     keys = [(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)]
-    for i, row in enumerate(inv):
-        dens = [c.denominator * p.den for c, p in zip(row, shifted)]
-        den = lcm(*dens)
-        weights = [c.numerator * (den // d) for c, d in zip(row, dens)]
-        if any(sum(w * p.nums.get(key, 0) for w, p in zip(weights, shifted))
-               != (den if i == j else 0) for j, key in enumerate(keys)):
-            raise InternalInvariantError("germ solve: inverse does not invert the linear part")
+    inv = mat_inverse([[Fraction(p.nums.get(key, 0), p.den) for key in keys]
+                       for p in shifted])
     out = []
     for p in shifted:
         nums = dict(p.nums)
         for key in keys:
             nums.pop(key, None)
         out.append(FiberGradedPoly._reduced(*p.space(), p.den, nums))
-    return out
+    return inv, out
 
 
 def _corrected(targets, remainder, fiber_values, inv):
     """The affine correction inv (targets - remainder(fiber_values, x))."""
+    if inv is None:
+        # invert_germ rejects a singular momentum block; a position block is
+        # invertible, since phi inverts its core
+        raise InternalInvariantError("germ solve: singular linear part of the shifted positions")
     try:
         # W and P never get a fiber-degree-0 term: phi is the exact core
         # inverse and the momentum outputs vanish on the core (both checked)
@@ -583,24 +575,25 @@ def _corrected(targets, remainder, fiber_values, inv):
     return [combine((*targets, *vals), (*row, *(-c for c in row))) for row in inv]
 
 
-def _affine_solve(phi: CoreMap, equations, space):
-    """Positions X with equations(p, X) = x, as a filtered fixed point.
+def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
+    """Positions X with equations(p, X) = x, as a filtered fixed point, and
+    momenta(p, X).
 
     ``phi`` is the affine inverse of the core map that the equations restrict
     to at p = 0; the equations are shifted once to X = phi(x) + W, where they
     read x + A W + N(p, W), and W, seeded at 0, is updated by
     W -> A^-1 (x - N(p, W)).
     """
-    n, _, k = space
-    inv, _ = phi.affine_parts()
+    space = (n, n, k)
+    inv, remainder = _split_linear(_shifted(equations, phi, n, k), n)
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
-    remainder = _nonlinear(_shifted(equations, phi, n, k), n, inv)
 
     def step(w):
         return _corrected(xvars, remainder, [None] * n + list(w), inv)
 
     ws = solve_triangular_fixed_point((FiberGradedPoly.zero(*space),) * n, step)
-    return tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, ws))
+    xs = tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, ws))
+    return xs, tuple(substitute_many(momenta, [None] * n, list(xs), space))
 
 
 def _core_inverse(germ: GermJet) -> CoreMap:
@@ -626,10 +619,8 @@ def extract_germ(f: Micromorphism) -> GermJet:
         raise UnsupportedCoreError("source and target core dimensions differ")
     phi = f.core.affine_inverse()
     n, k, gen = f.source.core_dim, f.order, f.gen
-    space = (n, n, k)
-    xs = _affine_solve(phi, [gen.partial_fiber(i) for i in range(n)], space)
-    ps = tuple(substitute_many([gen.partial_base(i) for i in range(n)],
-                               [None] * n, list(xs), space))
+    xs, ps = _affine_solve(phi, [gen.partial_fiber(i) for i in range(n)],
+                           [gen.partial_base(i) for i in range(n)], n, k)
     return GermJet(n, k, xs, ps)
 
 
@@ -640,25 +631,18 @@ def invert_germ(germ: GermJet) -> GermJet:
         if not comp.core_part().is_zero():
             raise ValidityError("germ does not preserve the core")
     phi = _core_inverse(germ)
-    # C_ij is the coefficient of p_j in P_i, read off the fiber-degree-1 terms
-    c_rows = [[0] * n for _ in range(n)]
-    for row, comp in zip(c_rows, germ.p_out):
-        for (pe, xe), num in comp.nums.items():
-            if sum(pe) == 1:
-                if any(xe):
-                    raise UnsupportedCoreError(
-                        "momentum linearization varies along the core; inversion "
-                        "is supported only for the affine class")
-                row[pe.index(1)] = Fraction(num, comp.den)
-    c_inv = mat_inverse(c_rows)
-    if c_inv is None:
-        raise UnsupportedCoreError("momentum linearization is not invertible")
-    b_inv, _ = phi.affine_parts()
-    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
-    pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
+    if any(sum(pe) == 1 and any(xe) for comp in germ.p_out for pe, xe in comp.nums):
+        raise UnsupportedCoreError(
+            "momentum linearization varies along the core; inversion "
+            "is supported only for the affine class")
     shifted = _shifted((*germ.p_out, *germ.x_out), phi, n, k)
     # P reads C p + N(p, w) and X reads x + B w + N(p, w) once shifted
-    p_rem, x_rem = _nonlinear(shifted[:n], 0, c_inv), _nonlinear(shifted[n:], n, b_inv)
+    c_inv, p_rem = _split_linear(shifted[:n], 0)
+    if c_inv is None:
+        raise UnsupportedCoreError("momentum linearization is not invertible")
+    b_inv, x_rem = _split_linear(shifted[n:], n)
+    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
+    pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
 
     def step(z):
         # momenta first, then positions against the refreshed momenta: the
@@ -743,8 +727,7 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
                 f"germ does not preserve the core: momentum output {stray.to_text()} at p = 0")
     _symplectic_jacobian_check(germ, _sample_core_points(n))
     space = (n, n, k)
-    x_hat = _affine_solve(phi, germ.x_out, space)
-    p_hat = tuple(substitute_many(germ.p_out, [None] * n, list(x_hat), space))
+    x_hat, p_hat = _affine_solve(phi, germ.x_out, germ.p_out, n, k)
     for i in range(n):
         for j in range(i + 1, n):
             if x_hat[i].partial_fiber(j) != x_hat[j].partial_fiber(i):

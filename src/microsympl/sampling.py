@@ -94,12 +94,17 @@ def rand_point(rng: random.Random, dim: int, max_num: int = 3,
     return tuple(rand_fraction(rng, max_num, max_den) for _ in range(dim))
 
 
-def rand_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
+def _rand_invertible(rng: random.Random, n: int, bound: int) -> tuple[Matrix, Matrix]:
+    """An integer matrix A, entries in [-bound, bound], redrawn until invertible; and A^-1."""
     while True:
         rows = tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
                      for _ in range(n))
-        if mat_inverse(rows) is not None:
-            return rows
+        if (inverse := mat_inverse(rows)) is not None:
+            return rows, inverse
+
+
+def rand_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
+    return _rand_invertible(rng, n, bound)[0]
 
 
 def rand_symmetric_matrix(rng: random.Random, n: int, max_num: int = 4,
@@ -160,8 +165,8 @@ def _symplectic_moves(rng: random.Random, n: int, x: Matrix,
         elif kind == 1:
             x = _plus(x, mat_mul(rand_symmetric_matrix(rng, n, 2, 2), p))
         elif kind == 2:
-            a = rand_invertible_int_matrix(rng, n, 2)
-            x, p = mat_mul(a, x), mat_mul(transpose(mat_inverse(a)), p)
+            a, a_inv = _rand_invertible(rng, n, 2)
+            x, p = mat_mul(a, x), mat_mul(transpose(a_inv), p)
         else:
             x, p = p, tuple(tuple(-v for v in row) for row in x)
     return x, p

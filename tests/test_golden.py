@@ -35,7 +35,7 @@ from pathlib import Path
 from microsympl import micro
 from microsympl.jetalg import substitute_many
 from microsympl.linsympl import (check_linear_micromorphism, compose_linear,
-                                 image_of_point, is_lagrangian, lin_combo,
+                                 image_of_point, is_lagrangian,
                                  mat_inverse, nullspace, reduce_span,
                                  subspace_contains, subspace_equal,
                                  transverse_to_splitting, zero_section_relation)
@@ -46,6 +46,7 @@ from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
 from microsympl.textio import format_germ, format_matrix, format_morphism
+from reference_linsympl import lin_combo
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = 40

@@ -7,13 +7,14 @@ from microsympl.errors import InternalInvariantError, ShapeError, ValidityError
 from microsympl.linsympl import (AffineSubspace, LinCanonicalRelation, Splitting,
                                  SymplecticSpace, check_linear_micromorphism,
                                  compose_linear, graph_relation, identity_relation,
-                                 image_of_point, is_lagrangian, lin_combo,
+                                 image_of_point, is_lagrangian,
                                  mat_inverse, mat_mul, mat_vec, nullspace, rank, reduce_span,
                                  solve, subspace_contains, subspace_equal, unit_vector,
                                  zero_section_relation, zero_vector)
 from microsympl.sampling import (rand_lagrangian_relation, rand_splitting,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
+from reference_linsympl import lin_combo
 
 
 def vecs(*rows):

@@ -68,6 +68,8 @@ def test_lift_of_square_map():
     lifted = cotangent_lift(phi, 2)
     assert lifted.gen == FiberGradedPoly(1, 1, 2, {((1,), (2,)): F(1)})
     assert lifted.core == phi
+    with pytest.raises(ShapeError):
+        cotangent_lift(phi, 0)
 
 
 def test_lift_of_diagonal():

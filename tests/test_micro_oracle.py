@@ -85,24 +85,23 @@ def test_a_fiber_value_off_the_core_is_an_internal_error():
 
 
 def test_the_remainder_drops_exactly_the_linear_part():
-    # shifted to X = phi(x) + w, the positions read x + A w + N(p, w); a wrong
-    # inverse of A is a broken invariant of the solve
+    # shifted to X = phi(x) + w, the positions read x + A w + N(p, w): the
+    # split returns A^-1, the linear part of phi, and N; with no term c w_j
+    # alone the linear part is zero and has no inverse
     rng = rng_for(0, "germ-remainder")
     for n in (1, 2, 3):
         germ = extract_germ(rand_affine_core_micromorphism(rng, n, 2))
         phi = micro._core_inverse(germ)
-        inv, _ = phi.affine_parts()
         a_rows, _ = germ.core_restriction().affine_parts()
         shifted = micro._shifted(germ.x_out, phi, n, 2)
-        for poly, rem, row in zip(shifted, micro._nonlinear(shifted, n, inv), a_rows):
+        inv, remainder = micro._split_linear(shifted, n)
+        assert inv == phi.affine_parts()[0]
+        for poly, rem, row in zip(shifted, remainder, a_rows):
             linear = FiberGradedPoly.zero(2 * n, n, 2)
             for j, c in enumerate(row):
                 linear = linear + FiberGradedPoly.fiber_var(2 * n, n, 2, n + j).scale(c)
-            assert poly - rem == linear
-        for wrong in ([[2 * c for c in row] for row in inv],
-                      [[c + (i == j) for j, c in enumerate(row)] for i, row in enumerate(inv)]):
-            with pytest.raises(InternalInvariantError, match="does not invert the linear part"):
-                micro._nonlinear(shifted, n, wrong)
+            assert (poly - rem).terms == linear.terms
+        assert micro._split_linear(remainder, n) == (None, remainder)
 
 
 # -- germ composition -----------------------------------------------------------------
