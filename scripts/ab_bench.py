@@ -27,13 +27,16 @@ bound.  ``--claim METRIC`` also prints whether
 a claimed gain on METRIC holds: the change is better in at least nine pairs
 of ten, and its median is better than the parent median by more than the
 parent's quartile spread (q3 - q1).  The exit status is 1 when a claim does
-not hold or anything but ``UNRESOLVED`` is flagged.
+not hold or anything but ``UNRESOLVED`` is flagged.  Arguments are checked
+before any run: ``--pairs`` below 1, ``--seconds`` not positive and finite,
+or a ``--workload`` that the parent's ``BENCHMARK.json`` does not name exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -160,8 +163,15 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", metavar="METRIC",
                         help="report whether a gain on this end-to-end metric holds")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 0 < args.seconds < math.inf:
+        parser.error(f"--seconds must be positive and finite, got {args.seconds:g}")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        parser.error(f"--workload {args.workload} is not a workload of the parent's "
+                     f"BENCHMARK.json")
     if args.claim and args.claim not in {m["name"] for m in spec["end_to_end"]}:
         parser.error(f"--claim {args.claim} is not an end-to-end metric")
     key = spec["end_to_end"][0]["name"]

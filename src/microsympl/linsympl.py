@@ -17,7 +17,10 @@ stay integer.  Subspace equality is decided by ranks and containment, never
 by bases.  A ``LinCanonicalRelation`` keeps the echelon form of its rows and
 the horizontal source block, computed on its first transversality test;
 each splitting's rows are then reduced against it (``_reduce``) and only the
-residuals are ranked.
+residuals are ranked.  Bases from outside are validated (``LagrangianSubspace``,
+``from_vectors``, ``graph_relation``); ``LinCanonicalRelation._built`` wraps
+the bases that ``compose_linear`` and ``micro.linearized_relation`` build
+lagrangian, with their integer rows, unchecked.
 
 All elimination runs through one fraction-free (Bareiss, Math. Comp. 22,
 1968) kernel, ``_eliminate``: ``row_i = (a * row_i - b * row_r) // prev``
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -167,6 +170,13 @@ def _fractions(rows: Iterable[Sequence[int]], d: int) -> Matrix:
     return tuple(tuple(Fraction(v, d) if v else zero for v in row) for row in rows)
 
 
+def _unit_row(entries: Sequence[Fraction], pad: int, j: int, n: int) -> list[int]:
+    """Integer row of (entries, 0^pad, e_j in R^n), scaled by s = lcm of denominators."""
+    s = lcm(*[v.denominator for v in entries])
+    return ([v.numerator * (s // v.denominator) for v in entries] + [0] * pad
+            + [s if k == j else 0 for k in range(n)])
+
+
 def _kernel(work: list, pivots: list[int], d: int, ncols: int) -> list[list[int]]:
     """Nullspace of the first ``ncols`` columns of a full elimination: v[f] = d."""
     pivot_set = set(pivots)
@@ -253,8 +263,12 @@ def mat_inverse(rows: Matrix) -> Matrix | None:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ShapeError(f"matrix to invert must be {n}x{n}")
-    aug = [tuple(row) + unit_vector(n, i) for i, row in enumerate(rows)]
-    work, pivots, d = _eliminate(_integer_rows(aug), True)
+    return _left_solve(_integer_rows(tuple(r) + unit_vector(n, i) for i, r in enumerate(rows)), n)
+
+
+def _left_solve(aug: Sequence[Sequence[int]], n: int) -> Matrix | None:
+    """A^-1 B for integer rows [A | B], each row at any scale; None if A is singular."""
+    work, pivots, d = _eliminate(aug, True)
     if pivots[:n] != list(range(n)):
         return None
     return _fractions((row[n:] for row in work[:n]), d)
@@ -346,7 +360,7 @@ def _lagrangian(space: SymplecticSpace, vectors: Sequence, rows: Sequence) -> Ch
 
 @dataclass(frozen=True)
 class LagrangianSubspace:
-    """Exact-rational lagrangian subspace, validated on construction."""
+    """Exact-rational lagrangian subspace, validated unless built by the package."""
 
     space: SymplecticSpace
     vectors: tuple[Vector, ...]
@@ -382,13 +396,8 @@ class Splitting:
         # K_B meets {p = 0} trivially: the p block of vertical vector j is e_j
         if any(v[n:] != unit_vector(n, j) for j, v in enumerate(self.vertical_vectors())):
             raise InternalInvariantError("splitting basis degenerate")
-        # its integer row: row j of B times s_j, then s_j e_j, with s_j the
-        # lcm of row j's denominators
-        scales = [lcm(*[v.denominator for v in row]) for row in self.rows]
-        object.__setattr__(self, "_rows", tuple(
-            [v.numerator * (s // v.denominator) for v in row]
-            + [s if k == j else 0 for k in range(n)]
-            for j, (row, s) in enumerate(zip(self.rows, scales))))
+        object.__setattr__(self, "_rows", tuple(_unit_row(row, 0, j, n)
+                                                for j, row in enumerate(self.rows)))
 
     def vertical_vectors(self) -> tuple[Vector, ...]:
         """Basis of K_B inside one standard block, coordinates (x..., p...)."""
@@ -418,6 +427,15 @@ class LinCanonicalRelation:
         space = SymplecticSpace.relation_space(source_half_dim, target_half_dim)
         return LinCanonicalRelation(source_half_dim, target_half_dim,
                                     LagrangianSubspace(space, tuple(vectors)))
+
+    @staticmethod
+    def _built(source_half_dim: int, target_half_dim: int, vectors: tuple[Vector, ...],
+               rows: tuple[list[int], ...]) -> "LinCanonicalRelation":
+        """``from_vectors`` on lagrangian vectors and their ``_integer_rows``, unchecked."""
+        space = SymplecticSpace.relation_space(source_half_dim, target_half_dim)
+        subspace = object.__new__(LagrangianSubspace)
+        subspace.__dict__.update(space=space, vectors=vectors, _rows=rows)
+        return LinCanonicalRelation(source_half_dim, target_half_dim, subspace)
 
     @property
     def vectors(self) -> tuple[Vector, ...]:
@@ -450,7 +468,8 @@ def compose_linear(w: LinCanonicalRelation, v: LinCanonicalRelation) -> LinCanon
 
     Computed by exact linear elimination of the middle block on the cached
     integer rows; for linear canonical relations the result is always
-    lagrangian of half-dimension source(v) + target(w).
+    lagrangian of half-dimension source(v) + target(w), so it is built
+    unchecked: the rref rows (all pivots d) over their gcd, signed like d.
     """
     if v.target_half_dim != w.source_half_dim:
         raise ShapeError(
@@ -464,12 +483,16 @@ def compose_linear(w: LinCanonicalRelation, v: LinCanonicalRelation) -> LinCanon
     produced = [_combine(vrows, c[:k], 0, source)
                 + _combine(wrows, c[k:], mid, mid + 2 * w.target_half_dim)
                 for c in _kernel(work, pivots, d, k + len(wrows))]
-    basis = _span_basis(produced)
-    if len(basis) != v.source_half_dim + w.target_half_dim:
+    work, pivots, d = _eliminate(produced, True)
+    if len(pivots) != v.source_half_dim + w.target_half_dim:
         raise InternalInvariantError(
-            f"linear composition produced dimension {len(basis)}, "
+            f"linear composition produced dimension {len(pivots)}, "
             f"expected {v.source_half_dim + w.target_half_dim}")
-    return LinCanonicalRelation.from_vectors(v.source_half_dim, w.target_half_dim, basis)
+    work = work[:len(pivots)]
+    scales = [gcd(*row) if d > 0 else -gcd(*row) for row in work]
+    rows = tuple([x // g for x in row] for row, g in zip(work, scales))
+    return LinCanonicalRelation._built(v.source_half_dim, w.target_half_dim,
+                                       _fractions(work, d), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,9 +566,8 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     # the rows of a lagrangian basis are independent, so these combinations are too
     width = 2 * (m + n)
     intersection = [_combine(vrows, c, 0, width) for c in _kernel(work, pivots, d, len(vrows))]
-    graph = [tuple(phi[i][j] for i in range(m)) + zero_vector(m) + unit_vector(n, j)
-             + zero_vector(n) for j in range(n)]
-    ok = _same_span(intersection, _integer_rows(graph))
+    graph = [_unit_row([phi[i][j] for i in range(m)], m, j, n) + [0] * n for j in range(n)]
+    ok = _same_span(intersection, graph)
     reasons = ()
     if not ok:
         reasons = (f"intersection with the horizontal has dimension {len(intersection)}, "

@@ -45,8 +45,8 @@ from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      UnsupportedCoreError, ValidityError)
 from .jetalg import (FiberGradedPoly, combine, frac, solve_triangular_fixed_point,
                      substitute_many)
-from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, check_linear_micromorphism,
-                       mat_inverse, unit_vector, zero_vector)
+from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _integer_rows, _left_solve,
+                       check_linear_micromorphism, unit_vector, zero_vector)
 
 
 @dataclass(frozen=True)
@@ -373,9 +373,11 @@ def _sample_core_points(n: int) -> list[tuple[Fraction, ...]]:
 def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRelation:
     """Tangent relation of the parametrized relation of S at a base point.
 
-    Works for any generating function; for a valid micromorphism the base
-    Hessian block vanishes and this reduces to the normal-form formula
-    dx1 = Q dp1 + Dphi dx2, dp2 = Dphi^T dp1 with Q = d2S/dp2(0, point).
+    Works for any generating function, and is lagrangian for any, so it is
+    not checked: the unit pivots give rank m + n, and spp, sxx are symmetric.
+    For a valid micromorphism the base Hessian block vanishes and this
+    reduces to the normal-form formula dx1 = Q dp1 + Dphi dx2,
+    dp2 = Dphi^T dp1 with Q = d2S/dp2(0, point).
     The second derivatives at (0, point) are read off the terms of fiber
     degree at most 2 in one pass: c p_i p_j x^a adds c b^a to spp[i][j] and
     spp[j][i] (2 c b^a on the diagonal, from c p_i^2 x^a), c p_i x^a adds
@@ -430,7 +432,7 @@ def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRe
     for c in range(n):
         vectors.append(tuple(spx[i][c] for i in range(m)) + zero_vector(m)
                        + unit_vector(n, c) + tuple(sxx[j][c] for j in range(n)))
-    return LinCanonicalRelation.from_vectors(m, n, vectors)
+    return LinCanonicalRelation._built(m, n, tuple(vectors), tuple(_integer_rows(vectors)))
 
 
 def tangent_relation_at(f: Micromorphism, point: Sequence) -> LinCanonicalRelation:
@@ -549,8 +551,9 @@ def _split_linear(shifted, offset: int):
     """
     n = len(shifted)
     keys = [(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)]
-    inv = mat_inverse([[Fraction(p.nums.get(key, 0), p.den) for key in keys]
-                       for p in shifted])
+    # row i of [L | I] times the denominator of equation i
+    inv = _left_solve([[p.nums.get(key, 0) for key in keys] + [p.den * (j == i) for j in range(n)]
+                       for i, p in enumerate(shifted)], n)
     out = []
     for p in shifted:
         nums = dict(p.nums)

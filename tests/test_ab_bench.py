@@ -15,6 +15,8 @@ END_TO_END = [{"name": "ops_per_s", "better": "higher"},
               {"name": "latency_p50_ms", "better": "lower"}]
 BOUNDED = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
            {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
+# a parent BENCHMARK.json with one workload, "w"
+SPEC = {"workloads": [{"name": "w"}], "end_to_end": BOUNDED}
 
 
 def runs(ops, p50, digest="d", failed=0, attempted=100):
@@ -86,7 +88,7 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path, monkeypatc
     assert paired["wins"] == 4 and ab_bench.unresolved(paired, BOUNDED[0])
     # the flag is a report only: the exit status stays 0
     import json
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": BOUNDED}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     sides = {tmp_path: iter(parent), tmp_path / "change": iter(overlapping)}
     monkeypatch.setattr(ab_bench, "run_once", lambda checkout, *_: next(sides[checkout]))
     assert ab_bench.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w",
@@ -130,7 +132,7 @@ def test_a_claim_needs_nine_wins_in_ten_and_a_gap_wider_than_the_quartiles():
 
 def test_exit_status_reports_a_regression_or_a_claim_that_fails(tmp_path, monkeypatch, capsys):
     import json
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": BOUNDED}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     ops = {}
 
     def fake_run(checkout, workload, seed, seconds):
@@ -148,7 +150,7 @@ def test_exit_status_reports_a_regression_or_a_claim_that_fails(tmp_path, monkey
 def test_exit_status_reports_differing_digests_or_more_failures(tmp_path, monkeypatch,
                                                                 capsys):
     import json
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": BOUNDED}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     change = tmp_path / "change"
     outputs = {}
 
@@ -184,3 +186,26 @@ def test_a_run_without_a_digest_line_is_an_error(tmp_path, monkeypatch):
     stdout = f"{result}\n"
     with pytest.raises(RuntimeError, match="no digest line"):
         ab_bench.run_once(tmp_path, "w", 1, 1.0)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--pairs", "0"], "--pairs must be at least 1, got 0"),
+    (["--pairs", "-2"], "--pairs must be at least 1, got -2"),
+    (["--seconds", "0"], "--seconds must be positive and finite, got 0"),
+    (["--seconds", "-1.5"], "--seconds must be positive and finite, got -1.5"),
+    (["--seconds", "nan"], "--seconds must be positive and finite, got nan"),
+    (["--seconds", "inf"], "--seconds must be positive and finite, got inf"),
+    (["--workload", "v"], "--workload v is not a workload of the parent's BENCHMARK.json"),
+])
+def test_bad_arguments_exit_2_before_any_run(tmp_path, monkeypatch, capsys, extra, message):
+    import json
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(ab_bench, "run_once", no_run)
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w", *extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from microsympl.errors import InternalInvariantError, ShapeError, ValidityError
-from microsympl.linsympl import (AffineSubspace, LinCanonicalRelation, Splitting,
-                                 SymplecticSpace, check_linear_micromorphism,
+from microsympl.linsympl import (AffineSubspace, LagrangianSubspace, LinCanonicalRelation,
+                                 Splitting, SymplecticSpace, _integer_rows,
+                                 check_linear_micromorphism,
                                  compose_linear, graph_relation, identity_relation,
                                  image_of_point, is_lagrangian,
                                  mat_inverse, mat_mul, mat_vec, nullspace, rank, reduce_span,
@@ -14,6 +15,7 @@ from microsympl.linsympl import (AffineSubspace, LinCanonicalRelation, Splitting
 from microsympl.sampling import (rand_lagrangian_relation, rand_splitting,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
+from microsympl.textio import parse_matrix
 from reference_linsympl import lin_combo
 
 
@@ -91,10 +93,35 @@ def test_mixed_axes_are_not_lagrangian():
 
 
 def test_lagrangian_subspace_constructor_validates():
-    from microsympl.linsympl import LagrangianSubspace
     space = SymplecticSpace.standard(2)
-    with pytest.raises(ValidityError):
+    with pytest.raises(ValidityError) as exc:
         LagrangianSubspace(space, (unit_vector(4, 0), unit_vector(4, 2)))
+    assert str(exc.value) == "not a lagrangian subspace: form(basis[0], basis[1]) = -1 != 0"
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: LagrangianSubspace(SymplecticSpace.standard(2),
+                                (unit_vector(4, 0), unit_vector(4, 0))),
+     "rank defect: 2 vectors of rank 1, expected 2"),
+    (lambda: LagrangianSubspace(SymplecticSpace.standard(2), (unit_vector(4, 0),)),
+     "rank defect: 1 vectors of rank 1, expected 2"),
+    (lambda: LinCanonicalRelation.from_vectors(1, 1, vecs((1, 0, 0, 0), (0, 1, F(1, 2), 0))),
+     "form(basis[0], basis[1]) = 1 != 0"),
+    (lambda: LinCanonicalRelation.from_vectors(1, 1, vecs((1, 0, 1, 0), (2, 0, 2, 0))),
+     "rank defect: 2 vectors of rank 1, expected 2"),
+    (lambda: LinCanonicalRelation.from_vectors(1, 1, parse_matrix("1,0,0,0;0,1,1/2,0")),
+     "form(basis[0], basis[1]) = 1 != 0"),
+    # the graph of a matrix that is not symplectic is not lagrangian
+    (lambda: graph_relation(vecs((2, 0), (0, 1))), "form(basis[0], basis[1]) = -1 != 0"),
+    (lambda: graph_relation(vecs((1, 0), (0, 0))), "form(basis[0], basis[1]) = 1 != 0"),
+    (lambda: graph_relation(vecs((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1))),
+     "form(basis[0], basis[1]) = 1 != 0"),
+], ids=["subspace-rank", "subspace-count", "from-vectors-form",
+        "from-vectors-rank", "parsed", "graph-scale", "graph-singular", "graph-4d"])
+def test_outside_bases_are_validated(build, reason):
+    with pytest.raises(ValidityError) as exc:
+        build()
+    assert str(exc.value) == f"not a lagrangian subspace: {reason}"
 
 
 # -- compose_linear ---------------------------------------------------------------
@@ -155,6 +182,8 @@ def test_compose_linear_output_always_lagrangian():
         w = rand_lagrangian_relation(rng, n, q)
         c = compose_linear(w, v)
         assert is_lagrangian(c.subspace.space, c.vectors)
+        # the rows cached without a check are the integer rows of the basis
+        assert c.subspace._rows == tuple(_integer_rows(c.vectors))
 
 
 def test_compose_linear_associative():
@@ -233,6 +262,18 @@ def test_image_of_composition_matches_composed_images():
 
 
 # -- check_linear_micromorphism ----------------------------------------------------
+
+
+@pytest.mark.parametrize("relation, phi, message", [
+    (identity_relation(1), ((1, 2),), "core map matrix must be 1x1"),
+    (identity_relation(1), ((1,), (2,)), "core map matrix must be 1x1"),
+    (identity_relation(1), ((),), "core map matrix must be 1x1"),
+    (identity_relation(2), ((1, 0), (1,)), "ragged matrix rows"),
+    (zero_section_relation(0, 2), ((1, 1),), "core map matrix must be 0x2"),
+], ids=["wide", "tall", "empty-row", "ragged", "no-source"])
+def test_core_map_matrix_of_the_wrong_shape_is_rejected(relation, phi, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        check_linear_micromorphism(relation, phi)
 
 
 def test_identity_relation_is_a_micromorphism():

@@ -227,7 +227,15 @@ def test_compose_linear_matches_oracle(data):
     mid = data.draw(HALF_DIM)
     v = data.draw(relations(n=st.just(mid)))
     w = data.draw(relations(m=st.just(mid)))
-    assert linsympl.compose_linear(w, v).vectors == ref.compose_linear(w, v)
+    got = linsympl.compose_linear(w, v)
+    assert got.vectors == ref.compose_linear(w, v)
+    # built unchecked: lagrangian, with the integer rows of its vectors, and
+    # the same value as the relation validated from those vectors
+    assert verdict(linsympl.is_lagrangian(got.subspace.space, got.vectors)) == (True, ())
+    assert got.subspace._rows == tuple(linsympl._integer_rows(got.vectors))
+    validated = linsympl.LinCanonicalRelation.from_vectors(
+        got.source_half_dim, got.target_half_dim, got.vectors)
+    assert got == validated and hash(got) == hash(validated) and repr(got) == repr(validated)
 
 
 @given(rel=relations(), data=st.data())

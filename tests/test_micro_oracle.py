@@ -7,7 +7,8 @@ same generating function.  ``compose_germs`` is checked against the frozen
 direct substitution on extracted, composed, identity and hand-built germs,
 some with a core restriction that is not affine.  The tangent relation read
 off the terms is checked against the derivative-then-evaluate reference on
-drawn generating functions.
+drawn generating functions, and on seeded valid, violating and base-Hessian
+ones, where the relation it builds unchecked must also equal a validated one.
 The integer Jacobian check and the integer affine core inverse must raise
 where the ``Fraction`` references raise, with the same message, and return
 the same values where they do not.
@@ -24,9 +25,12 @@ from microsympl import micro
 from microsympl.errors import (InternalInvariantError, ShapeError, UnsupportedCoreError,
                                ValidityError)
 from microsympl.jetalg import FiberGradedPoly
+from microsympl.linsympl import LinCanonicalRelation, _integer_rows, is_lagrangian
 from microsympl.micro import (CoreMap, GermJet, compose_germs, extract_germ, graph_of_germ,
                               identity_germ, invert_germ, unit_exp)
-from microsympl.sampling import rand_affine_core_micromorphism, rand_micromorphism, rng_for
+from microsympl.sampling import (rand_affine_core_micromorphism, rand_exponents,
+                                 rand_fraction, rand_micromorphism, rand_point, rand_poly,
+                                 rand_violating_gen, rng_for)
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 
@@ -102,6 +106,13 @@ def test_the_remainder_drops_exactly_the_linear_part():
                 linear = linear + FiberGradedPoly.fiber_var(2 * n, n, 2, n + j).scale(c)
             assert (poly - rem).terms == linear.terms
         assert micro._split_linear(remainder, n) == (None, remainder)
+        # scaling equation j by c_j scales row j of L, so column j of L^-1 by 1/c_j
+        scales = [F(j + 2, 3) for j in range(n)]
+        scaled_inv, _ = micro._split_linear([p.scale(c) for p, c in zip(shifted, scales)], n)
+        assert scaled_inv == tuple(tuple(v / c for v, c in zip(row, scales)) for row in inv)
+        if n > 1:
+            # a repeated equation: L is singular but not zero
+            assert micro._split_linear([shifted[0]] * n, n)[0] is None
 
 
 # -- germ composition -----------------------------------------------------------------
@@ -242,6 +253,36 @@ def test_tangent_relation_of_a_violator_has_a_base_hessian():
     # the x2 columns end in the p2 block: d2S/dx2 at (-3/2, 5)
     sxx = [vec[6:] for vec in got.vectors[2:]]
     assert sxx == [(F(250), F(-449, 2)), (F(-449, 2), F(135, 2))]
+
+
+def _with_base_hessian(rng, m, n, k):
+    """A generating function with base terms of degree 2 and 3, so d2S/dx2 != 0."""
+    gen = rand_poly(rng, m, n, k, terms=4, max_base_deg=3)
+    for degree in (2, 3):
+        gen = gen + FiberGradedPoly.monomial(m, n, k, rand_fraction(rng, nonzero=True),
+                                             (0,) * m, rand_exponents(rng, n, degree))
+    return gen
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)])
+def test_trusted_tangent_relations_match_the_reference_and_a_validated_build(m, n):
+    # linearized_relation builds its relation unchecked: it must be the
+    # reference's, lagrangian, with the integer rows of its vectors, and the
+    # same value as the relation validated from those vectors
+    rng = rng_for(m * 4 + n, "trusted-tangent")
+    for k in (1, 2, 3, 4):
+        gens = [rand_micromorphism(rng, m, n, k).gen, rand_violating_gen(rng, m, n, k)]
+        if n:
+            gens.append(_with_base_hessian(rng, m, n, k))
+        for gen in gens:
+            for point in micro._sample_core_points(n) + [rand_point(rng, n, 9, 9)]:
+                got = micro.linearized_relation(gen, point)
+                assert got.vectors == ref.linearized_relation(gen, point).vectors
+                assert is_lagrangian(got.subspace.space, got.vectors)
+                assert got.subspace._rows == tuple(_integer_rows(got.vectors))
+                validated = LinCanonicalRelation.from_vectors(m, n, got.vectors)
+                assert got == validated and hash(got) == hash(validated)
+                assert repr(got) == repr(validated)
 
 
 # -- the Jacobian check and the affine core ------------------------------------------
