@@ -24,15 +24,24 @@ base arities 0-3 and orders 0-4.
 ``sampling.rand_affine_core_micromorphism`` at core dimensions 1-3 and
 orders 1-4.
 
-After an intended change of output, rewrite all four with
+``tests/golden/cli.txt`` holds the exit code and stdout of the CLI verbs
+``compose`` (fixed records, and seeded ``rand_micromorphism`` pairs at core
+dimensions 0-3 and orders 1-4), ``germ --roundtrip`` (fixed records, and
+seeded ``rand_affine_core_micromorphism`` records) and ``operad --dim 2
+--arity 2 --samples 3 --order 6`` at two seeds, each run in process through
+``cli.main`` on the text of ``textio.format_morphism``.
+
+After an intended change of output, rewrite all five with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from microsympl import micro
+from microsympl import cli, micro
 from microsympl.jetalg import substitute_many
 from microsympl.linsympl import (check_linear_micromorphism, compose_linear,
                                  image_of_point, is_lagrangian,
@@ -54,6 +63,17 @@ MICRO_CASES = 30
 MICRO_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 JETALG_CASES = 80
 LINEAR_CASES = 48
+CLI_CASES = 16
+# records whose base degrees and mixed denominators the seeded ones do not reach
+CLI_RECORDS = [
+    "source=1 target=1 order=3\nS = p1*x1^7 - 3/4*p1^2*x1^5 + 1/9*p1^3*x1\n",
+    "source=1 target=1 order=3\nS = 2*p1*x1 + 5/6*p1^2*x1^2 - p1^3\n",
+    "source=2 target=2 order=2\nS = p1*x2 + p2*x1 + 1/2*p1^2*x1*x2 - 7/3*p1*p2*x2^3\n",
+    "source=2 target=1 order=4\nS = p1*x1^2 + p2 + 1/5*p1^2*p2^2*x1\n",
+    "source=1 target=2 order=4\nS = p1*x1*x2 - p1*x2^3 - 2/3*p1^4*x1\n",
+]
+# (outer, inner) indices into CLI_RECORDS
+CLI_COMPOSE_PAIRS = [(0, 1), (1, 0), (0, 0), (2, 2), (3, 4), (4, 3)]
 
 
 def _rand_rows(rng, nrows, ncols):
@@ -201,8 +221,38 @@ def jetalg_text() -> str:
                    for case in range(JETALG_CASES) for name, text in _jetalg_lines(case))
 
 
+def _cli_run(argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _cli_blocks():
+    for outer, inner in CLI_COMPOSE_PAIRS:
+        yield "compose", _cli_run(["compose", CLI_RECORDS[outer], CLI_RECORDS[inner]])
+    yield "germ", _cli_run(["germ", "--roundtrip", CLI_RECORDS[1]])
+    yield "germ", _cli_run(["germ", "--roundtrip", CLI_RECORDS[2]])
+    for case in range(CLI_CASES):
+        rng = rng_for(case, "golden-cli")
+        m, mid, n, k = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3),
+                        rng.randint(1, 4))
+        f = rand_micromorphism(rng, m, mid, k, max_base_deg=3)
+        g = rand_micromorphism(rng, mid, n, k, max_base_deg=3)
+        yield "compose", _cli_run(["compose", format_morphism(g), format_morphism(f)])
+        h = rand_affine_core_micromorphism(rng, rng.randint(1, 3), k)
+        yield "germ", _cli_run(["germ", "--roundtrip", format_morphism(h)])
+    for seed in ("0", "1"):
+        yield "operad", _cli_run(["operad", "--dim", "2", "--arity", "2", "--samples", "3",
+                                  "--order", "6", "--seed", seed])
+
+
+def cli_text() -> str:
+    return "".join(f"{i} {verb}\n{text}" for i, (verb, text) in enumerate(_cli_blocks()))
+
+
 CORPORA = {"linsympl.txt": linsympl_text, "micro.txt": micro_text,
-           "jetalg.txt": jetalg_text, "linear.txt": linear_text}
+           "jetalg.txt": jetalg_text, "linear.txt": linear_text, "cli.txt": cli_text}
 
 
 def test_golden_corpus_is_byte_identical():
@@ -219,6 +269,10 @@ def test_jetalg_golden_corpus_is_byte_identical():
 
 def test_germ_golden_corpus_is_byte_identical():
     assert micro_text().encode() == (GOLDEN_DIR / "micro.txt").read_bytes()
+
+
+def test_cli_golden_corpus_is_byte_identical():
+    assert cli_text().encode() == (GOLDEN_DIR / "cli.txt").read_bytes()
 
 
 if __name__ == "__main__":
