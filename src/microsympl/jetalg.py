@@ -12,12 +12,21 @@ Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
 
 Storage follows FLINT's ``fmpq_poly``: an instance holds one common
-denominator and an integer numerator per monomial, in lowest terms.  Sums,
-scalings, derivatives, reshaping, equality and the fixed-point residual work
-on these integers: linear combinations are summed by one helper, ``combine``,
-over the lcm of the operands' denominators, with zeros dropped once at the
-end.  Products, powers and substitutions multiply numerators against
-degree-sorted rows and stop each row scan at the truncation order.
+denominator and an integer numerator per monomial, in lowest terms.  Each
+monomial is one int key, packed as in FLINT's ``fmpz_mpoly`` (Monagan and
+Pearce, ISSAC 2009) by the :class:`KeyCodec` of its space (m, n): from the
+top field down the fiber degree, then the exponents of p1..pm, then those of
+x1..xn, each field with a guard bit.  The key of a product monomial is the
+sum of the two keys, the truncation test is one comparison with the key of
+degree order + 1, and sorting keys sorts by fiber degree.  Base exponents
+are never truncated, so every product, power and substitution result has its
+guard bits checked, and an exponent past ``MAX_EXPONENT`` raises ShapeError.
+Sums, scalings, derivatives, reshaping, equality and the fixed-point residual
+work on these integers: linear combinations are summed by one helper,
+``combine``, over the lcm of the operands' denominators, with zeros dropped
+once at the end.  Products, powers and substitutions multiply numerators
+against key-sorted rows and stop each row scan at the first key past the
+truncation order.
 
 A substitution splits each term into an identity monomial (the variables
 whose value is ``None``) and a product of slot powers v^e, keyed by the
@@ -26,12 +35,13 @@ shares one prefix cache of these truncated products: each is built as its
 parent, the key with its last exponent lowered by one (or that slot dropped
 at exponent 1), times one value, and every product on the way is cached, so
 powers and multi-slot products share their common prefixes.  Each term then
-adds its scaled rows straight into one running total, shifted by its
-identity monomial and cut at the order minus the identity monomial's fiber
-degree; the total is kept over one running common denominator, widened by
-lcm only when a term's denominator does not divide it.
+adds its scaled rows straight into one running total, shifted by the key of
+its identity monomial and cut where that sum passes the order; the total is
+kept over one running common denominator, widened by lcm only when a term's
+denominator does not divide it.
 
-``Fraction``s are built only when the public ``terms`` map is read.  Derived
+``Fraction``s and exponent tuples are built only when the public ``terms`` map
+is read or the polynomial is serialized.  Derived
 caches are computed from immutable data and always to the same value, so
 filling them needs no lock.
 
@@ -45,16 +55,81 @@ uses it so output is stable across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import add as _add, itemgetter
+from operator import or_
+from struct import Struct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConvergenceError, FiltrationError, ShapeError
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
-# (fiber degree, pe, xe, numerator) rows, sorted by degree
-Rows = list[tuple[int, Exponents, Exponents, int]]
+# (packed key, numerator) rows, sorted by key and so by fiber degree
+Rows = list[tuple[int, int]]
+
+MAX_EXPONENT = (1 << 32) - 1
+# bits per key field: an exponent up to MAX_EXPONENT under 32 guard bits
+_FIELD = 64
+_FIELD_MASK = (1 << _FIELD) - 1
+_GUARD = _FIELD_MASK - MAX_EXPONENT
+
+
+class KeyCodec:
+    """The int keys of the monomials of one space (m, n).
+
+    From the top field down, a key holds the fiber degree, the exponents of
+    p1..pm and those of x1..xn, each in a 64-bit field whose bits above
+    ``MAX_EXPONENT`` are guard bits: the sum of two keys is the key of the
+    product, and an exponent past ``MAX_EXPONENT`` sets a guard bit instead
+    of carrying into the next field.  The fields below the degree are
+    byte-aligned, so ``struct`` packs and unpacks them.  The x fields are the
+    lowest, so a key of fiber degree 0 is the same int in every space of
+    base arity n, and ``key & base_mask`` is the base part of a key.
+    ``units`` are the keys of p1..pm, x1..xn."""
+
+    __slots__ = ("fiber_arity", "degree_shift", "base_mask", "guard", "units", "_fields",
+                 "_exponents_mask")
+
+    def __init__(self, fiber_arity: int, base_arity: int):
+        width = fiber_arity + base_arity
+        shifts = [_FIELD * (width - 1 - i) for i in range(width)]
+        self.fiber_arity = fiber_arity
+        self.degree_shift = _FIELD * width
+        self.base_mask = (1 << _FIELD * base_arity) - 1
+        self.guard = sum(_GUARD << s for s in shifts)
+        self.units = tuple(((i < fiber_arity) << self.degree_shift) + (1 << s)
+                           for i, s in enumerate(shifts))
+        self._fields = Struct(f">{width}Q")
+        self._exponents_mask = (1 << self.degree_shift) - 1
+
+    def pack(self, pe: Exponents, xe: Exponents) -> int:
+        """The key of ``p^pe x^xe``; exponents must be non-negative."""
+        exps = pe + xe
+        if max(exps, default=0) > MAX_EXPONENT:
+            raise ShapeError(f"exponent {max(exps)} exceeds the limit of {MAX_EXPONENT}")
+        return sum(pe) << self.degree_shift | int.from_bytes(self._fields.pack(*exps))
+
+    def exponents(self, key: int) -> Exponents:
+        """The exponents of p1..pm, x1..xn in ``key``, in one tuple."""
+        fields = self._fields
+        return fields.unpack((key & self._exponents_mask).to_bytes(fields.size))
+
+    def unpack(self, key: int) -> TermKey:
+        exps = self.exponents(key)
+        return exps[:self.fiber_arity], exps[self.fiber_arity:]
+
+    def check(self, nums: dict[int, int]) -> None:
+        """Raise ShapeError when a key of a nonzero numerator has an exponent
+        past ``MAX_EXPONENT``; one OR over the keys on the passing path."""
+        if reduce(or_, nums, 0) & self.guard:
+            for key, n in nums.items():
+                if n and key & self.guard:
+                    raise ShapeError(f"exponent {max(self.exponents(key))} exceeds the limit "
+                                     f"of {MAX_EXPONENT}")
+
+
+key_codec = cache(KeyCodec)
 
 
 def frac(value) -> Fraction:
@@ -89,16 +164,19 @@ class FiberGradedPoly:
     """Polynomial in fiber variables p and base variables x, truncated in p.
 
     The stored form is ``(den, nums)``: a denominator ``den > 0`` and an
-    integer numerator per monomial, in lowest terms (no zero numerator,
-    ``gcd(den, *nums) == 1``), so equal polynomials have equal forms.  Every
-    monomial has fiber degree at most ``order``.  The zero polynomial is ``(1,
-    {})`` and still carries its arities and order, so shape mismatches stay
-    detectable on zeros.  Two caches are derived on first use: ``_rows``, the
-    degree-sorted rows that products read, and ``_terms``, the public
-    ``terms`` map of reduced nonzero Fractions.
+    integer numerator per monomial key of ``codec``, the space's
+    :class:`KeyCodec`, in lowest terms (no zero numerator, ``gcd(den, *nums)
+    == 1``), so equal polynomials have equal forms.  Every monomial has fiber
+    degree at most ``order`` and exponents at most ``MAX_EXPONENT``.  The
+    zero polynomial is ``(1, {})`` and still carries its arities and order,
+    so shape mismatches stay detectable on zeros.  Two caches are derived on
+    first use: ``_rows``, the key-sorted rows that products read, and
+    ``_terms``, the public ``terms`` map from exponent tuples to reduced
+    nonzero Fractions.
     """
 
-    __slots__ = ("fiber_arity", "base_arity", "order", "den", "nums", "_rows", "_terms")
+    __slots__ = ("fiber_arity", "base_arity", "order", "codec", "den", "nums", "_rows",
+                 "_terms")
 
     def __init__(self, fiber_arity: int, base_arity: int, order: int,
                  terms: Mapping[TermKey, Fraction] | Iterable[tuple[TermKey, Fraction]] = ()):
@@ -107,6 +185,7 @@ class FiberGradedPoly:
         if order < 0:
             raise ShapeError("truncation order must be non-negative")
         parts = []
+        codec = key_codec(fiber_arity, base_arity)
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (pe, xe), coeff in items:
             pe, xe = tuple(map(int, pe)), tuple(map(int, xe))
@@ -119,8 +198,9 @@ class FiberGradedPoly:
             if sum(pe) > order:
                 raise ShapeError(f"fiber degree {sum(pe)} exceeds order {order}")
             c = frac(coeff)
-            parts.append(((pe, xe), c.numerator, c.denominator))
+            parts.append((codec.pack(pe, xe), c.numerator, c.denominator))
         self.fiber_arity, self.base_arity, self.order = fiber_arity, base_arity, order
+        self.codec = codec
         self.den, self.nums = _merge_terms(parts)
         self._rows = self._terms = None
 
@@ -128,30 +208,43 @@ class FiberGradedPoly:
 
     @classmethod
     def _raw(cls, fiber_arity: int, base_arity: int, order: int, den: int,
-             nums: dict[TermKey, int]) -> "FiberGradedPoly":
+             nums: dict[int, int]) -> "FiberGradedPoly":
         # trusted fast path: caller guarantees a form in lowest terms
         obj = object.__new__(cls)
         obj.fiber_arity, obj.base_arity, obj.order = fiber_arity, base_arity, order
+        obj.codec = key_codec(fiber_arity, base_arity)
         obj.den, obj.nums = den, nums
         obj._rows = obj._terms = None
         return obj
 
     @classmethod
     def _reduced(cls, fiber_arity: int, base_arity: int, order: int, den: int,
-                 nums: dict[TermKey, int]) -> "FiberGradedPoly":
+                 nums: dict[int, int]) -> "FiberGradedPoly":
         # trusted keys over any den > 0; zeros are dropped and the form reduced
         return cls._raw(fiber_arity, base_arity, order, *_lowest_terms(den, nums))
+
+    @classmethod
+    def _packed(cls, fiber_arity: int, base_arity: int, order: int,
+                terms: list[tuple[int, int, int]]) -> "FiberGradedPoly":
+        # (key, num, den) terms with den > 0; guard bits and fiber degrees checked
+        codec = key_codec(fiber_arity, base_arity)
+        for key, _, _ in terms:
+            if key >> codec.degree_shift > order:
+                raise ShapeError(f"fiber degree {key >> codec.degree_shift} exceeds order {order}")
+        den, nums = _merge_terms(terms)
+        codec.check(nums)
+        return cls._raw(fiber_arity, base_arity, order, den, nums)
 
     @classmethod
     def from_integer_terms(cls, fiber_arity: int, base_arity: int, order: int,
                            terms: list[tuple[TermKey, int, int]]) -> "FiberGradedPoly":
         """The sum of ``num/den * p^pe x^xe`` over ``((pe, xe), num, den)``
         with ``den > 0``; the exponent tuples must already match the arities
-        and hold no negative entry, so only fiber degrees are checked."""
-        for (pe, _), _, _ in terms:
-            if sum(pe) > order:
-                raise ShapeError(f"fiber degree {sum(pe)} exceeds order {order}")
-        return cls._raw(fiber_arity, base_arity, order, *_merge_terms(terms))
+        and hold no negative entry, so only fiber degrees and the exponent
+        limit are checked."""
+        pack = key_codec(fiber_arity, base_arity).pack
+        return cls._packed(fiber_arity, base_arity, order,
+                           [(pack(pe, xe), num, den) for (pe, xe), num, den in terms])
 
     @classmethod
     def zero(cls, fiber_arity: int, base_arity: int, order: int) -> "FiberGradedPoly":
@@ -191,12 +284,12 @@ class FiberGradedPoly:
         """The coefficients as reduced nonzero Fractions, built on first use."""
         terms = self._terms
         if terms is None:
-            den = self.den
-            terms = self._terms = {key: Fraction(n, den) for key, n in self.nums.items()}
+            den, unpack = self.den, self.codec.unpack
+            terms = self._terms = {unpack(key): Fraction(n, den) for key, n in self.nums.items()}
         return terms
 
     def _sorted_rows(self) -> Rows:
-        """Rows ``(fiber degree, pe, xe, numerator)`` sorted by fiber degree."""
+        """Rows ``(key, numerator)`` sorted by key, and so by fiber degree."""
         if self._rows is None:
             self._rows = _sorted_rows(self.nums.items())
         return self._rows
@@ -217,10 +310,13 @@ class FiberGradedPoly:
         return not self.nums
 
     def max_fiber_degree(self) -> int:
-        return max((sum(pe) for pe, _ in self.nums), default=0)
+        return max(self.nums, default=0) >> self.codec.degree_shift
 
     def coefficient(self, fiber_exps: Sequence[int], base_exps: Sequence[int]) -> Fraction:
-        return Fraction(self.nums.get((tuple(fiber_exps), tuple(base_exps)), 0), self.den)
+        pe, xe = tuple(fiber_exps), tuple(base_exps)
+        stored = (len(pe), len(xe)) == (self.fiber_arity, self.base_arity) \
+            and 0 <= min(pe + xe, default=0) and max(pe + xe, default=0) <= MAX_EXPONENT
+        return Fraction(self.nums.get(self.codec.pack(pe, xe), 0) if stored else 0, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -249,7 +345,7 @@ class FiberGradedPoly:
         # the shorter operand supplies the degree-sorted rows, so truncation
         # prunes early
         a, b = (self, other) if len(self.nums) >= len(other.nums) else (other, self)
-        out = _mul_rows(a.nums, b._sorted_rows(), self.order)
+        out = _mul_rows(a.nums.items(), b._sorted_rows(), self.codec, self.order)
         return FiberGradedPoly._reduced(*self.space(), a.den * b.den, out)
 
     __rmul__ = __mul__
@@ -257,11 +353,12 @@ class FiberGradedPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ShapeError("exponent must be a non-negative integer")
+        if exponent > MAX_EXPONENT:
+            raise ShapeError(f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")
         if not exponent:
             return FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
-        den, rows = _monomial_form({}, ((0, 0, exponent),), ((self,),), self.order)
-        return FiberGradedPoly._reduced(*self.space(), den,
-                                        {(pe, xe): n for _, pe, xe, n in rows})
+        den, rows = _monomial_form({}, exponent, (self,), self.codec, self.order)
+        return FiberGradedPoly._reduced(*self.space(), den, dict(rows))
 
     # -- calculus ----------------------------------------------------------
 
@@ -274,17 +371,19 @@ class FiberGradedPoly:
         """
         if not 0 <= index < self.fiber_arity:
             raise ShapeError(f"fiber index {index} out of range for arity {self.fiber_arity}")
-        out = {(pe[:index] + (pe[index] - 1,) + pe[index + 1:], xe): n * pe[index]
-               for (pe, xe), n in self.nums.items() if pe[index]}
+        return self._lowered(index)
+
+    def _lowered(self, field: int) -> "FiberGradedPoly":
+        # the derivative in the variable of key field ``field`` (p1..pm, x1..xn)
+        exponents, unit = self.codec.exponents, self.codec.units[field]
+        out = {key - unit: n * e for key, n in self.nums.items() if (e := exponents(key)[field])}
         return FiberGradedPoly._reduced(*self.space(), self.den, out)
 
     def partial_base(self, index: int) -> "FiberGradedPoly":
         """Formal derivative in the base variable x(index+1); exact at all orders."""
         if not 0 <= index < self.base_arity:
             raise ShapeError(f"base index {index} out of range for arity {self.base_arity}")
-        out = {(pe, xe[:index] + (xe[index] - 1,) + xe[index + 1:]): n * xe[index]
-               for (pe, xe), n in self.nums.items() if xe[index]}
-        return FiberGradedPoly._reduced(*self.space(), self.den, out)
+        return self._lowered(self.fiber_arity + index)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -310,7 +409,7 @@ class FiberGradedPoly:
                 if i >= tm:
                     raise ShapeError(f"identity fiber value p{i + 1} outside target arity {tm}")
             else:
-                if any(sum(pe) == 0 for pe, _ in v.nums):
+                if v.nums and min(v.nums) >> v.codec.degree_shift == 0:
                     raise FiltrationError(
                         f"value for fiber variable p{i + 1} has a fiber-degree-0 term")
         for j, v in enumerate(base_values):
@@ -335,41 +434,34 @@ class FiberGradedPoly:
 
     def _substitute_cached(self, fiber_values, base_values,
                            target: tuple[int, int, int], cache: dict) -> "FiberGradedPoly":
-        tm, tn, torder = target
-        values = (fiber_values, base_values)
-        if () not in cache:
-            cache[()] = 1, [(0, (0,) * tm, (0,) * tn, 1)]
+        plan = cache.get(None)
+        if plan is None:
+            # once per batch: the target codec and order, the values by source
+            # key field from the lowest up, and the field masks and moves
+            tm, tn, order = target
+            flat = (*fiber_values, *base_values)
+            plan = cache[None] = (key_codec(tm, tn), order, flat[::-1], *_field_moves(
+                self.fiber_arity, tm, tn, tuple([v is None for v in flat])))
+            cache[0] = 1, [(0, 1)]
+        codec, order, values, slot_mask, (fiber_mask, rp, lp), (base_mask, rx, lx) = plan
+        ds, ts, limit = self.codec.degree_shift, codec.degree_shift, (order + 1) << codec.degree_shift
         den = self.den
-        total: dict[TermKey, int] = {}
+        total: dict[int, int] = {}
         total_get = total.get
         total_den = 1
-        for (pe, xe), num in self.nums.items():
-            # the term is (identity monomial) * (product of slot powers)
-            mono_pe = mono_xe = None
-            slots = []
-            cut = torder
-            for i, e in enumerate(pe):
-                if e:
-                    if fiber_values[i] is None:
-                        if mono_pe is None:
-                            mono_pe = [0] * tm
-                        mono_pe[i] = e
-                        cut -= e
-                    else:
-                        slots.append((0, i, e))
-            for j, e in enumerate(xe):
-                if e:
-                    if base_values[j] is None:
-                        if mono_xe is None:
-                            mono_xe = [0] * tn
-                        mono_xe[j] = e
-                    else:
-                        slots.append((1, j, e))
-            if cut < 0:
+        for k, num in self.nums.items():
+            # the term is (identity monomial) * (product of slot powers); the
+            # fields of the first are moved to the target, and their sum
+            # (mod 2^64 - 1, as 2^64 = 1) is its fiber degree
+            mono_p = k & fiber_mask
+            degree = mono_p % _FIELD_MASK
+            if degree > order:
                 continue
-            key = tuple(slots)
-            f_den, rows = cache.get(key) or _monomial_form(cache, key, values, torder)
-            if not rows or rows[0][0] > cut:
+            mono = degree << ts | mono_p >> rp << lp | (k & base_mask) >> rx << lx
+            key = k & slot_mask
+            f_den, rows = cache.get(key) or _monomial_form(cache, key, values, codec, order)
+            cut = limit - mono
+            if not rows or rows[0][0] >= cut:
                 continue
             piece_den = den * f_den
             if total_den % piece_den:
@@ -379,15 +471,13 @@ class FiberGradedPoly:
                     total[key] *= widen
                 total_den *= widen
             c = num * (total_den // piece_den)
-            mp = None if mono_pe is None else tuple(mono_pe)
-            mx = None if mono_xe is None else tuple(mono_xe)
-            for db, pb, xb, cb in rows:
-                if db > cut:
+            for kb, cb in rows:
+                if kb >= cut:
                     break
-                key = (pb if mp is None else tuple(map(_add, mp, pb)),
-                       xb if mx is None else tuple(map(_add, mx, xb)))
+                key = mono + kb
                 total[key] = total_get(key, 0) + c * cb
-        return FiberGradedPoly._reduced(tm, tn, torder, total_den, total)
+        codec.check(total)
+        return FiberGradedPoly._reduced(*target, total_den, total)
 
     def evaluate(self, fiber_point: Sequence, base_point: Sequence) -> Fraction:
         """Plain polynomial evaluation at an exact rational point."""
@@ -395,8 +485,8 @@ class FiberGradedPoly:
             raise ShapeError("evaluation point does not match arities")
         point = [frac(v) for v in (*fiber_point, *base_point)]
         total = 0
-        for (pe, xe), val in self.nums.items():
-            for v, e in zip(point, pe + xe):
+        for key, val in self.nums.items():
+            for v, e in zip(point, self.codec.exponents(key)):
                 if e:
                     val *= v ** e
             total += val
@@ -413,13 +503,15 @@ class FiberGradedPoly:
         if new_order > self.order:
             return FiberGradedPoly._raw(self.fiber_arity, self.base_arity, new_order,
                                         self.den, self.nums)
-        out = {key: n for key, n in self.nums.items() if sum(key[0]) <= new_order}
+        limit = (new_order + 1) << self.codec.degree_shift
+        out = {key: n for key, n in self.nums.items() if key < limit}
         return FiberGradedPoly._reduced(self.fiber_arity, self.base_arity, new_order,
                                         self.den, out)
 
     def core_part(self) -> "FiberGradedPoly":
         """The fiber-degree-zero part, i.e. the restriction to p = 0."""
-        out = {key: n for key, n in self.nums.items() if not any(key[0])}
+        mask = self.codec.base_mask
+        out = {key: n for key, n in self.nums.items() if key <= mask}
         return FiberGradedPoly._reduced(*self.space(), self.den, out)
 
     def embed(self, fiber_arity: int, base_arity: int,
@@ -433,8 +525,11 @@ class FiberGradedPoly:
             raise ShapeError("base block does not fit in the target space")
         p_pad = (0,) * fiber_offset, (0,) * (fiber_arity - fiber_offset - self.fiber_arity)
         x_pad = (0,) * base_offset, (0,) * (base_arity - base_offset - self.base_arity)
-        out = {(p_pad[0] + pe + p_pad[1], x_pad[0] + xe + x_pad[1]): n
-               for (pe, xe), n in self.nums.items()}
+        unpack, pack = self.codec.unpack, key_codec(fiber_arity, base_arity).pack
+        out = {}
+        for key, n in self.nums.items():
+            pe, xe = unpack(key)
+            out[pack(p_pad[0] + pe + p_pad[1], x_pad[0] + xe + x_pad[1])] = n
         return FiberGradedPoly._raw(fiber_arity, base_arity, self.order, self.den, out)
 
     # -- ordering, equality, text -------------------------------------------
@@ -442,9 +537,10 @@ class FiberGradedPoly:
     def serialized_terms(self) -> tuple[tuple[Exponents, Exponents, int, int], ...]:
         """Canonical tuple form: (fiber exponents, base exponents, numerator,
         denominator), each coefficient reduced; no Fraction is built."""
-        den = self.den
+        den, unpack = self.den, self.codec.unpack
         return tuple((pe, xe, n // g, den // g)
-                     for (pe, xe), n in sorted(self.nums.items(), key=lambda kv: grlex_key(kv[0]))
+                     for (pe, xe), n in sorted(((unpack(key), n) for key, n in self.nums.items()),
+                                               key=lambda kv: grlex_key(kv[0]))
                      for g in (gcd(n, den),))
 
     def to_text(self) -> str:
@@ -476,13 +572,13 @@ class FiberGradedPoly:
                 f"K={self.order}: {self.to_text()})")
 
 
-def _sorted_rows(items: Iterable[tuple[TermKey, int]]) -> Rows:
-    rows = [(sum(pe), pe, xe, n) for (pe, xe), n in items if n]
-    rows.sort(key=itemgetter(0))
+def _sorted_rows(items: Iterable[tuple[int, int]]) -> Rows:
+    rows = [item for item in items if item[1]]
+    rows.sort()
     return rows
 
 
-def _lowest_terms(den: int, nums: dict[TermKey, int]) -> tuple[int, dict[TermKey, int]]:
+def _lowest_terms(den: int, nums: dict[int, int]) -> tuple[int, dict[int, int]]:
     """``(den, nums)`` without zero numerators and divided by their gcd."""
     if 0 in nums.values():
         nums = {key: n for key, n in nums.items() if n}
@@ -493,10 +589,10 @@ def _lowest_terms(den: int, nums: dict[TermKey, int]) -> tuple[int, dict[TermKey
     return den, nums
 
 
-def _summed(den: int, parts) -> tuple[int, dict[TermKey, int]]:
+def _summed(den: int, parts) -> tuple[int, dict[int, int]]:
     """``den`` and the per-key sums of ``s * n`` over ``(s, items)`` parts of
     ``(key, n)`` items, in lowest terms: the merge of ``combine`` and the constructor."""
-    out: dict[TermKey, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     for s, items in parts:
         for key, n in items:
@@ -504,7 +600,7 @@ def _summed(den: int, parts) -> tuple[int, dict[TermKey, int]]:
     return _lowest_terms(den, out)
 
 
-def _merge_terms(terms: list[tuple[TermKey, int, int]]) -> tuple[int, dict[TermKey, int]]:
+def _merge_terms(terms: list[tuple[int, int, int]]) -> tuple[int, dict[int, int]]:
     # single terms (key, num, den), repeated keys allowed
     den = lcm(*[d for _, _, d in terms])
     return _summed(den, [(1, [(key, n * (den // d)) for key, n, d in terms])])
@@ -527,48 +623,67 @@ def combine(polys: Sequence[FiberGradedPoly], coeffs: Sequence) -> FiberGradedPo
                                 *_summed(den, [(den // d * a, items) for d, a, items in parts]))
 
 
-def _mul_rows(left: dict[TermKey, int], rows, order: int) -> dict[TermKey, int]:
-    """Truncated product of integer numerators: ``left`` times degree-sorted
-    ``rows``.  The result is over the product of the two denominators and
-    may hold zero numerators."""
-    out: dict[TermKey, int] = {}
+def _mul_rows(left: Iterable[tuple[int, int]], rows: Rows, codec: KeyCodec,
+              order: int) -> dict[int, int]:
+    """Truncated product of integer numerators: ``(key, numerator)`` items
+    ``left`` times key-sorted ``rows``, with guard bits checked.  The result
+    is over the product of the two denominators and may hold zero numerators."""
+    limit = (order + 1) << codec.degree_shift
+    out: dict[int, int] = {}
     out_get = out.get
-    for (pa, xa), ca in left.items():
-        if not ca:
-            continue
-        da = sum(pa)
-        for db, pb, xb, cb in rows:
-            if da + db > order:
+    for ka, ca in left:
+        cut = limit - ka
+        for kb, cb in rows:
+            if kb >= cut:
                 break
-            key = (tuple(map(_add, pa, pb)), tuple(map(_add, xa, xb)))
+            key = ka + kb
             out[key] = out_get(key, 0) + ca * cb
+    codec.check(out)
     return out
 
 
-def _monomial_form(cache: dict, key: tuple[tuple[int, int, int], ...], values,
+@cache
+def _field_moves(fiber_arity: int, tm: int, tn: int, kept: tuple[bool, ...]):
+    """For a substitution from (m, n) into (tm, tn) with ``kept`` telling the
+    variables p1..pm, x1..xn whose value is None: the mask of the source key
+    fields that take values, and for the kept fiber and base fields their
+    mask and the right and left shifts that move them to the target (a field
+    moves by the difference of the field counts below it)."""
+    width = len(kept)
+
+    def mask(indices):
+        return sum(_FIELD_MASK << _FIELD * (width - 1 - i) for i in indices)
+
+    dp, dx = _FIELD * (tm + tn - width), _FIELD * (tn - width + fiber_arity)
+    return (mask(i for i in range(width) if not kept[i]),
+            (mask(i for i in range(fiber_arity) if kept[i]), max(-dp, 0), max(dp, 0)),
+            (mask(i for i in range(fiber_arity, width) if kept[i]), max(-dx, 0), max(dx, 0)))
+
+
+def _monomial_form(cache: dict, key: int, values, codec: KeyCodec,
                    order: int) -> tuple[int, Rows]:
-    """Integer form of the product of the slot powers ``values[block][index]
-    ** e`` over the ``(block, index, e)`` slots of ``key``, truncated at
-    ``order``.  The parent of a key lowers its last exponent by one, or drops
-    that slot at exponent 1; each product is its parent times one value, and
+    """Integer form of the product of the powers ``values[f] ** e`` over the
+    fields f (counted from the lowest) and exponents e of the source key
+    ``key``, truncated at ``order``.  The parent of a key lowers its lowest
+    nonzero field by one; each product is its parent times one value, and
     every product on the way up from the nearest cached ancestor is cached.
-    A lone first power is the value itself, and ``cache[()]`` the unit."""
+    A lone first power is the value itself, and ``cache[0]`` the unit."""
     chain = []
     got = cache.get(key)
     while got is None:
-        block, index, e = key[-1]
-        if e == 1 and len(key) == 1:
-            value = values[block][index]
+        field = ((key & -key).bit_length() - 1) // _FIELD
+        unit = 1 << _FIELD * field
+        if key == unit:
+            value = values[field]
             got = cache[key] = value.den, value._sorted_rows()
             break
-        chain.append(key)
-        key = key[:-1] if e == 1 else (*key[:-1], (block, index, e - 1))
+        chain.append((key, field))
+        key -= unit
         got = cache.get(key)
-    for key in reversed(chain):
-        block, index, _ = key[-1]
-        value = values[block][index]
+    for key, field in reversed(chain):
+        value = values[field]
         den, rows = got
-        prod = _mul_rows({(pe, xe): n for _, pe, xe, n in rows}, value._sorted_rows(), order)
+        prod = _mul_rows(rows, value._sorted_rows(), codec, order)
         got = cache[key] = den * value.den, _sorted_rows(prod.items())
     return got
 
@@ -595,9 +710,9 @@ def _lowest_change(new: FiberGradedPoly, old: FiberGradedPoly) -> int | None:
     the cross-multiplied numerators differ."""
     new._require_same_space(old)
     old_nums, new_nums, a, b = old.nums, new.nums, new.den, old.den
-    degs = [sum(key[0]) for key, n in new_nums.items() if n * b != old_nums.get(key, 0) * a]
-    degs += [sum(key[0]) for key in old_nums if key not in new_nums]
-    return min(degs, default=None)
+    keys = [key for key, n in new_nums.items() if n * b != old_nums.get(key, 0) * a]
+    keys += [key for key in old_nums if key not in new_nums]
+    return min(keys) >> new.codec.degree_shift if keys else None
 
 
 def solve_triangular_fixed_point(

@@ -43,8 +43,8 @@ from typing import Sequence
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      InternalInvariantError, NormalFormError, ShapeError,
                      UnsupportedCoreError, ValidityError)
-from .jetalg import (FiberGradedPoly, combine, frac, solve_triangular_fixed_point,
-                     substitute_many)
+from .jetalg import (FiberGradedPoly, combine, frac, key_codec,
+                     solve_triangular_fixed_point, substitute_many)
 from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _integer_rows, _left_solve,
                        check_linear_micromorphism, unit_vector, zero_vector)
 
@@ -135,21 +135,21 @@ class CoreMap:
                      for c in self.components)
 
     def is_affine(self) -> bool:
-        return all(all(sum(xe) <= 1 for _, xe in comp.nums)
-                   for comp in self.components)
+        units = key_codec(0, self.domain_dim).units
+        return all(not key or key in units for comp in self.components for key in comp.nums)
 
     def _affine_rows(self) -> list[tuple[int, list[int]]]:
         """``(den, [a_1, ..., a_n, b])`` per component (a_1 x_1 + ... + a_n x_n
         + b) / den of an affine map, read off the numerators in one pass."""
         n = self.domain_dim
+        units = key_codec(0, n).units
         out = []
         for comp in self.components:
             row = [0] * (n + 1)
-            for (_, xe), num in comp.nums.items():
-                degree = sum(xe)
-                if degree > 1:
+            for key, num in comp.nums.items():
+                if key and key not in units:
                     raise UnsupportedCoreError("core map is not affine")
-                row[xe.index(1) if degree else n] = num
+                row[units.index(key) if key else n] = num
             out.append((comp.den, row))
         return out
 
@@ -176,10 +176,11 @@ class CoreMap:
         if pivots[:n] != list(range(n)):
             raise UnsupportedCoreError("linear part of the core map is not invertible")
         sign = 1 if d > 0 else -1
+        units = key_codec(0, n).units
         comps = []
         for row in work[:n]:
-            nums = {((), unit_exp(n, j)): sign * row[n + j] for j in range(n)}
-            nums[((), (0,) * n)] = -sign * row[2 * n]
+            nums = {units[j]: sign * row[n + j] for j in range(n)}
+            nums[0] = -sign * row[2 * n]
             comps.append(FiberGradedPoly._reduced(0, n, 0, sign * d, nums))
         return CoreMap(n, tuple(comps))
 
@@ -205,12 +206,16 @@ class Micromorphism:
                 f"objects ({m} -> {n})")
         if self.gen.order < 1:
             raise ShapeError("micromorphisms need fiber order K >= 1")
-        # dS/dp_i(0, x) is the sum of the terms c * p_i * x^a, read as c * x^a
+        # dS/dp_i(0, x) is the sum of the terms c * p_i * x^a, read as c * x^a;
+        # the key of x^a is the base part of the key, the same in (0, n)
+        codec = self.gen.codec
         comps = [{} for _ in range(m)]
-        for (pe, xe), c in self.gen.nums.items():
-            if sum(pe) == 1:
-                comps[pe.index(1)][((), xe)] = c
-            elif not any(pe):
+        for key, c in self.gen.nums.items():
+            degree = key >> codec.degree_shift
+            if degree == 1:
+                base = key & codec.base_mask
+                comps[codec.units.index(key - base)][base] = c
+            elif not degree:
                 offending = self.gen.core_part()
                 raise NormalFormError(
                     f"S(0, x) = {offending.to_text()} but must vanish; offending "
@@ -244,9 +249,10 @@ def identity(obj: MicroObject, order: int) -> Micromorphism:
 def cotangent_lift(phi: CoreMap, order: int) -> Micromorphism:
     """The micromorphism with S = <p, phi(x)>; its core map is phi."""
     m, n = phi.codomain_dim, phi.domain_dim
-    gen = FiberGradedPoly.from_integer_terms(m, n, order, [
-        ((unit_exp(m, i), xe), num, comp.den)
-        for i, comp in enumerate(phi.components) for (_, xe), num in comp.nums.items()])
+    units = key_codec(m, n).units
+    gen = FiberGradedPoly._packed(m, n, order, [
+        (units[i] + key, num, comp.den)
+        for i, comp in enumerate(phi.components) for key, num in comp.nums.items()])
     return Micromorphism(MicroObject(m), MicroObject(n), gen)
 
 
@@ -506,10 +512,9 @@ class GermJet:
 
     def core_restriction(self) -> CoreMap:
         """The positional map along the core, X(x, 0)."""
-        return CoreMap(self.dim, tuple(
-            FiberGradedPoly._reduced(0, self.dim, 0, c.den, {
-                ((), xe): num for (pe, xe), num in c.nums.items() if not any(pe)})
-            for c in self.x_out))
+        # a key of fiber degree 0 is the same int in (0, dim)
+        return CoreMap(self.dim, tuple(FiberGradedPoly._raw(0, self.dim, 0, c.den, c.nums)
+                                       for c in (x.core_part() for x in self.x_out)))
 
 
 def identity_germ(dim: int, order: int) -> GermJet:
@@ -528,7 +533,7 @@ def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
         raise ShapeError(f"orders differ: {outer.order} vs {inner.order}")
     n, k = outer.dim, outer.order
     for comp in inner.p_out:
-        if any(sum(pe) == 0 for pe, _ in comp.nums):
+        if not comp.core_part().is_zero():
             raise ValidityError("inner germ does not preserve the core")
     shifted = _shifted((*outer.x_out, *outer.p_out), inner.core_restriction(), n, k)
     outs = substitute_many(shifted, [*inner.p_out, *(x - x.core_part() for x in inner.x_out)],
@@ -550,7 +555,7 @@ def _split_linear(shifted, offset: int):
     c v_j with v_j alone, and N is the rest.  L^-1 is None when L is singular.
     """
     n = len(shifted)
-    keys = [(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)]
+    keys = key_codec(2 * n, n).units[offset:offset + n]
     # row i of [L | I] times the denominator of equation i
     inv = _left_solve([[p.nums.get(key, 0) for key in keys] + [p.den * (j == i) for j in range(n)]
                        for i, p in enumerate(shifted)], n)
@@ -634,7 +639,9 @@ def invert_germ(germ: GermJet) -> GermJet:
         if not comp.core_part().is_zero():
             raise ValidityError("germ does not preserve the core")
     phi = _core_inverse(germ)
-    if any(sum(pe) == 1 and any(xe) for comp in germ.p_out for pe, xe in comp.nums):
+    codec = key_codec(n, n)
+    if any(key >> codec.degree_shift == 1 and key & codec.base_mask
+           for comp in germ.p_out for key in comp.nums):
         raise UnsupportedCoreError(
             "momentum linearization varies along the core; inversion "
             "is supported only for the affine class")
@@ -675,12 +682,16 @@ def _symplectic_jacobian_check(germ: GermJet, points) -> None:
     n = germ.dim
     comps = (*germ.x_out, *germ.p_out)
     c = lcm(*[comp.den for comp in comps])
+    codec = key_codec(n, n)
     entries = []  # per row of J: (column, numerator over c, monomial)
     for comp in comps:
         scale = c // comp.den
         row = []
-        for (pe, xe), num in comp.nums.items():
-            degree = sum(pe)
+        for key, num in comp.nums.items():
+            degree = key >> codec.degree_shift
+            if degree > 1:
+                continue
+            pe, xe = codec.unpack(key)
             if degree == 1:
                 row.append((n + pe.index(1), num * scale, xe))
             elif not degree:
@@ -754,9 +765,14 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
 def _radial_potential(fiber_comps, base_comps, space) -> FiberGradedPoly:
     """Potential of the closed 1-form (fiber_comps) dp + (base_comps) dx with S(0) = 0."""
     tm, tn, torder = space
-    terms = [((pe[:i] + (pe[i] + 1,) + pe[i + 1:], xe), n, comp.den * (sum(pe) + sum(xe) + 1))
-             for i, comp in enumerate(fiber_comps)
-             for (pe, xe), n in comp.nums.items() if sum(pe) < torder]
-    terms += [((pe, xe[:j] + (xe[j] + 1,) + xe[j + 1:]), n, comp.den * (sum(pe) + sum(xe) + 1))
-              for j, comp in enumerate(base_comps) for (pe, xe), n in comp.nums.items()]
-    return FiberGradedPoly.from_integer_terms(tm, tn, torder, terms)
+    codec = key_codec(tm, tn)
+    limit, units = torder << codec.degree_shift, codec.units
+
+    def degree(key):
+        return sum(map(sum, codec.unpack(key)))
+
+    terms = [(key + units[i], n, comp.den * (degree(key) + 1))
+             for i, comp in enumerate(fiber_comps) for key, n in comp.nums.items() if key < limit]
+    terms += [(key + units[tm + j], n, comp.den * (degree(key) + 1))
+              for j, comp in enumerate(base_comps) for key, n in comp.nums.items()]
+    return FiberGradedPoly._packed(tm, tn, torder, terms)

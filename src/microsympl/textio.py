@@ -17,7 +17,8 @@ Tokenizer" recipe of the ``re`` documentation) turns each line into plain
 ``(kind, text, line, column)`` tuples, and the whole text is scanned before
 the grammar is read, so a bad character is reported before a grammar error
 earlier in the text.  A recursive descent keeps each term's coefficient as
-an integer numerator and denominator and hands them to the FiberGradedPoly
+an integer numerator and denominator, adds up its monomial as a packed key
+(``jetalg.KeyCodec``) and hands the terms to the FiberGradedPoly
 constructor, which sums repeated monomials on integers.
 
 Input limits: a record's order is at most ``MAX_ORDER``, its dimensions
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ParseError, ShapeError
-from .jetalg import FiberGradedPoly
+from .jetalg import FiberGradedPoly, key_codec
 from .linsympl import Matrix, Vector, matrix, vector
 from .micro import CoreMap, GermJet, MicroObject, Micromorphism
 
@@ -120,22 +121,21 @@ def _exponent(tokens: list[Token], pos: int) -> tuple[int, int]:
 
 
 def _parse_terms(tokens: list[Token], fiber_arity: int,
-                 base_arity: int) -> list[tuple[tuple, int, int]]:
+                 base_arity: int) -> list[tuple[int, int, int]]:
     """Sums of signed products of rationals and powers, read left to right.
 
     Signs may repeat before the first term only.  Each term is returned as
-    its monomial, integer numerator and positive denominator; the
+    its monomial key, integer numerator and positive denominator; the
     FiberGradedPoly constructor sums repeated monomials and drops zeros."""
-    terms: list[tuple[tuple, int, int]] = []
+    terms: list[tuple[int, int, int]] = []
+    units = key_codec(fiber_arity, base_arity).units
     pos, sign = 0, 1
     while tokens[pos][1] in _SIGNS:
         if tokens[pos][1] == "-":
             sign = -sign
         pos += 1
     while True:
-        num, den = sign, 1
-        pe = [0] * fiber_arity
-        xe = [0] * base_arity
+        num, den, key = sign, 1, 0
         while True:  # factors joined by '*'
             tok = tokens[pos]
             kind, word = tok[0], tok[1]
@@ -156,17 +156,17 @@ def _parse_terms(tokens: list[Token], fiber_arity: int,
                 idx = _integer(word[1:], tok)
                 if idx < 1:
                     _fail("variables are 1-indexed", tok)
-                arity, exps = (fiber_arity, pe) if word[0] == "p" else (base_arity, xe)
+                arity, offset = (fiber_arity, 0) if word[0] == "p" else (base_arity, fiber_arity)
                 if idx > arity:
                     _fail(f"variable {word} outside arity {arity}", tok)
                 exp, pos = _exponent(tokens, pos + 1)
-                exps[idx - 1] += exp
+                key += exp * units[offset + idx - 1]
             else:
                 _fail(f"expected a variable or number but found {word!r}", tok)
             if tokens[pos][1] != "*":
                 break
             pos += 1
-        terms.append(((tuple(pe), tuple(xe)), num, den))
+        terms.append((key, num, den))
         tok = tokens[pos]
         if tok[1] in _SIGNS:
             sign = 1 if tok[1] == "+" else -1
@@ -183,8 +183,8 @@ def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
     tokens = _tokenize(text, first_line)
     if len(tokens) == 1:
         raise ParseError("empty polynomial", tokens[0][2], None)
-    return FiberGradedPoly.from_integer_terms(fiber_arity, base_arity, order,
-                                              _parse_terms(tokens, fiber_arity, base_arity))
+    return FiberGradedPoly._packed(fiber_arity, base_arity, order,
+                                   _parse_terms(tokens, fiber_arity, base_arity))
 
 
 # -- morphism records ---------------------------------------------------------

@@ -30,7 +30,10 @@ COEFF = st.one_of(SMALL, NEGATIVE_DEN, COPRIME, HUGE, HUGE_DEN)
 
 def assert_invariants(p):
     assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
-    assert 0 not in p.nums.values() and p.terms.keys() == p.nums.keys()
+    # the public exponent tuples are exactly the stored keys, unpacked
+    assert 0 not in p.nums.values() and len(p.terms) == len(p.nums)
+    assert p.terms.keys() == {p.codec.unpack(key) for key in p.nums}
+    assert {p.codec.pack(*key) for key in p.terms} == p.nums.keys()
     for (pe, xe), c in p.terms.items():
         assert type(c) is F and c != 0
         assert len(pe) == p.fiber_arity and len(xe) == p.base_arity
@@ -262,9 +265,15 @@ def test_products_of_slot_powers_match_oracle():
     values = (fiber, base)
     for p in batch:
         p._substitute_cached(fiber, base, space, cache)
+    # the cache is keyed by the source key of the substituted fields; read
+    # each key as its (block, index, e) slots
+    exponents = batch[0].codec.exponents
+    products = {tuple((0, i, e) if i < 3 else (1, i - 3, e)
+                      for i, e in enumerate(exponents(key)) if e): cache[key]
+                for key in cache if key is not None}
     assert {((0, 1, 1), (1, 0, 1)), ((0, 2, 1), (1, 0, 2)),
             ((0, 1, 1), (0, 2, 1), (1, 0, 2)), ((0, 1, 2), (0, 2, 1), (1, 0, 3)),
-            ((0, 1, 1), (1, 0, 100)), ((0, 2, 1), (1, 0, 99))} <= cache.keys()
+            ((0, 1, 1), (1, 0, 100)), ((0, 2, 1), (1, 0, 99))} <= products.keys()
     # ... and every cached product, the prefixes and one-slot powers built on
     # the way included, is the truncated product of its slot powers
     # (the frozen powers v^e are built as v^(e-1) * v, one product each)
@@ -276,13 +285,13 @@ def test_products_of_slot_powers_match_oracle():
             powers[block, index, e] = v if e == 1 else ref.mul(power(block, index, e - 1), v)
         return powers[block, index, e]
 
-    for key in filter(None, cache):
-        den, rows = cache[key]
+    for key in filter(None, products):
+        den, rows = products[key]
         want = FiberGradedPoly.constant(*space, 1)
         for slot in key:
             want = ref.mul(want, power(*slot))
-        assert_same(FiberGradedPoly._reduced(*space, den, {(pe, xe): n for _, pe, xe, n in rows}),
-                    want)
+        assert rows == sorted(rows)
+        assert_same(FiberGradedPoly._reduced(*space, den, dict(rows)), want)
 
 
 @st.composite

@@ -161,7 +161,7 @@ def test_compose_germs_off_the_affine_class_matches_the_reference(n, k):
     # the shift needs no affine core: it expands at any polynomial X(x, 0)
     rng = rng_for(10 * n + k, "germ-composition-hand-built")
     germs = [hand_built_germ(rng, n, k, core) for core in ("polynomial", "constant", "zero")]
-    core_degrees = [{sum(xe) for c in g.core_restriction().components for _, xe in c.nums}
+    core_degrees = [{sum(xe) for c in g.core_restriction().components for _, xe in c.terms}
                     for g in germs]
     assert max(core_degrees[0]) in (2, 3) and core_degrees[1:] == [{0}, set()]
     germs.append(extract_germ(rand_affine_core_micromorphism(rng, n, k, 1)))
