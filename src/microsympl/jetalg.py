@@ -12,38 +12,33 @@ Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
 
 Storage follows FLINT's ``fmpq_poly``: an instance holds one common
-denominator and an integer numerator per monomial, in lowest terms.  Each
+denominator and an integer numerator per monomial, in lowest terms.  A
 monomial is one int key, packed as in FLINT's ``fmpz_mpoly`` (Monagan and
-Pearce, ISSAC 2009) by the :class:`KeyCodec` of its space (m, n): from the
-top field down the fiber degree, then the exponents of p1..pm, then those of
-x1..xn, each field with a guard bit.  The key of a product monomial is the
-sum of the two keys, the truncation test is one comparison with the key of
-degree order + 1, and sorting keys sorts by fiber degree.  Base exponents
-are never truncated, so every product, power and substitution result has its
-guard bits checked, and an exponent past ``MAX_EXPONENT`` raises ShapeError.
-Sums, scalings, derivatives, reshaping, equality and the fixed-point residual
-work on these integers: linear combinations are summed by one helper,
-``combine``, over the lcm of the operands' denominators, with zeros dropped
-once at the end.  Products, powers and substitutions multiply numerators
-against key-sorted rows and stop each row scan at the first key past the
-truncation order.
+Pearce, ISSAC 2009) by a :class:`KeyCodec`: the key of a product is the sum
+of the keys, the truncation test is one comparison, and sorting keys sorts
+by fiber degree.  Base exponents are never truncated, so every product,
+power and substitution result has its guard bits checked, and an exponent
+past ``MAX_KEY_EXPONENT`` raises ShapeError.  Linear combinations are summed by
+one helper, ``combine``, over the lcm of the operands' denominators, with
+zeros dropped once at the end.  Products, powers and substitutions multiply
+numerators against key-sorted rows and stop each row scan at the first key
+past the truncation order.
 
-A substitution splits each term into an identity monomial (the variables
-whose value is ``None``) and a product of slot powers v^e, keyed by the
-tuple of its ``(block, index, e)`` slots.  A batch (``substitute_many``)
-shares one prefix cache of these truncated products: each is built as its
-parent, the key with its last exponent lowered by one (or that slot dropped
-at exponent 1), times one value, and every product on the way is cached, so
-powers and multi-slot products share their common prefixes.  Each term then
-adds its scaled rows straight into one running total, shifted by the key of
-its identity monomial and cut where that sum passes the order; the total is
-kept over one running common denominator, widened by lcm only when a term's
-denominator does not divide it.
+A substitution splits each term's key into the fields of the variables
+whose value is ``None``, which move to the target as an identity monomial,
+and the fields that take values, whose key names the product of the value
+powers v^e.  A batch (``substitute_many``) shares one prefix cache of these
+truncated products: each is built as its parent, the key with its lowest
+nonzero field lowered by one, times one value, and every product on the way
+is cached.  Each term then adds its scaled rows straight into one running
+total, shifted by its identity monomial; the total is kept over one running
+common denominator, widened by lcm only when a term's denominator does not
+divide it.
 
-``Fraction``s and exponent tuples are built only when the public ``terms`` map
-is read or the polynomial is serialized.  Derived
-caches are computed from immutable data and always to the same value, so
-filling them needs no lock.
+``Fraction``s and exponent tuples are built only when the public ``terms``
+map is read or the polynomial is serialized.  Derived caches are computed
+from immutable data and always to the same value, so filling them needs no
+lock.
 
 Text form (also the CLI input grammar): terms are written with ``+ - * ^``,
 rational coefficients ``a/b``, and variables ``p1..pm``, ``x1..xn``, e.g.
@@ -68,11 +63,11 @@ TermKey = tuple[Exponents, Exponents]
 # (packed key, numerator) rows, sorted by key and so by fiber degree
 Rows = list[tuple[int, int]]
 
-MAX_EXPONENT = (1 << 32) - 1
-# bits per key field: an exponent up to MAX_EXPONENT under 32 guard bits
+MAX_KEY_EXPONENT = (1 << 32) - 1
+# bits per key field: an exponent up to MAX_KEY_EXPONENT under 32 guard bits
 _FIELD = 64
 _FIELD_MASK = (1 << _FIELD) - 1
-_GUARD = _FIELD_MASK - MAX_EXPONENT
+_GUARD = _FIELD_MASK - MAX_KEY_EXPONENT
 
 
 class KeyCodec:
@@ -80,20 +75,18 @@ class KeyCodec:
 
     From the top field down, a key holds the fiber degree, the exponents of
     p1..pm and those of x1..xn, each in a 64-bit field whose bits above
-    ``MAX_EXPONENT`` are guard bits: the sum of two keys is the key of the
-    product, and an exponent past ``MAX_EXPONENT`` sets a guard bit instead
-    of carrying into the next field.  The fields below the degree are
-    byte-aligned, so ``struct`` packs and unpacks them.  The x fields are the
+    ``MAX_KEY_EXPONENT`` are guard bits, so that an exponent past it sets a guard
+    bit instead of carrying into the next field.  The x fields are the
     lowest, so a key of fiber degree 0 is the same int in every space of
-    base arity n, and ``key & base_mask`` is the base part of a key.
+    base arity n, and ``key & base_mask`` is the base part of any key.
     ``units`` are the keys of p1..pm, x1..xn."""
 
-    __slots__ = ("fiber_arity", "degree_shift", "base_mask", "guard", "units", "_fields",
-                 "_exponents_mask")
+    __slots__ = ("fiber_arity", "shifts", "degree_shift", "base_mask", "guard", "units",
+                 "_fields", "_exponents_mask")
 
     def __init__(self, fiber_arity: int, base_arity: int):
         width = fiber_arity + base_arity
-        shifts = [_FIELD * (width - 1 - i) for i in range(width)]
+        self.shifts = shifts = tuple(_FIELD * (width - 1 - i) for i in range(width))
         self.fiber_arity = fiber_arity
         self.degree_shift = _FIELD * width
         self.base_mask = (1 << _FIELD * base_arity) - 1
@@ -106,8 +99,8 @@ class KeyCodec:
     def pack(self, pe: Exponents, xe: Exponents) -> int:
         """The key of ``p^pe x^xe``; exponents must be non-negative."""
         exps = pe + xe
-        if max(exps, default=0) > MAX_EXPONENT:
-            raise ShapeError(f"exponent {max(exps)} exceeds the limit of {MAX_EXPONENT}")
+        if max(exps, default=0) > MAX_KEY_EXPONENT:
+            raise ShapeError(f"exponent {max(exps)} exceeds the limit of {MAX_KEY_EXPONENT}")
         return sum(pe) << self.degree_shift | int.from_bytes(self._fields.pack(*exps))
 
     def exponents(self, key: int) -> Exponents:
@@ -121,12 +114,12 @@ class KeyCodec:
 
     def check(self, nums: dict[int, int]) -> None:
         """Raise ShapeError when a key of a nonzero numerator has an exponent
-        past ``MAX_EXPONENT``; one OR over the keys on the passing path."""
+        past ``MAX_KEY_EXPONENT``; one OR over the keys on the passing path."""
         if reduce(or_, nums, 0) & self.guard:
             for key, n in nums.items():
                 if n and key & self.guard:
                     raise ShapeError(f"exponent {max(self.exponents(key))} exceeds the limit "
-                                     f"of {MAX_EXPONENT}")
+                                     f"of {MAX_KEY_EXPONENT}")
 
 
 key_codec = cache(KeyCodec)
@@ -167,7 +160,7 @@ class FiberGradedPoly:
     integer numerator per monomial key of ``codec``, the space's
     :class:`KeyCodec`, in lowest terms (no zero numerator, ``gcd(den, *nums)
     == 1``), so equal polynomials have equal forms.  Every monomial has fiber
-    degree at most ``order`` and exponents at most ``MAX_EXPONENT``.  The
+    degree at most ``order`` and exponents at most ``MAX_KEY_EXPONENT``.  The
     zero polynomial is ``(1, {})`` and still carries its arities and order,
     so shape mismatches stay detectable on zeros.  Two caches are derived on
     first use: ``_rows``, the key-sorted rows that products read, and
@@ -195,13 +188,11 @@ class FiberGradedPoly:
                     f"({fiber_arity}, {base_arity})")
             if min(pe + xe, default=0) < 0:
                 raise ShapeError("negative exponent")
-            if sum(pe) > order:
-                raise ShapeError(f"fiber degree {sum(pe)} exceeds order {order}")
             c = frac(coeff)
             parts.append((codec.pack(pe, xe), c.numerator, c.denominator))
         self.fiber_arity, self.base_arity, self.order = fiber_arity, base_arity, order
         self.codec = codec
-        self.den, self.nums = _merge_terms(parts)
+        self.den, self.nums = _merge_terms(parts, codec, order)
         self._rows = self._terms = None
 
     # -- constructors ------------------------------------------------------
@@ -226,25 +217,9 @@ class FiberGradedPoly:
     @classmethod
     def _packed(cls, fiber_arity: int, base_arity: int, order: int,
                 terms: list[tuple[int, int, int]]) -> "FiberGradedPoly":
-        # (key, num, den) terms with den > 0; guard bits and fiber degrees checked
-        codec = key_codec(fiber_arity, base_arity)
-        for key, _, _ in terms:
-            if key >> codec.degree_shift > order:
-                raise ShapeError(f"fiber degree {key >> codec.degree_shift} exceeds order {order}")
-        den, nums = _merge_terms(terms)
-        codec.check(nums)
-        return cls._raw(fiber_arity, base_arity, order, den, nums)
-
-    @classmethod
-    def from_integer_terms(cls, fiber_arity: int, base_arity: int, order: int,
-                           terms: list[tuple[TermKey, int, int]]) -> "FiberGradedPoly":
-        """The sum of ``num/den * p^pe x^xe`` over ``((pe, xe), num, den)``
-        with ``den > 0``; the exponent tuples must already match the arities
-        and hold no negative entry, so only fiber degrees and the exponent
-        limit are checked."""
-        pack = key_codec(fiber_arity, base_arity).pack
-        return cls._packed(fiber_arity, base_arity, order,
-                           [(pack(pe, xe), num, den) for (pe, xe), num, den in terms])
+        # (key, num, den) terms with den > 0, checked as by the constructor
+        return cls._raw(fiber_arity, base_arity, order,
+                        *_merge_terms(terms, key_codec(fiber_arity, base_arity), order))
 
     @classmethod
     def zero(cls, fiber_arity: int, base_arity: int, order: int) -> "FiberGradedPoly":
@@ -261,15 +236,15 @@ class FiberGradedPoly:
             raise ShapeError(f"fiber index {index} out of range for arity {fiber_arity}")
         if order < 1:
             raise ShapeError("a fiber variable needs order >= 1")
-        pe = tuple(1 if i == index else 0 for i in range(fiber_arity))
-        return cls(fiber_arity, base_arity, order, {(pe, (0,) * base_arity): Fraction(1)})
+        return cls._raw(fiber_arity, base_arity, order, 1,
+                        {key_codec(fiber_arity, base_arity).units[index]: 1})
 
     @classmethod
     def base_var(cls, fiber_arity: int, base_arity: int, order: int, index: int) -> "FiberGradedPoly":
         if not 0 <= index < base_arity:
             raise ShapeError(f"base index {index} out of range for arity {base_arity}")
-        xe = tuple(1 if j == index else 0 for j in range(base_arity))
-        return cls(fiber_arity, base_arity, order, {((0,) * fiber_arity, xe): Fraction(1)})
+        units = key_codec(fiber_arity, base_arity).units
+        return cls._raw(fiber_arity, base_arity, order, 1, {units[fiber_arity + index]: 1})
 
     @classmethod
     def monomial(cls, fiber_arity: int, base_arity: int, order: int, coeff,
@@ -313,10 +288,7 @@ class FiberGradedPoly:
         return max(self.nums, default=0) >> self.codec.degree_shift
 
     def coefficient(self, fiber_exps: Sequence[int], base_exps: Sequence[int]) -> Fraction:
-        pe, xe = tuple(fiber_exps), tuple(base_exps)
-        stored = (len(pe), len(xe)) == (self.fiber_arity, self.base_arity) \
-            and 0 <= min(pe + xe, default=0) and max(pe + xe, default=0) <= MAX_EXPONENT
-        return Fraction(self.nums.get(self.codec.pack(pe, xe), 0) if stored else 0, self.den)
+        return self.terms.get((tuple(fiber_exps), tuple(base_exps)), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -353,8 +325,8 @@ class FiberGradedPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ShapeError("exponent must be a non-negative integer")
-        if exponent > MAX_EXPONENT:
-            raise ShapeError(f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")
+        if exponent > MAX_KEY_EXPONENT:
+            raise ShapeError(f"exponent {exponent} exceeds the limit of {MAX_KEY_EXPONENT}")
         if not exponent:
             return FiberGradedPoly.constant(self.fiber_arity, self.base_arity, self.order, 1)
         den, rows = _monomial_form({}, exponent, (self,), self.codec, self.order)
@@ -375,8 +347,9 @@ class FiberGradedPoly:
 
     def _lowered(self, field: int) -> "FiberGradedPoly":
         # the derivative in the variable of key field ``field`` (p1..pm, x1..xn)
-        exponents, unit = self.codec.exponents, self.codec.units[field]
-        out = {key - unit: n * e for key, n in self.nums.items() if (e := exponents(key)[field])}
+        shift, unit = self.codec.shifts[field], self.codec.units[field]
+        out = {key - unit: n * e for key, n in self.nums.items()
+               if (e := key >> shift & MAX_KEY_EXPONENT)}
         return FiberGradedPoly._reduced(*self.space(), self.den, out)
 
     def partial_base(self, index: int) -> "FiberGradedPoly":
@@ -408,10 +381,8 @@ class FiberGradedPoly:
             if v is None:
                 if i >= tm:
                     raise ShapeError(f"identity fiber value p{i + 1} outside target arity {tm}")
-            else:
-                if v.nums and min(v.nums) >> v.codec.degree_shift == 0:
-                    raise FiltrationError(
-                        f"value for fiber variable p{i + 1} has a fiber-degree-0 term")
+            elif v.nums and min(v.nums) >> v.codec.degree_shift == 0:
+                raise FiltrationError(f"value for fiber variable p{i + 1} has a fiber-degree-0 term")
         for j, v in enumerate(base_values):
             if v is None and j >= tn:
                 raise ShapeError(f"identity base value x{j + 1} outside target arity {tn}")
@@ -440,11 +411,13 @@ class FiberGradedPoly:
             # key field from the lowest up, and the field masks and moves
             tm, tn, order = target
             flat = (*fiber_values, *base_values)
-            plan = cache[None] = (key_codec(tm, tn), order, flat[::-1], *_field_moves(
-                self.fiber_arity, tm, tn, tuple([v is None for v in flat])))
+            codec = key_codec(tm, tn)
+            plan = cache[None] = (codec, order, (order + 1) << codec.degree_shift, flat[::-1],
+                                  *_field_moves(self.fiber_arity, tm, tn,
+                                                tuple([v is None for v in flat])))
             cache[0] = 1, [(0, 1)]
-        codec, order, values, slot_mask, (fiber_mask, rp, lp), (base_mask, rx, lx) = plan
-        ds, ts, limit = self.codec.degree_shift, codec.degree_shift, (order + 1) << codec.degree_shift
+        codec, order, limit, values, slot_mask, fiber_mask, rp, lp, base_mask, rx, lx = plan
+        ts = codec.degree_shift
         den = self.den
         total: dict[int, int] = {}
         total_get = total.get
@@ -600,10 +573,16 @@ def _summed(den: int, parts) -> tuple[int, dict[int, int]]:
     return _lowest_terms(den, out)
 
 
-def _merge_terms(terms: list[tuple[int, int, int]]) -> tuple[int, dict[int, int]]:
-    # single terms (key, num, den), repeated keys allowed
+def _merge_terms(terms: list[tuple[int, int, int]], codec: KeyCodec,
+                 order: int) -> tuple[int, dict[int, int]]:
+    # single terms (key, num, den), repeated keys allowed; degrees and guard bits checked
+    for key, _, _ in terms:
+        if key >> codec.degree_shift > order:
+            raise ShapeError(f"fiber degree {key >> codec.degree_shift} exceeds order {order}")
     den = lcm(*[d for _, _, d in terms])
-    return _summed(den, [(1, [(key, n * (den // d)) for key, n, d in terms])])
+    den, nums = _summed(den, [(1, [(key, n * (den // d)) for key, n, d in terms])])
+    codec.check(nums)
+    return den, nums
 
 
 def combine(polys: Sequence[FiberGradedPoly], coeffs: Sequence) -> FiberGradedPoly:
@@ -643,21 +622,16 @@ def _mul_rows(left: Iterable[tuple[int, int]], rows: Rows, codec: KeyCodec,
 
 
 @cache
-def _field_moves(fiber_arity: int, tm: int, tn: int, kept: tuple[bool, ...]):
-    """For a substitution from (m, n) into (tm, tn) with ``kept`` telling the
-    variables p1..pm, x1..xn whose value is None: the mask of the source key
-    fields that take values, and for the kept fiber and base fields their
-    mask and the right and left shifts that move them to the target (a field
-    moves by the difference of the field counts below it)."""
-    width = len(kept)
-
-    def mask(indices):
-        return sum(_FIELD_MASK << _FIELD * (width - 1 - i) for i in indices)
-
-    dp, dx = _FIELD * (tm + tn - width), _FIELD * (tn - width + fiber_arity)
-    return (mask(i for i in range(width) if not kept[i]),
-            (mask(i for i in range(fiber_arity) if kept[i]), max(-dp, 0), max(dp, 0)),
-            (mask(i for i in range(fiber_arity, width) if kept[i]), max(-dx, 0), max(dx, 0)))
+def _field_moves(m: int, tm: int, tn: int, kept: tuple[bool, ...]):
+    """From (m, n) into (tm, tn), ``kept`` telling the variables p1..pm,
+    x1..xn whose value is None: the mask of the key fields that take values,
+    and for the kept fiber and base fields their mask and the right and left
+    shifts that move them to the target."""
+    masks = [_FIELD_MASK << _FIELD * (len(kept) - 1 - i) for i in range(len(kept))]
+    dp, dx = _FIELD * (tm + tn - len(kept)), _FIELD * (tn - len(kept) + m)
+    return (sum(f for f, k in zip(masks, kept) if not k),
+            sum(f for f, k in zip(masks[:m], kept) if k), max(-dp, 0), max(dp, 0),
+            sum(f for f, k in zip(masks[m:], kept[m:]) if k), max(-dx, 0), max(dx, 0))
 
 
 def _monomial_form(cache: dict, key: int, values, codec: KeyCodec,

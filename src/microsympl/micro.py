@@ -408,7 +408,10 @@ def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRe
     spp = [[zero] * m for _ in range(m)]
     spx = [[zero] * n for _ in range(m)]
     sxx = [[zero] * n for _ in range(n)]
-    for (pe, xe), c in gen.terms.items():
+    # only terms of fiber degree <= 2 reach the second derivatives at p = 0
+    low = ((gen.codec.unpack(key), Fraction(num, gen.den)) for key, num in gen.nums.items()
+           if key < 3 << gen.codec.degree_shift)
+    for (pe, xe), c in low:
         degree = sum(pe)
         if degree == 2:
             i = next(k for k, e in enumerate(pe) if e)
@@ -688,10 +691,8 @@ def _symplectic_jacobian_check(germ: GermJet, points) -> None:
         scale = c // comp.den
         row = []
         for key, num in comp.nums.items():
-            degree = key >> codec.degree_shift
-            if degree > 1:
-                continue
             pe, xe = codec.unpack(key)
+            degree = sum(pe)
             if degree == 1:
                 row.append((n + pe.index(1), num * scale, xe))
             elif not degree:
@@ -766,13 +767,9 @@ def _radial_potential(fiber_comps, base_comps, space) -> FiberGradedPoly:
     """Potential of the closed 1-form (fiber_comps) dp + (base_comps) dx with S(0) = 0."""
     tm, tn, torder = space
     codec = key_codec(tm, tn)
-    limit, units = torder << codec.degree_shift, codec.units
-
-    def degree(key):
-        return sum(map(sum, codec.unpack(key)))
-
-    terms = [(key + units[i], n, comp.den * (degree(key) + 1))
+    limit, units, exponents = torder << codec.degree_shift, codec.units, codec.exponents
+    terms = [(key + units[i], n, comp.den * (sum(exponents(key)) + 1))
              for i, comp in enumerate(fiber_comps) for key, n in comp.nums.items() if key < limit]
-    terms += [(key + units[tm + j], n, comp.den * (degree(key) + 1))
+    terms += [(key + units[tm + j], n, comp.den * (sum(exponents(key)) + 1))
               for j, comp in enumerate(base_comps) for key, n in comp.nums.items()]
     return FiberGradedPoly._packed(tm, tn, torder, terms)

@@ -191,6 +191,25 @@ def test_exponent_at_the_limit_is_accepted(capsys):
     assert "S = p1*x1^1024" in out
 
 
+def _power_record(exponent: int) -> str:
+    # p1*x1^exponent, written as factors within the parser's limit of 1024
+    factors = ["x1^1024"] * (exponent // 1024) + [f"x1^{exponent % 1024}"] * (exponent % 1024 > 0)
+    return f"source=1 target=1 order=1\nS = p1*{'*'.join(factors)}\n"
+
+
+@pytest.mark.parametrize("inner, exits", [(4095, 0), (4097, 1)])
+def test_compose_past_the_packed_exponent_limit(capsys, inner, exits):
+    # the core of the composite is x1^(inner * 2^20): 4095 * 2^20 fits in
+    # the 32-bit exponent field of a monomial key, 4097 * 2^20 does not
+    code, out, err = run(capsys, "compose", _power_record(1 << 20), _power_record(inner))
+    assert code == exits
+    if exits:
+        assert out == ""
+        assert err == f"error: exponent {1 << 32} exceeds the limit of {(1 << 32) - 1}\n"
+    else:
+        assert out.endswith(f"core f1 = x1^{inner << 20}\nS = p1*x1^{inner << 20}\n")
+
+
 LONG = "1" * 5000
 
 
