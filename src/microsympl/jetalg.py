@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
-from struct import Struct
+from struct import Struct, error as StructError
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConvergenceError, FiltrationError, ShapeError
@@ -76,10 +76,11 @@ class KeyCodec:
     From the top field down, a key holds the fiber degree, the exponents of
     p1..pm and those of x1..xn, each in a 64-bit field whose bits above
     ``MAX_KEY_EXPONENT`` are guard bits, so that an exponent past it sets a guard
-    bit instead of carrying into the next field.  The x fields are the
-    lowest, so a key of fiber degree 0 is the same int in every space of
-    base arity n, and ``key & base_mask`` is the base part of any key.
-    ``units`` are the keys of p1..pm, x1..xn."""
+    bit instead of carrying into the next field.  As 2^64 = 1 mod 2^64 - 1,
+    the sum of the exponent fields of a key is the key mod 2^64 - 1.  The x
+    fields are the lowest, so a key of fiber degree 0 is the same int in
+    every space of base arity n, and ``key & base_mask`` is the base part of
+    any key.  ``units`` are the keys of p1..pm, x1..xn."""
 
     __slots__ = ("fiber_arity", "shifts", "degree_shift", "base_mask", "guard", "units",
                  "_fields", "_exponents_mask")
@@ -93,20 +94,23 @@ class KeyCodec:
         self.guard = sum(_GUARD << s for s in shifts)
         self.units = tuple(((i < fiber_arity) << self.degree_shift) + (1 << s)
                            for i, s in enumerate(shifts))
-        self._fields = Struct(f">{width}Q")
+        # a 64-bit field as 4 zero bytes and an unsigned 32-bit exponent, so
+        # that packing rejects an exponent past MAX_KEY_EXPONENT
+        self._fields = Struct(">" + "4xI" * width)
         self._exponents_mask = (1 << self.degree_shift) - 1
 
     def pack(self, pe: Exponents, xe: Exponents) -> int:
         """The key of ``p^pe x^xe``; exponents must be non-negative."""
-        exps = pe + xe
-        if max(exps, default=0) > MAX_KEY_EXPONENT:
-            raise ShapeError(f"exponent {max(exps)} exceeds the limit of {MAX_KEY_EXPONENT}")
-        return sum(pe) << self.degree_shift | int.from_bytes(self._fields.pack(*exps))
+        try:
+            return sum(pe) << self.degree_shift | int.from_bytes(self._fields.pack(*pe, *xe), "big")
+        except StructError:
+            raise ShapeError(f"exponent {max(pe + xe)} exceeds the limit of "
+                             f"{MAX_KEY_EXPONENT}") from None
 
     def exponents(self, key: int) -> Exponents:
         """The exponents of p1..pm, x1..xn in ``key``, in one tuple."""
         fields = self._fields
-        return fields.unpack((key & self._exponents_mask).to_bytes(fields.size))
+        return fields.unpack((key & self._exponents_mask).to_bytes(fields.size, "big"))
 
     def unpack(self, key: int) -> TermKey:
         exps = self.exponents(key)
@@ -118,8 +122,8 @@ class KeyCodec:
         if reduce(or_, nums, 0) & self.guard:
             for key, n in nums.items():
                 if n and key & self.guard:
-                    raise ShapeError(f"exponent {max(self.exponents(key))} exceeds the limit "
-                                     f"of {MAX_KEY_EXPONENT}")
+                    e = max(key >> s & _FIELD_MASK for s in self.shifts)
+                    raise ShapeError(f"exponent {e} exceeds the limit of {MAX_KEY_EXPONENT}")
 
 
 key_codec = cache(KeyCodec)
@@ -132,14 +136,6 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def grlex_key(key: TermKey) -> tuple[int, Exponents]:
-    """Canonical monomial sort key: ascending total degree, then lexicographic
-    with the fiber block before the base block (higher power of an earlier
-    variable first within a degree)."""
-    pe, xe = key
-    return (sum(pe) + sum(xe), tuple(-e for e in pe + xe))
 
 
 def _term_text(pe: Exponents, xe: Exponents, num: int, den: int) -> str:
@@ -236,15 +232,15 @@ class FiberGradedPoly:
             raise ShapeError(f"fiber index {index} out of range for arity {fiber_arity}")
         if order < 1:
             raise ShapeError("a fiber variable needs order >= 1")
-        return cls._raw(fiber_arity, base_arity, order, 1,
-                        {key_codec(fiber_arity, base_arity).units[index]: 1})
+        pe = tuple(1 if i == index else 0 for i in range(fiber_arity))
+        return cls(fiber_arity, base_arity, order, {(pe, (0,) * base_arity): Fraction(1)})
 
     @classmethod
     def base_var(cls, fiber_arity: int, base_arity: int, order: int, index: int) -> "FiberGradedPoly":
         if not 0 <= index < base_arity:
             raise ShapeError(f"base index {index} out of range for arity {base_arity}")
-        units = key_codec(fiber_arity, base_arity).units
-        return cls._raw(fiber_arity, base_arity, order, 1, {units[fiber_arity + index]: 1})
+        xe = tuple(1 if j == index else 0 for j in range(base_arity))
+        return cls(fiber_arity, base_arity, order, {((0,) * fiber_arity, xe): Fraction(1)})
 
     @classmethod
     def monomial(cls, fiber_arity: int, base_arity: int, order: int, coeff,
@@ -382,7 +378,8 @@ class FiberGradedPoly:
                 if i >= tm:
                     raise ShapeError(f"identity fiber value p{i + 1} outside target arity {tm}")
             elif v.nums and min(v.nums) >> v.codec.degree_shift == 0:
-                raise FiltrationError(f"value for fiber variable p{i + 1} has a fiber-degree-0 term")
+                raise FiltrationError(
+                    f"value for fiber variable p{i + 1} has a fiber-degree-0 term")
         for j, v in enumerate(base_values):
             if v is None and j >= tn:
                 raise ShapeError(f"identity base value x{j + 1} outside target arity {tn}")
@@ -424,8 +421,8 @@ class FiberGradedPoly:
         total_den = 1
         for k, num in self.nums.items():
             # the term is (identity monomial) * (product of slot powers); the
-            # fields of the first are moved to the target, and their sum
-            # (mod 2^64 - 1, as 2^64 = 1) is its fiber degree
+            # fields of the first move to the target, and their sum is its
+            # fiber degree
             mono_p = k & fiber_mask
             degree = mono_p % _FIELD_MASK
             if degree > order:
@@ -509,11 +506,15 @@ class FiberGradedPoly:
 
     def serialized_terms(self) -> tuple[tuple[Exponents, Exponents, int, int], ...]:
         """Canonical tuple form: (fiber exponents, base exponents, numerator,
-        denominator), each coefficient reduced; no Fraction is built."""
-        den, unpack = self.den, self.codec.unpack
-        return tuple((pe, xe, n // g, den // g)
-                     for (pe, xe), n in sorted(((unpack(key), n) for key, n in self.nums.items()),
-                                               key=lambda kv: grlex_key(kv[0]))
+        denominator), each coefficient reduced; no Fraction is built.  Terms
+        come by ascending total degree, the fiber degree plus the sum of the
+        base fields, then by descending exponent tuple, which is the exponent
+        fields read as one int (a higher power of an earlier variable first)."""
+        codec, den = self.codec, self.den
+        ds, bm, em = codec.degree_shift, codec.base_mask, codec._exponents_mask
+        return tuple((*codec.unpack(key), n // g, den // g) for key, n in sorted(
+            self.nums.items(), key=lambda kv: ((kv[0] >> ds) + (kv[0] & bm) % _FIELD_MASK,
+                                               -(kv[0] & em)))
                      for g in (gcd(n, den),))
 
     def to_text(self) -> str:

@@ -93,7 +93,8 @@ def test_substitutions_near_the_limit_match_oracle(m, n, k):
     base = [FiberGradedPoly(m, n, k, {
         ((0,) * m, tuple(big + s if i == j else s % 2 for i in range(n))): F(1, s + 1)
         for s in range(3)}) for j in range(n)]
-    fiber = [FiberGradedPoly.fiber_var(m, n, k, i) * (FiberGradedPoly.constant(m, n, k, 1) + base[0]) for i in range(m)]
+    one = FiberGradedPoly.constant(m, n, k, 1)
+    fiber = [FiberGradedPoly.fiber_var(m, n, k, i) * (one + base[0]) for i in range(m)]
     for fiber_values in (fiber, [None] * m):
         got = substitute_many(polys, fiber_values, base, (m, n, k))
         assert max(max(xe) for p in got for _, xe in p.terms) > 3 * big
