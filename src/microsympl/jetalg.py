@@ -64,8 +64,8 @@ TermKey = tuple[Exponents, Exponents]
 Rows = list[tuple[int, int]]
 
 MAX_KEY_EXPONENT = (1 << 32) - 1
-# bits per key field: an exponent up to MAX_KEY_EXPONENT under 32 guard bits
-_FIELD = 64
+# bits per key field: an exponent up to MAX_KEY_EXPONENT under 8 guard bits
+_FIELD = 40
 _FIELD_MASK = (1 << _FIELD) - 1
 _GUARD = _FIELD_MASK - MAX_KEY_EXPONENT
 
@@ -74,13 +74,13 @@ class KeyCodec:
     """The int keys of the monomials of one space (m, n).
 
     From the top field down, a key holds the fiber degree, the exponents of
-    p1..pm and those of x1..xn, each in a 64-bit field whose bits above
-    ``MAX_KEY_EXPONENT`` are guard bits, so that an exponent past it sets a guard
-    bit instead of carrying into the next field.  As 2^64 = 1 mod 2^64 - 1,
-    the sum of the exponent fields of a key is the key mod 2^64 - 1.  The x
-    fields are the lowest, so a key of fiber degree 0 is the same int in
-    every space of base arity n, and ``key & base_mask`` is the base part of
-    any key.  ``units`` are the keys of p1..pm, x1..xn."""
+    p1..pm and those of x1..xn, each in a 40-bit field whose bits above
+    ``MAX_KEY_EXPONENT`` are guard bits, so that an exponent past it sets a
+    guard bit instead of carrying into the next field.  As 2^40 is 1 modulo
+    2^40 - 1, the sum of the exponent fields of a key is the key modulo
+    2^40 - 1.  The x fields are the lowest, so a key of fiber degree 0 is the
+    same int in every space of base arity n, and ``key & base_mask`` is the
+    base part of any key.  ``units`` are the keys of p1..pm, x1..xn."""
 
     __slots__ = ("fiber_arity", "shifts", "degree_shift", "base_mask", "guard", "units",
                  "_fields", "_exponents_mask")
@@ -94,9 +94,9 @@ class KeyCodec:
         self.guard = sum(_GUARD << s for s in shifts)
         self.units = tuple(((i < fiber_arity) << self.degree_shift) + (1 << s)
                            for i, s in enumerate(shifts))
-        # a 64-bit field as 4 zero bytes and an unsigned 32-bit exponent, so
+        # a 40-bit field as a zero byte and an unsigned 32-bit exponent, so
         # that packing rejects an exponent past MAX_KEY_EXPONENT
-        self._fields = Struct(">" + "4xI" * width)
+        self._fields = Struct(">" + "xI" * width)
         self._exponents_mask = (1 << self.degree_shift) - 1
 
     def pack(self, pe: Exponents, xe: Exponents) -> int:
