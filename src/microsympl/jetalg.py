@@ -506,22 +506,28 @@ class FiberGradedPoly:
 
     def serialized_terms(self) -> tuple[tuple[Exponents, Exponents, int, int], ...]:
         """Canonical tuple form: (fiber exponents, base exponents, numerator,
-        denominator), each coefficient reduced; no Fraction is built.  Terms
-        come by ascending total degree, the fiber degree plus the sum of the
-        base fields, then by descending exponent tuple, which is the exponent
-        fields read as one int (a higher power of an earlier variable first)."""
+        denominator), each coefficient reduced; no Fraction is built."""
+        return tuple(self._canonical_terms())
+
+    def _canonical_terms(self):
+        # the terms by ascending total degree, the fiber degree plus the sum of
+        # the base fields, then by descending exponent tuple, which is the
+        # exponent fields read as one int (a higher power of an earlier
+        # variable first); yielded one at a time for to_text, since a tuple of
+        # them, built by resizing, is freed into the tuple free list of its
+        # length, which only a full collection empties
         codec, den = self.codec, self.den
         ds, bm, em = codec.degree_shift, codec.base_mask, codec._exponents_mask
-        return tuple((*codec.unpack(key), n // g, den // g) for key, n in sorted(
-            self.nums.items(), key=lambda kv: ((kv[0] >> ds) + (kv[0] & bm) % _FIELD_MASK,
-                                               -(kv[0] & em)))
-                     for g in (gcd(n, den),))
+        for key, n in sorted(self.nums.items(), key=lambda kv: (
+                (kv[0] >> ds) + (kv[0] & bm) % _FIELD_MASK, -(kv[0] & em))):
+            g = gcd(n, den)
+            yield (*codec.unpack(key), n // g, den // g)
 
     def to_text(self) -> str:
         if not self.nums:
             return "0"
         parts = []
-        for pe, xe, n, d in self.serialized_terms():
+        for pe, xe, n, d in self._canonical_terms():
             body = _term_text(pe, xe, abs(n), d)
             if not parts:
                 parts.append(body if n > 0 else f"-{body}")
