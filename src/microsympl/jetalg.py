@@ -493,13 +493,15 @@ class FiberGradedPoly:
             raise ShapeError("fiber block does not fit in the target space")
         if base_offset + self.base_arity > base_arity:
             raise ShapeError("base block does not fit in the target space")
-        p_pad = (0,) * fiber_offset, (0,) * (fiber_arity - fiber_offset - self.fiber_arity)
-        x_pad = (0,) * base_offset, (0,) * (base_arity - base_offset - self.base_arity)
-        unpack, pack = self.codec.unpack, key_codec(fiber_arity, base_arity).pack
-        out = {}
-        for key, n in self.nums.items():
-            pe, xe = unpack(key)
-            out[pack(p_pad[0] + pe + p_pad[1], x_pad[0] + xe + x_pad[1])] = n
+        # the degree field and the p and x blocks each move up by whole fields;
+        # the exponents do not change, so no guard bit can be set
+        codec, target = self.codec, key_codec(fiber_arity, base_arity)
+        ds, td, x_mask = codec.degree_shift, target.degree_shift, codec.base_mask
+        p_mask = (1 << ds) - 1 - x_mask
+        dp = _FIELD * (fiber_arity - fiber_offset - self.fiber_arity + base_arity - self.base_arity)
+        dx = _FIELD * (base_arity - base_offset - self.base_arity)
+        out = {(key >> ds) << td | (key & p_mask) << dp | (key & x_mask) << dx: n
+               for key, n in self.nums.items()}
         return FiberGradedPoly._raw(fiber_arity, base_arity, self.order, self.den, out)
 
     # -- ordering, equality, text -------------------------------------------
@@ -569,25 +571,18 @@ def _lowest_terms(den: int, nums: dict[int, int]) -> tuple[int, dict[int, int]]:
     return den, nums
 
 
-def _summed(den: int, parts) -> tuple[int, dict[int, int]]:
-    """``den`` and the per-key sums of ``s * n`` over ``(s, items)`` parts of
-    ``(key, n)`` items, in lowest terms: the merge of ``combine`` and the constructor."""
-    out: dict[int, int] = {}
-    get = out.get
-    for s, items in parts:
-        for key, n in items:
-            out[key] = get(key, 0) + n * s
-    return _lowest_terms(den, out)
-
-
 def _merge_terms(terms: list[tuple[int, int, int]], codec: KeyCodec,
                  order: int) -> tuple[int, dict[int, int]]:
     # single terms (key, num, den), repeated keys allowed; degrees and guard bits checked
-    for key, _, _ in terms:
-        if key >> codec.degree_shift > order:
-            raise ShapeError(f"fiber degree {key >> codec.degree_shift} exceeds order {order}")
+    limit = (order + 1) << codec.degree_shift
     den = lcm(*[d for _, _, d in terms])
-    den, nums = _summed(den, [(1, [(key, n * (den // d)) for key, n, d in terms])])
+    nums: dict[int, int] = {}
+    get = nums.get
+    for key, n, d in terms:
+        if key >= limit:
+            raise ShapeError(f"fiber degree {key >> codec.degree_shift} exceeds order {order}")
+        nums[key] = get(key, 0) + n * (den // d)
+    den, nums = _lowest_terms(den, nums)
     codec.check(nums)
     return den, nums
 
@@ -605,8 +600,14 @@ def combine(polys: Sequence[FiberGradedPoly], coeffs: Sequence) -> FiberGradedPo
         if c and p.nums:
             parts.append((p.den * c.denominator, c.numerator, p.nums.items()))
     den = lcm(*[d for d, _, _ in parts])
+    out: dict[int, int] = {}
+    get = out.get
+    for d, a, items in parts:
+        s = den // d * a
+        for key, n in items:
+            out[key] = get(key, 0) + n * s
     return FiberGradedPoly._raw(first.fiber_arity, first.base_arity, first.order,
-                                *_summed(den, [(den // d * a, items) for d, a, items in parts]))
+                                *_lowest_terms(den, out))
 
 
 def _mul_rows(left: Iterable[tuple[int, int]], rows: Rows, codec: KeyCodec,

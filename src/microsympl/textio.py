@@ -12,14 +12,18 @@ serialize identically across runs.
 Matrix format: rows separated by ``;``, entries by ``,``, rational entries
 ``a/b``.
 
-Parsing: one compiled ``re`` scanner with named groups (the "Writing a
-Tokenizer" recipe of the ``re`` documentation) turns each line into plain
-``(kind, text, line, column)`` tuples, and the whole text is scanned before
-the grammar is read, so a bad character is reported before a grammar error
-earlier in the text.  A recursive descent keeps each term's coefficient as
-an integer numerator and denominator, adds up its monomial as a packed key
-(``jetalg.KeyCodec``) and hands the terms to the FiberGradedPoly
-constructor, which sums repeated monomials on integers.
+Parsing: a term scanner, one compiled ``re`` pattern, matches one whole term
+per match in the shape that ``to_text`` writes (a sign, a coefficient ``a``
+or ``a/b``, ``*``-joined factors ``p<i>^e`` and ``x<j>^e``, spaces around
+the operators, ASCII digits) and adds up each term's monomial key from
+``jetalg.KeyCodec.units``.  Any other text, and every error, goes to the
+token parser: a compiled tokenizer with named groups (the "Writing a
+Tokenizer" recipe of the ``re`` documentation) turns the whole text into
+``(kind, text, line, column)`` tuples first, so a bad character is reported
+before a grammar error earlier in the text, and a recursive descent reads
+them.  Both give ``(key, numerator, denominator)`` terms, summed on integers
+into the FiberGradedPoly form; a record's core lines are compared with the
+core read off S in that form, without building a polynomial.
 
 Input limits: a record's order is at most ``MAX_ORDER``, its dimensions
 (``source``/``target`` of a morphism, ``domain``/``codomain`` of a core map)
@@ -41,10 +45,11 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import ParseError, ShapeError
-from .jetalg import FiberGradedPoly, key_codec
+from .jetalg import FiberGradedPoly, _merge_terms, key_codec
 from .linsympl import Matrix, Vector, matrix, vector
 from .micro import CoreMap, GermJet, MicroObject, Micromorphism
 
@@ -67,6 +72,12 @@ _DIGIT = (r"\d\xb2\xb3\xb9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
 _SCANNER = re.compile(rf"(?P<int>[{_DIGIT}]+)|(?P<var>[px][{_DIGIT}]*)|(?P<op>[-+*^/])"
                       r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 _SIGNS = frozenset("+-")
+# the term scanner: a sign, then a coefficient a or a/b or a factor p<i> or
+# x<j> with an optional ^e, then '*'-joined factors; ASCII digits only
+_FACTOR_SHAPE = r"[px][0-9]+(?: *\^ *[0-9]+)?"
+_TERM = re.compile(rf" *([-+]?) *(?:([0-9]+)(?: */ *([0-9]+))?|{_FACTOR_SHAPE})"
+                   rf"(?: *\* *{_FACTOR_SHAPE})* *")
+_FACTOR = re.compile(r"([px][0-9]+)(?: *\^ *([0-9]+))?")
 
 # a token is (kind, text, line, column) with kind int, var, op or end
 Token = tuple[str, str, int, int | None]
@@ -177,14 +188,64 @@ def _parse_terms(tokens: list[Token], fiber_arity: int,
             _fail(f"expected '+' or '-' but found {tok[1]!r}", tok)
 
 
+@cache
+def _unit_names(fiber_arity: int, base_arity: int) -> dict[str, int]:
+    # the key of each variable p1..pm, x1..xn, by its name without leading zeros
+    names = [f"p{i + 1}" for i in range(fiber_arity)] + [f"x{j + 1}" for j in range(base_arity)]
+    return dict(zip(names, key_codec(fiber_arity, base_arity).units))
+
+
+def _scanned_terms(text: str, fiber_arity: int,
+                   base_arity: int) -> list[tuple[int, int, int]] | None:
+    """The terms of ``text`` as ``_parse_terms`` returns them, when the term
+    scanner reads all of it and ``_parse_terms`` would accept it; else None."""
+    names = _unit_names(fiber_arity, base_arity)
+    match, factors = _TERM.match, _FACTOR.findall
+    terms: list[tuple[int, int, int]] = []
+    pos, end = 0, len(text)
+    try:
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                return None
+            sign, num, den = m.groups()
+            if pos and not sign:  # only the first term may go without a sign
+                return None
+            num, den = int(num) if num else 1, int(den) if den else 1
+            if not den:
+                return None
+            key, start, pos = 0, pos, m.end()
+            for name, exp in factors(text, start, pos):
+                unit = names.get(name)
+                exp = int(exp) if exp else 1
+                if unit is None or exp > MAX_EXPONENT:
+                    return None
+                key += exp * unit
+            terms.append((key, -num if sign == "-" else num, den))
+    except ValueError:  # a literal past the interpreter's digit limit
+        return None
+    return terms or None
+
+
+def _terms(text: str, fiber_arity: int, base_arity: int,
+           first_line: int) -> list[tuple[int, int, int]]:
+    """The ``(key, num, den)`` terms of ``text``, from the term scanner or,
+    for any text it does not read, from the token parser, which raises every
+    ParseError."""
+    terms = _scanned_terms(text, fiber_arity, base_arity)
+    if terms is None:
+        tokens = _tokenize(text, first_line)
+        if len(tokens) == 1:
+            raise ParseError("empty polynomial", tokens[0][2], None)
+        terms = _parse_terms(tokens, fiber_arity, base_arity)
+    return terms
+
+
 def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
                      first_line: int = 1) -> FiberGradedPoly:
     """Parse the polynomial grammar into a FiberGradedPoly."""
-    tokens = _tokenize(text, first_line)
-    if len(tokens) == 1:
-        raise ParseError("empty polynomial", tokens[0][2], None)
     return FiberGradedPoly._packed(fiber_arity, base_arity, order,
-                                   _parse_terms(tokens, fiber_arity, base_arity))
+                                   _terms(text, fiber_arity, base_arity, first_line))
 
 
 # -- morphism records ---------------------------------------------------------
@@ -218,16 +279,15 @@ def _check_dims(fields: dict[str, int], keys: tuple[str, ...], lineno: int) -> N
             raise ParseError(f"{key} {fields[key]} exceeds the limit of {MAX_DIM}", lineno)
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    # the numbered nonblank lines, comments removed
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
 
 
 def parse_morphism(text: str) -> Micromorphism:
     """Parse and validate a morphism record; rejects normal-form violations."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty morphism record", 1)
     header_line, header = lines[0]
@@ -276,12 +336,13 @@ def parse_morphism(text: str) -> Micromorphism:
         if seen != list(range(1, m + 1)):
             raise ParseError("core lines must cover f1..fm exactly once",
                              core_lines[0][0])
+        codec = key_codec(0, n)
         for lineno, idx, expr in core_lines:
-            declared = parse_polynomial(expr, 0, n, 0, first_line=lineno)
-            if declared != morphism.core.components[idx - 1]:
+            comp = morphism.core.components[idx - 1]
+            if _merge_terms(_terms(expr, 0, n, lineno), codec, 0) != (comp.den, comp.nums):
                 raise ParseError(
                     f"core line f{idx} = {expr} disagrees with dS/dp{idx}(0, x) = "
-                    f"{morphism.core.components[idx - 1].to_text()}", lineno)
+                    f"{comp.to_text()}", lineno)
     return morphism
 
 
@@ -295,7 +356,7 @@ def format_morphism(f: Micromorphism) -> str:
 
 def parse_core_map(text: str) -> CoreMap:
     """Parse a polynomial core map record with header ``domain=n codomain=m``."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty core map record", 1)
     header_line, header = lines[0]

@@ -3,19 +3,27 @@
 A frozen copy of ``microsympl.textio``'s ``_tokenize``, ``_PolyParser`` and
 ``parse_polynomial`` as they were before the compiled scanner: one ``_Token``
 dataclass per token, a per-character loop, one ``Fraction`` per factor, and
-duplicate monomials merged by the ``FiberGradedPoly`` constructor.  Tests
-require the library to agree with these functions exactly, on well-formed
-text and on the ``ParseError`` of malformed text; do not optimise this file.
+duplicate monomials merged by the ``FiberGradedPoly`` constructor.  On top of
+it, a frozen copy of the morphism record logic of ``parse_morphism`` as it was
+before the term scanner: every core line parsed into a polynomial and compared
+with the core read off S.  Tests require the library to agree with these
+functions exactly, on well-formed text and on the ``ParseError`` of malformed
+text; do not optimise this file.
 """
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from microsympl.errors import ParseError
 from microsympl.jetalg import FiberGradedPoly
+from microsympl.micro import MicroObject, Micromorphism
 
 MAX_EXPONENT = 1024
+MAX_ORDER = 64
+MAX_DIM = 64
+MAX_FIBER_MONOMIALS = comb(2 * MAX_DIM + 3, 3)
 
 
 @dataclass(frozen=True)
@@ -177,3 +185,98 @@ def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
     parsed = parser.parse()
     terms = [((tuple(pe), tuple(xe)), coeff) for coeff, pe, xe in parsed]
     return FiberGradedPoly(fiber_arity, base_arity, order, terms)
+
+
+def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, int]:
+    fields: dict[str, int] = {}
+    for part in line.split():
+        if "=" not in part:
+            raise ParseError(f"expected key=value but found {part!r}", lineno)
+        key, _, value = part.partition("=")
+        if key not in keys:
+            raise ParseError(f"unknown header key {key!r}", lineno)
+        if key in fields:
+            raise ParseError(f"duplicate header key {key!r}", lineno)
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise ParseError(f"header value for {key!r} is not an integer", lineno)
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise ParseError(f"missing header keys: {', '.join(missing)}", lineno)
+    return fields
+
+
+def _check_dims(fields: dict[str, int], keys: tuple[str, ...], lineno: int) -> None:
+    if any(fields[key] < 0 for key in keys):
+        raise ParseError("dimensions must be non-negative", lineno)
+    for key in keys:
+        if fields[key] > MAX_DIM:
+            raise ParseError(f"{key} {fields[key]} exceeds the limit of {MAX_DIM}", lineno)
+
+
+def _content_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_morphism(text: str) -> Micromorphism:
+    """Parse and validate a morphism record; rejects normal-form violations."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError("empty morphism record", 1)
+    header_line, header = lines[0]
+    fields = _parse_header(header, header_line, ("source", "target", "order"))
+    m, n, order = fields["source"], fields["target"], fields["order"]
+    _check_dims(fields, ("source", "target"), header_line)
+    if order < 1:
+        raise ParseError("order must be at least 1", header_line)
+    if order > MAX_ORDER:
+        raise ParseError(f"order {order} exceeds the limit of {MAX_ORDER}", header_line)
+    fibers = 2 * max(m, n)
+    monomials = comb(fibers + order + 1, fibers)
+    if monomials > MAX_FIBER_MONOMIALS:
+        raise ParseError(
+            f"working space of {fibers} fiber variables at order {order + 1} has "
+            f"{monomials} fiber monomials, beyond MAX_FIBER_MONOMIALS = "
+            f"{MAX_FIBER_MONOMIALS}", header_line)
+    gen = None
+    core_lines: list[tuple[int, int, str]] = []
+    for lineno, line in lines[1:]:
+        if line.startswith("core"):
+            rest = line[4:].strip()
+            name, eq, expr = rest.partition("=")
+            name = name.strip()
+            if not eq or not name.startswith("f"):
+                raise ParseError("expected 'core f<i> = <polynomial>'", lineno)
+            try:
+                idx = int(name[1:])
+            except ValueError:
+                raise ParseError(f"bad core component name {name!r}", lineno)
+            core_lines.append((lineno, idx, expr.strip()))
+        elif line.startswith("S"):
+            _, eq, expr = line.partition("=")
+            if not eq or _.strip() != "S":
+                raise ParseError("expected 'S = <polynomial>'", lineno)
+            if gen is not None:
+                raise ParseError("duplicate generating function line", lineno)
+            gen = parse_polynomial(expr.strip(), m, n, order, first_line=lineno)
+        else:
+            raise ParseError(f"unexpected line {line!r}", lineno)
+    if gen is None:
+        raise ParseError("missing 'S = <polynomial>' line", lines[-1][0])
+    morphism = Micromorphism(MicroObject(m), MicroObject(n), gen)
+    if core_lines:
+        seen = sorted(idx for _, idx, _ in core_lines)
+        if seen != list(range(1, m + 1)):
+            raise ParseError("core lines must cover f1..fm exactly once",
+                             core_lines[0][0])
+        for lineno, idx, expr in core_lines:
+            declared = parse_polynomial(expr, 0, n, 0, first_line=lineno)
+            if declared != morphism.core.components[idx - 1]:
+                raise ParseError(
+                    f"core line f{idx} = {expr} disagrees with dS/dp{idx}(0, x) = "
+                    f"{morphism.core.components[idx - 1].to_text()}", lineno)
+    return morphism

@@ -1,20 +1,24 @@
-"""The compiled-scanner parser against the frozen per-character parser.
+"""The term scanner and its token fallback against the frozen reference.
 
-``parse_polynomial`` must agree with ``tests/reference_textio.py`` exactly:
-on well-formed text the same arities, order and term map; on malformed text
-the same exception type, message, line and column.
+``parse_polynomial`` and ``parse_morphism`` must agree with
+``tests/reference_textio.py`` exactly: on well-formed text the same arities,
+order and term map (for records, the same morphism and core); on malformed
+text the same exception type, message, line and column.
 """
 
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_textio as ref
 from microsympl import textio
-from microsympl.errors import ParseError, ShapeError
+from microsympl.errors import NormalFormError, ParseError, ShapeError
 from microsympl.jetalg import FiberGradedPoly
-from microsympl.textio import parse_polynomial
+from microsympl.sampling import rand_micromorphism, rng_for
+from microsympl.textio import format_morphism, parse_morphism, parse_polynomial
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 HUGE = st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**90))
@@ -117,6 +121,11 @@ def test_malformed_text_raises_the_same_error(text, space, first_line):
     "p1*x1 # note", "p1\n+ x1\n*", "p1\r\n\r\n+ x9", "1/2*p1 - 1/2*p1 + p1 - p1",
     "p1^3", "0*p1^3", "p1^3 - p1^3",
     "1" * 5000, "p1 + 1/" + "7" * 5000, "x" + "1" * 5000, "p1^" + "2" * 5000,
+    # at the term scanner's boundary: leading zeros, a Unicode digit, a trailing
+    # '*', an exponent past the limit and a literal past the digit limit, each
+    # in the shape that to_text writes
+    "x1^01", "0007/0003*p1", "p\u0663*x1", "1/2*p1*x1*", "p1^1025",
+    "7" * 4301 + "*p1",
 ])
 def test_edge_cases_match_the_reference(text):
     for space in [(1, 1, 2), (0, 1, 0), (2, 0, 1)]:
@@ -132,3 +141,116 @@ def test_the_digit_class_is_str_isdigit():
     assert re.findall(f"[{textio._DIGIT}]", everything) == \
         [c for c in everything if c.isdigit()]
     assert textio.MAX_EXPONENT == ref.MAX_EXPONENT
+
+
+# -- morphism records -------------------------------------------------------------
+
+
+def record_outcome(parse, text):
+    """The parsed morphism and its core, or the exception's type, text, line and column."""
+    try:
+        f = parse(text)
+    except (ParseError, ShapeError, NormalFormError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return f, f.core
+
+
+def _shuffled_factors(draw, term):
+    # the '*'-joined factors of one term in a drawn order; a lone sign stays in front
+    sign, body = ("-", term[1:]) if term.startswith("-") else ("", term)
+    return sign + "*".join(draw(st.permutations(body.split("*"))))
+
+
+def _respaced(draw, poly):
+    """``poly`` (text of to_text) with spaces, separators and factor orders redrawn."""
+    parts = re.split(r" ([+-]) ", poly)
+    out = _shuffled_factors(draw, parts[0]) if draw(st.booleans()) else parts[0]
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        space = draw(st.sampled_from(["", " ", "  "]))
+        if draw(st.booleans()):
+            term = _shuffled_factors(draw, term)
+        out += f"{space}{sign}{space}{term}"
+    if draw(st.booleans()):
+        out = out.replace("*", draw(st.sampled_from([" * ", "* ", " *"])))
+    return out
+
+
+MUTATIONS = [None, "missing =", "bad core name", "disagreeing core", "duplicate S",
+             "core outside f1..fm"]
+
+
+@st.composite
+def records(draw):
+    """format_morphism text of a random micromorphism, redrawn and perhaps broken."""
+    m, n, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    f = rand_micromorphism(rng_for(draw(st.integers(0, 10**6)), "records"), m, n, k)
+    header, *cores, s_line = format_morphism(f).splitlines()
+    polys = [line.partition(" = ")[2] for line in cores]
+    heads = [line.partition(" = ")[0] for line in cores]
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(cores))))
+        polys, heads = [polys[i] for i in order], [heads[i] for i in order]
+    lines = [header] + [f"{h} = {_respaced(draw, p)}" for h, p in zip(heads, polys)]
+    lines.append("S = " + _respaced(draw, s_line.partition(" = ")[2]))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    i = draw(st.integers(1, len(lines) - 1))
+    if mutation == "missing =":
+        lines[i] = lines[i].replace("=", " ", 1)
+    elif mutation == "bad core name" and cores:
+        lines[i] = lines[i].replace("f", draw(st.sampled_from(["g", "fx", "f 1", "f-"])), 1)
+    elif mutation == "disagreeing core" and cores:
+        lines[i] += " + x1" if n else " + 1"
+    elif mutation == "duplicate S":
+        lines.append(lines[-1])
+    elif mutation == "core outside f1..fm":
+        lines.insert(i, f"core f{draw(st.sampled_from([0, m + 1]))} = 0")
+    for j in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(j, draw(st.sampled_from(["", "   ", "# a comment"])))
+    if draw(st.booleans()):
+        lines = [line + "  # note" for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(records())
+def test_records_match_the_reference(text):
+    assert record_outcome(parse_morphism, text) == record_outcome(ref.parse_morphism, text)
+
+
+@pytest.mark.parametrize("text", [
+    # a core line that differs from dS/dp(0, x) only in its denominator, one
+    # that agrees unreduced or in another factor order, one the scanner hands
+    # to the tokens, and errors in each kind of line
+    "source=1 target=1 order=2\ncore f1 = x1\nS = 1/2*p1*x1\n",
+    "source=1 target=1 order=2\ncore f1 = 2/4*x1\nS = 1/2*p1*x1\n",
+    "source=1 target=2 order=2\ncore f1 = x2*x1 - 0\nS = p1*x1*x2\n",
+    "source=1 target=1 order=2\ncore f1 = --x1^1\nS = p1*x1\n",
+    "source=1 target=1 order=2\ncore f1 = x1 +\nS = p1*x1\n",
+    "source=1 target=1 order=2\ncore f1 = \nS = p1*x1\n",
+    "source=1 target=1 order=2\nS = p1*x1 +\n",
+    "source=1 target=1 order=2\nS = p1^3*x1\n",
+    "source=1 target=1 order=2\nS = p1*x1 + x1\n",
+])
+def test_record_edge_cases_match_the_reference(text):
+    assert record_outcome(parse_morphism, text) == record_outcome(ref.parse_morphism, text)
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli.txt"
+
+
+def test_canonical_records_never_take_the_token_fallback(monkeypatch):
+    # the workloads read format_morphism text; it must stay in the scanner's
+    # shape, so that a change to to_text cannot move them back onto the tokens
+    texts = re.findall(r"^source=.*\n(?:core .*\n)*S = .*\n", GOLDEN_CLI.read_text(),
+                       re.MULTILINE)
+    assert len(texts) == 22
+    rng = rng_for(0, "scanner shape")
+    texts += [format_morphism(rand_micromorphism(
+        rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 4))) for _ in range(200)]
+
+    def fallback(*args):
+        raise AssertionError("token fallback used")
+
+    monkeypatch.setattr(textio, "_tokenize", fallback)
+    for text in texts:
+        assert format_morphism(parse_morphism(text)) == text
