@@ -129,6 +129,14 @@ class KeyCodec:
 key_codec = cache(KeyCodec)
 
 
+def check_space(fiber_arity: int, base_arity: int, order: int) -> None:
+    """Raise ShapeError unless the arities and the order are non-negative."""
+    if fiber_arity < 0 or base_arity < 0:
+        raise ShapeError("arities must be non-negative")
+    if order < 0:
+        raise ShapeError("truncation order must be non-negative")
+
+
 def frac(value) -> Fraction:
     """The exact rational ``value`` as a Fraction; floats and others raise TypeError."""
     if isinstance(value, Fraction):
@@ -169,10 +177,7 @@ class FiberGradedPoly:
 
     def __init__(self, fiber_arity: int, base_arity: int, order: int,
                  terms: Mapping[TermKey, Fraction] | Iterable[tuple[TermKey, Fraction]] = ()):
-        if fiber_arity < 0 or base_arity < 0:
-            raise ShapeError("arities must be non-negative")
-        if order < 0:
-            raise ShapeError("truncation order must be non-negative")
+        check_space(fiber_arity, base_arity, order)
         parts = []
         codec = key_codec(fiber_arity, base_arity)
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -219,12 +224,15 @@ class FiberGradedPoly:
 
     @classmethod
     def zero(cls, fiber_arity: int, base_arity: int, order: int) -> "FiberGradedPoly":
-        return cls(fiber_arity, base_arity, order)
+        check_space(fiber_arity, base_arity, order)
+        return cls._raw(fiber_arity, base_arity, order, 1, {})
 
     @classmethod
     def constant(cls, fiber_arity: int, base_arity: int, order: int, value) -> "FiberGradedPoly":
-        key = ((0,) * fiber_arity, (0,) * base_arity)
-        return cls(fiber_arity, base_arity, order, {key: frac(value)})
+        c = frac(value)
+        check_space(fiber_arity, base_arity, order)
+        # the key of the unit monomial is 0 in every space
+        return cls._raw(fiber_arity, base_arity, order, c.denominator, {0: c.numerator} if c else {})
 
     @classmethod
     def fiber_var(cls, fiber_arity: int, base_arity: int, order: int, index: int) -> "FiberGradedPoly":
@@ -232,15 +240,17 @@ class FiberGradedPoly:
             raise ShapeError(f"fiber index {index} out of range for arity {fiber_arity}")
         if order < 1:
             raise ShapeError("a fiber variable needs order >= 1")
-        pe = tuple(1 if i == index else 0 for i in range(fiber_arity))
-        return cls(fiber_arity, base_arity, order, {(pe, (0,) * base_arity): Fraction(1)})
+        check_space(fiber_arity, base_arity, order)
+        return cls._raw(fiber_arity, base_arity, order, 1,
+                        {key_codec(fiber_arity, base_arity).units[index]: 1})
 
     @classmethod
     def base_var(cls, fiber_arity: int, base_arity: int, order: int, index: int) -> "FiberGradedPoly":
         if not 0 <= index < base_arity:
             raise ShapeError(f"base index {index} out of range for arity {base_arity}")
-        xe = tuple(1 if j == index else 0 for j in range(base_arity))
-        return cls(fiber_arity, base_arity, order, {((0,) * fiber_arity, xe): Fraction(1)})
+        check_space(fiber_arity, base_arity, order)
+        return cls._raw(fiber_arity, base_arity, order, 1,
+                        {key_codec(fiber_arity, base_arity).units[fiber_arity + index]: 1})
 
     @classmethod
     def monomial(cls, fiber_arity: int, base_arity: int, order: int, coeff,

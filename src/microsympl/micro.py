@@ -26,9 +26,10 @@ order is carried so fiber derivatives stay faithful at the stored order.
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
 part.  extract_germ, graph_of_germ and invert_germ expand their equations once
 at X = phi(x) + w, phi the affine core inverse and w new fiber variables
-(_shifted), invert the L read off their terms L w once (_split_linear), and
-solve for W alone from 0 by W -> L^-1 (targets - N(W)), _corrected; invert_germ
-applies it to its momentum block before its position block.
+(_shifted), fold the inverse of the L read off their terms L w into
+F = L^-1 (targets - shifted) + w once (_split_linear), and solve for W alone
+from 0 by one substitution batch W -> F(W) = L^-1 (targets - N(W)) per update
+(_corrected), the momentum block of invert_germ before its position block.
 compose_germs shifts the outer jets to the inner core restriction the same
 way, so only fiber-degree >= 1 values are substituted.
 """
@@ -495,9 +496,10 @@ class GermJet:
 
     extract_germ, graph_of_germ and invert_germ compute the affine inverse
     phi of the core once per call, shift their equations to X = phi(x) + W
-    once (_shifted), take the inverse linear part and the nonlinear remainder
-    off the shifted equations (_split_linear) and solve for W alone;
-    compose_germs shifts the outer jets to the inner X(x, 0) once.
+    once (_shifted), fold the inverse linear part and the targets into the
+    shifted equations once (_split_linear) and solve for W alone, one
+    substitution batch per update; compose_germs shifts the outer jets to
+    the inner X(x, 0) once.
     """
 
     dim: int
@@ -552,38 +554,38 @@ def _shifted(polys, phi: CoreMap, n: int, k: int) -> list[FiberGradedPoly]:
     return substitute_many(polys, [None] * n, w_at_core, (2 * n, n, k))
 
 
-def _split_linear(shifted, offset: int):
-    """``(L^-1, N)`` for shifted systems targets + L v + N(v) in (2n, n, K),
-    v_j the fiber variable offset + j, once per solve: L is read off the terms
-    c v_j with v_j alone, and N is the rest.  L^-1 is None when L is singular.
+def _split_linear(shifted, offset: int, targets=()):
+    """``(L^-1, F)`` for shifted systems S = L v + N(v) in (2n, n, K), v_j the
+    fiber variable offset + j, once per solve: L is read off the terms c v_j
+    with v_j alone, and F = L^-1 (targets - S) + v, in which those terms
+    cancel, so F(v) = L^-1 (targets - N(v)).  ``targets`` are n polynomials
+    of the shifted space, or none.  Both are None when L is singular.
     """
     n = len(shifted)
     keys = key_codec(2 * n, n).units[offset:offset + n]
     # row i of [L | I] times the denominator of equation i
     inv = _left_solve([[p.nums.get(key, 0) for key in keys] + [p.den * (j == i) for j in range(n)]
                        for i, p in enumerate(shifted)], n)
-    out = []
-    for p in shifted:
-        nums = dict(p.nums)
-        for key in keys:
-            nums.pop(key, None)
-        out.append(FiberGradedPoly._reduced(*p.space(), p.den, nums))
-    return inv, out
-
-
-def _corrected(targets, remainder, fiber_values, inv):
-    """The affine correction inv (targets - remainder(fiber_values, x))."""
     if inv is None:
+        return None, None
+    # F_i is one combination of the targets, the equations and v_i
+    return inv, [combine((*targets, *shifted, FiberGradedPoly.fiber_var(*p.space(), offset + i)),
+                         (*(row if targets else ()), *(-c for c in row), 1))
+                 for i, (row, p) in enumerate(zip(inv, shifted))]
+
+
+def _corrected(folded, fiber_values):
+    """The folded system F of _split_linear at the fiber values, in one batch."""
+    if folded is None:
         # invert_germ rejects a singular momentum block; a position block is
         # invertible, since phi inverts its core
         raise InternalInvariantError("germ solve: singular linear part of the shifted positions")
     try:
         # W and P never get a fiber-degree-0 term: phi is the exact core
         # inverse and the momentum outputs vanish on the core (both checked)
-        vals = substitute_many(remainder, fiber_values, [None] * len(targets), targets[0].space())
+        return substitute_many(folded, fiber_values, [None] * len(folded), None)
     except FiltrationError as exc:
         raise InternalInvariantError(f"germ solve left the core: {exc}") from exc
-    return [combine((*targets, *vals), (*row, *(-c for c in row))) for row in inv]
 
 
 def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
@@ -592,15 +594,16 @@ def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
 
     ``phi`` is the affine inverse of the core map that the equations restrict
     to at p = 0; the equations are shifted once to X = phi(x) + W, where they
-    read x + A W + N(p, W), and W, seeded at 0, is updated by
-    W -> A^-1 (x - N(p, W)).
+    read x + A W + N(p, W), and folded once into F = A^-1 (x - shifted) + W,
+    so W, seeded at 0, is updated by W -> F(W) = A^-1 (x - N(p, W)).  The
+    targets x are base variables of the shifted space, which the update keeps.
     """
     space = (n, n, k)
-    inv, remainder = _split_linear(_shifted(equations, phi, n, k), n)
-    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
+    xvars = [FiberGradedPoly.base_var(2 * n, n, k, j) for j in range(n)]
+    _, folded = _split_linear(_shifted(equations, phi, n, k), n, xvars)
 
     def step(w):
-        return _corrected(xvars, remainder, [None] * n + list(w), inv)
+        return _corrected(folded, [None] * n + list(w))
 
     ws = solve_triangular_fixed_point((FiberGradedPoly.zero(*space),) * n, step)
     xs = tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, ws))
@@ -649,21 +652,23 @@ def invert_germ(germ: GermJet) -> GermJet:
             "momentum linearization varies along the core; inversion "
             "is supported only for the affine class")
     shifted = _shifted((*germ.p_out, *germ.x_out), phi, n, k)
-    # P reads C p + N(p, w) and X reads x + B w + N(p, w) once shifted
-    c_inv, p_rem = _split_linear(shifted[:n], 0)
+    # P reads C p + N(p, w) and X reads x + B w + N(p, w) once shifted; the
+    # p slots take values, so C^-1 p is added after each momentum batch
+    c_inv, p_folded = _split_linear(shifted[:n], 0)
     if c_inv is None:
         raise UnsupportedCoreError("momentum linearization is not invertible")
-    b_inv, x_rem = _split_linear(shifted[n:], n)
-    xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
+    _, x_folded = _split_linear(shifted[n:], n,
+                                [FiberGradedPoly.base_var(2 * n, n, k, j) for j in range(n)])
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
+    c_inv_p = [combine(pvars, row) for row in c_inv]
 
     def step(z):
         # momenta first, then positions against the refreshed momenta: the
         # momentum equation contracts on its own, the position one only
         # against momenta that are already one degree better
         ws, ps = z[:n], z[n:]
-        new_p = _corrected(pvars, p_rem, [*ps, *ws], c_inv)
-        new_w = _corrected(xvars, x_rem, [*new_p, *ws], b_inv)
+        new_p = [f + q for f, q in zip(_corrected(p_folded, [*ps, *ws]), c_inv_p)]
+        new_w = _corrected(x_folded, [*new_p, *ws])
         return (*new_w, *new_p)
 
     sol = solve_triangular_fixed_point((FiberGradedPoly.zero(n, n, k),) * (2 * n), step)

@@ -49,7 +49,7 @@ from functools import cache
 from math import comb
 
 from .errors import ParseError, ShapeError
-from .jetalg import FiberGradedPoly, _merge_terms, key_codec
+from .jetalg import FiberGradedPoly, _merge_terms, check_space, key_codec
 from .linsympl import Matrix, Vector, matrix, vector
 from .micro import CoreMap, GermJet, MicroObject, Micromorphism
 
@@ -244,6 +244,7 @@ def _terms(text: str, fiber_arity: int, base_arity: int,
 def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
                      first_line: int = 1) -> FiberGradedPoly:
     """Parse the polynomial grammar into a FiberGradedPoly."""
+    check_space(fiber_arity, base_arity, order)
     return FiberGradedPoly._packed(fiber_arity, base_arity, order,
                                    _terms(text, fiber_arity, base_arity, first_line))
 

@@ -7,7 +7,8 @@ products ran on integers; ``__add__``, ``__sub__``, ``__neg__``, ``scale``,
 ``partial_fiber``, ``partial_base``, ``at_order``, ``core_part``, ``embed``
 and ``_lowest_change`` from before the stored form became integer numerators
 over one denominator; and the residual test of ``solve_triangular_fixed_point``
-as it was before it compared term maps, ``lowest_change``.  Every
+as it was before it compared term maps, ``lowest_change``; and ``zero``, ``constant``, ``fiber_var`` and
+``base_var`` as they were before they skipped the public constructor.  Every
 coefficient operation is a ``Fraction`` operation and every merge drops zeros
 as it goes; results are built by the public constructor from the term map.
 Tests require the library to agree with these functions exactly; do not
@@ -18,7 +19,7 @@ from fractions import Fraction
 from operator import add as add_exponents
 
 from microsympl.errors import ShapeError
-from microsympl.jetalg import FiberGradedPoly
+from microsympl.jetalg import FiberGradedPoly, frac
 
 
 def mul(a, b):
@@ -225,3 +226,28 @@ def embed(a, fiber_arity, base_arity, fiber_offset=0, base_offset=0):
         new_xe = (0,) * base_offset + xe + (0,) * (base_arity - base_offset - a.base_arity)
         out[(new_pe, new_xe)] = c
     return _poly(a, out, fiber_arity, base_arity)
+
+
+def zero(fiber_arity, base_arity, order):
+    return FiberGradedPoly(fiber_arity, base_arity, order)
+
+
+def constant(fiber_arity, base_arity, order, value):
+    key = ((0,) * fiber_arity, (0,) * base_arity)
+    return FiberGradedPoly(fiber_arity, base_arity, order, {key: frac(value)})
+
+
+def fiber_var(fiber_arity, base_arity, order, index):
+    if not 0 <= index < fiber_arity:
+        raise ShapeError(f"fiber index {index} out of range for arity {fiber_arity}")
+    if order < 1:
+        raise ShapeError("a fiber variable needs order >= 1")
+    pe = tuple(1 if i == index else 0 for i in range(fiber_arity))
+    return FiberGradedPoly(fiber_arity, base_arity, order, {(pe, (0,) * base_arity): Fraction(1)})
+
+
+def base_var(fiber_arity, base_arity, order, index):
+    if not 0 <= index < base_arity:
+        raise ShapeError(f"base index {index} out of range for arity {base_arity}")
+    xe = tuple(1 if j == index else 0 for j in range(base_arity))
+    return FiberGradedPoly(fiber_arity, base_arity, order, {((0,) * fiber_arity, xe): Fraction(1)})

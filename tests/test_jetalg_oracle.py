@@ -1,7 +1,8 @@
 """The integer-numerator kernels of FiberGradedPoly against the frozen Fraction oracle.
 
 Products, powers, substitutions, sums, scalings, derivatives, the reshaping
-methods and the fixed-point residual must agree with
+methods, the fixed-point residual and the built-in forms (zero, constants and
+variables) must agree with
 ``tests/reference_jetalg.py`` exactly: the same arities, the same truncation
 order, the same term map, and so equal polynomials with equal hashes.  Every
 result must also keep the class invariants: a stored form in lowest terms
@@ -388,3 +389,28 @@ def test_reshaping_matches_oracle(a, data):
         with pytest.raises(ShapeError) as got:
             a.embed(*args)
         assert str(got.value) == str(want.value)
+
+
+def _outcome(build, *args):
+    # the polynomial built, or the type and message of what was raised
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_built_in_forms_match_the_constructor_and_its_errors():
+    for m in range(-1, 4):
+        for n in range(-1, 4):
+            for k in range(-1, 4):
+                cases = [(FiberGradedPoly.zero, ref.zero, (m, n, k))]
+                cases += [(FiberGradedPoly.constant, ref.constant, (m, n, k, value))
+                          for value in (0, 1, F(-3, 4), 2**70, 0.5, "1")]
+                cases += [(getattr(FiberGradedPoly, name), getattr(ref, name), (m, n, k, index))
+                          for name in ("fiber_var", "base_var") for index in range(-1, 5)]
+                for build, want, args in cases:
+                    got, expected = _outcome(build, *args), _outcome(want, *args)
+                    if isinstance(expected, FiberGradedPoly):
+                        assert_same(got, expected)
+                    else:
+                        assert got == expected, (build.__name__, args)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from microsympl import micro
 from microsympl.errors import (NormalFormError, ShapeError, UnsupportedCoreError,
                                ValidityError)
 from microsympl.jetalg import FiberGradedPoly
@@ -522,3 +523,28 @@ def test_invert_germ_rejects_core_breaking_data():
     with pytest.raises(ValidityError) as err:
         invert_germ(_germ(2, CURVED_CORE, {**P1, ((0,), (1,)): F(1)}))
     assert str(err.value) == "germ does not preserve the core"
+
+
+def test_germ_solves_take_a_fixed_amount_of_work(monkeypatch):
+    # machine-independent counts of the filtered solver over a seeded germ
+    # list: extract two germs, graph their composite and extract it again,
+    # invert the first; a change of the update must not add an iteration
+    counts = {"calls": 0, "updates": 0}
+    solve = micro.solve_triangular_fixed_point
+
+    def counted(initial, update):
+        counts["calls"] += 1
+
+        def counted_update(state):
+            counts["updates"] += 1
+            return update(state)
+        return solve(initial, counted_update)
+
+    monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted)
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            rng = rng_for(10 * n + k, "solver-work")
+            g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k)) for _ in range(2))
+            extract_germ(graph_of_germ(compose_germs(g2, g1)))
+            invert_germ(g1)
+    assert counts == {"calls": 45, "updates": 118}

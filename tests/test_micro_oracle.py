@@ -82,37 +82,69 @@ def test_a_fiber_value_off_the_core_is_an_internal_error():
     # the solves never produce one; if they did, it is a broken invariant of
     # the solve, not a filtration error in the caller's input
     w = FiberGradedPoly.fiber_var(2, 1, 2, 1)
-    shifted = [w * w]
+    folded = [w * w]
     off_core = FiberGradedPoly.constant(1, 1, 2, 1)
     with pytest.raises(InternalInvariantError, match="left the core"):
-        micro._corrected([off_core], shifted, [None, off_core], ((1,),))
+        micro._corrected(folded, [None, off_core])
+    with pytest.raises(InternalInvariantError, match="singular linear part"):
+        micro._corrected(None, [None, w])
+
+
+def remainder_of(shifted, offset):
+    """The shifted equations without their terms c v_j, v_j the fiber
+    variable offset + j alone: the nonlinear remainder the split returned
+    before it folded the system."""
+    n = len(shifted)
+    linear = {(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)}
+    return [FiberGradedPoly(*p.space(), {key: c for key, c in p.terms.items() if key not in linear})
+            for p in shifted]
 
 
 def test_the_remainder_drops_exactly_the_linear_part():
     # shifted to X = phi(x) + w, the positions read x + A w + N(p, w): the
-    # split returns A^-1, the linear part of phi, and N; with no term c w_j
-    # alone the linear part is zero and has no inverse
+    # split returns A^-1, the linear part of phi, and F = A^-1 (x - N) + w,
+    # with no term c w_j alone; the momenta read C p + N(p, w) and fold to
+    # -C^-1 N + p; with no term c v_j alone the linear part is zero and has
+    # no inverse
     rng = rng_for(0, "germ-remainder")
     for n in (1, 2, 3):
         germ = extract_germ(rand_affine_core_micromorphism(rng, n, 2))
         phi = micro._core_inverse(germ)
         a_rows, _ = germ.core_restriction().affine_parts()
-        shifted = micro._shifted(germ.x_out, phi, n, 2)
-        inv, remainder = micro._split_linear(shifted, n)
-        assert inv == phi.affine_parts()[0]
-        for poly, rem, row in zip(shifted, remainder, a_rows):
-            linear = FiberGradedPoly.zero(2 * n, n, 2)
-            for j, c in enumerate(row):
-                linear = linear + FiberGradedPoly.fiber_var(2 * n, n, 2, n + j).scale(c)
-            assert (poly - rem).terms == linear.terms
-        assert micro._split_linear(remainder, n) == (None, remainder)
-        # scaling equation j by c_j scales row j of L, so column j of L^-1 by 1/c_j
-        scales = [F(j + 2, 3) for j in range(n)]
-        scaled_inv, _ = micro._split_linear([p.scale(c) for p, c in zip(shifted, scales)], n)
-        assert scaled_inv == tuple(tuple(v / c for v, c in zip(row, scales)) for row in inv)
-        if n > 1:
-            # a repeated equation: L is singular but not zero
-            assert micro._split_linear([shifted[0]] * n, n)[0] is None
+        xvars = [FiberGradedPoly.base_var(2 * n, n, 2, j) for j in range(n)]
+        shifted = micro._shifted((*germ.p_out, *germ.x_out), phi, n, 2)
+        for offset, equations, targets in ((n, shifted[n:], xvars), (0, shifted[:n], ())):
+            inv, folded = micro._split_linear(equations, offset, targets)
+            remainder = remainder_of(equations, offset)
+            if offset:
+                assert inv == phi.affine_parts()[0]
+                for poly, rem, row in zip(equations, remainder, a_rows):
+                    linear = FiberGradedPoly.zero(2 * n, n, 2)
+                    for j, c in enumerate(row):
+                        linear = linear + FiberGradedPoly.fiber_var(2 * n, n, 2, n + j).scale(c)
+                    assert (poly - rem).terms == linear.terms
+            lone = {(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)}
+            zero = FiberGradedPoly.zero(2 * n, n, 2)
+            goals = list(targets) or [zero] * n
+            for row, f in zip(inv, folded):
+                assert not lone & f.terms.keys()
+                want = zero
+                for c, goal, rem in zip(row, goals, remainder):
+                    want = want + (goal - rem).scale(c)
+                assert f == want
+            assert micro._split_linear(remainder, offset, targets) == (None, None)
+            # scaling equation j by c_j scales row j of L, so column j of L^-1
+            # by 1/c_j, and leaves F as it is
+            scales = [F(j + 2, 3) for j in range(n)]
+            scaled_inv, scaled_folded = micro._split_linear(
+                [p.scale(c) for p, c in zip(equations, scales)], offset,
+                [t.scale(c) for t, c in zip(targets, scales)])
+            assert scaled_inv == tuple(tuple(v / c for v, c in zip(row, scales)) for row in inv)
+            assert scaled_folded == folded
+            if n > 1:
+                # a repeated equation: L is singular but not zero
+                assert micro._split_linear([equations[0]] * n, offset,
+                                           [targets[0]] * n if targets else ())[0] is None
 
 
 # -- germ composition -----------------------------------------------------------------

@@ -47,6 +47,19 @@ def test_parse_rejects_fiber_degree_above_order():
         parse_polynomial("p1^3", 1, 0, 2)
 
 
+@pytest.mark.parametrize("text, arities, message", [
+    ("p1", (1, -1, 2), "arities must be non-negative"),
+    ("#", (1, -1, 2), "arities must be non-negative"),
+    ("p1", (-1, 1, 2), "arities must be non-negative"),
+    ("p1", (1, 1, -1), "truncation order must be non-negative"),
+])
+def test_parse_checks_the_space_before_the_text(text, arities, message):
+    # the constructor's error, before any variable name or term is read
+    with pytest.raises(ShapeError) as err:
+        parse_polynomial(text, *arities)
+    assert type(err.value) is ShapeError and str(err.value) == message
+
+
 def test_polynomial_text_roundtrip_random():
     rng = rng_for(20, "roundtrip")
     for _ in range(100):
