@@ -2,7 +2,8 @@
 
 All arithmetic is exact rational, so every criterion is checked with
 zero-tolerance equality.  Criterion 10 runs the installed command twice in
-separate processes and compares the reports byte for byte.
+separate processes and compares the reports byte for byte, with each other
+and with ``tests/golden/selfcheck.txt``.
 """
 
 import os
@@ -16,6 +17,7 @@ from microsympl import acceptance
 
 SEED = 42
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
+_GOLDEN = Path(__file__).resolve().parent / "golden" / "selfcheck.txt"
 
 
 def _assert_criterion(result):
@@ -73,6 +75,7 @@ def test_criterion_10_determinism():
     assert first.returncode == 0, first.stdout.decode() + first.stderr.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert first.stdout == _GOLDEN.read_bytes()
     line = ("criterion 10 determinism: pass (byte-identical selfcheck reports "
             "across two runs)")
     print(line)

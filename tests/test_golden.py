@@ -31,12 +31,20 @@ seeded ``rand_affine_core_micromorphism`` records) and ``operad --dim 2
 --arity 2 --samples 3 --order 6`` at two seeds, each run in process through
 ``cli.main`` on the text of ``textio.format_morphism``.
 
-After an intended change of output, rewrite all five with
+``tests/golden/scripts.txt`` holds the stdout of ``scripts/compose_demo.py``
+and ``scripts/operad_survey.py``, each after a line naming the script, and
+``tests/golden/selfcheck.txt`` the stdout of ``microsympl selfcheck --seed
+42``, which ``test_acceptance.test_criterion_10_determinism`` compares; all
+three run as separate processes.
+
+After an intended change of output, rewrite all seven with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -57,7 +65,8 @@ from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
 from microsympl.textio import format_germ, format_matrix, format_morphism
 from reference_linsympl import lin_combo
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
 CASES = 40
 MICRO_CASES = 30
 MICRO_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
@@ -251,8 +260,26 @@ def cli_text() -> str:
     return "".join(f"{i} {verb}\n{text}" for i, (verb, text) in enumerate(_cli_blocks()))
 
 
+def run_stdout(*args) -> bytes:
+    """Stdout of the current Python on ``args``, with the package source on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, check=True,
+                          timeout=600, env=env).stdout
+
+
+def scripts_text() -> str:
+    return "".join(f"{name}\n{run_stdout(str(ROOT / 'scripts' / name)).decode()}"
+                   for name in ("compose_demo.py", "operad_survey.py"))
+
+
+def selfcheck_text() -> str:
+    return run_stdout("-m", "microsympl.cli", "selfcheck", "--seed", "42").decode()
+
+
 CORPORA = {"linsympl.txt": linsympl_text, "micro.txt": micro_text,
-           "jetalg.txt": jetalg_text, "linear.txt": linear_text, "cli.txt": cli_text}
+           "jetalg.txt": jetalg_text, "linear.txt": linear_text, "cli.txt": cli_text,
+           "scripts.txt": scripts_text, "selfcheck.txt": selfcheck_text}
 
 
 def test_golden_corpus_is_byte_identical():
@@ -273,6 +300,10 @@ def test_germ_golden_corpus_is_byte_identical():
 
 def test_cli_golden_corpus_is_byte_identical():
     assert cli_text().encode() == (GOLDEN_DIR / "cli.txt").read_bytes()
+
+
+def test_script_outputs_are_byte_identical():
+    assert scripts_text().encode() == (GOLDEN_DIR / "scripts.txt").read_bytes()
 
 
 if __name__ == "__main__":
