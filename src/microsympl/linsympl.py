@@ -10,7 +10,7 @@ the two-block space ((m, -1), (n, +1)) with coordinates (x1, p1, x2, p2).
 Inside the layer the working form is integer rows, each scaled by the lcm of
 its denominators (the span is kept): a matrix is converted once where it
 enters (``_integer_rows``), ``LagrangianSubspace`` caches the rows of its
-basis, and ``Splitting`` the rows of its vertical basis, whose p block is
+basis, and ``Splitting`` the rows of its basis (B e_j, e_j), whose p block is
 s_j e_j with s_j > 0.  Ranks, Gram matrices of the form (positive scaling
 keeps which entries vanish), nullspaces, combinations and membership tests
 stay integer.  Subspace equality is decided by ranks and containment, never
@@ -381,7 +381,7 @@ class Splitting:
 
     half_dim: int
     rows: Matrix
-    # the integer rows of ``vertical_vectors()``, computed once
+    # the integer rows of the basis (B e_j, e_j) of K_B, computed once
     _rows: tuple[list[int], ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -393,16 +393,9 @@ class Splitting:
             for j in range(i + 1, n):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValidityError(f"splitting matrix not symmetric at ({i},{j})")
-        # K_B meets {p = 0} trivially: the p block of vertical vector j is e_j
-        if any(v[n:] != unit_vector(n, j) for j, v in enumerate(self.vertical_vectors())):
-            raise InternalInvariantError("splitting basis degenerate")
+        # column j of B is its row j, since B is symmetric
         object.__setattr__(self, "_rows", tuple(_unit_row(row, 0, j, n)
                                                 for j, row in enumerate(self.rows)))
-
-    def vertical_vectors(self) -> tuple[Vector, ...]:
-        """Basis of K_B inside one standard block, coordinates (x..., p...)."""
-        # column j of B is its row j, since B is symmetric
-        return tuple(row + unit_vector(self.half_dim, j) for j, row in enumerate(self.rows))
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,19 @@ from 0 by one substitution batch W -> F(W) = L^-1 (targets - N(W)) per update
 (_corrected), the momentum block of invert_germ before its position block.
 compose_germs shifts the outer jets to the inner core restriction the same
 way, so only fiber-degree >= 1 values are substituted.
+
+First-order jets at core points (0, b) are read off the terms of fiber
+degree <= 1 by one integer evaluator, _first_derivatives: of the gradient
+of S for the tangent relation, of the germ jets for graph_of_germ's
+symplectic test.  CoreMap.jacobian_at, the other side of the cross-check in
+is_micromorphism, stays independent of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
@@ -46,8 +52,8 @@ from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      UnsupportedCoreError, ValidityError)
 from .jetalg import (FiberGradedPoly, combine, frac, key_codec,
                      solve_triangular_fixed_point, substitute_many)
-from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _integer_rows, _left_solve,
-                       check_linear_micromorphism, unit_vector, zero_vector)
+from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _fractions, _left_solve,
+                       check_linear_micromorphism)
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,13 @@ class CoreMap:
         return CoreMap(inner.domain_dim, comps)
 
     def evaluate(self, point: Sequence) -> tuple[Fraction, ...]:
+        if len(point) != self.domain_dim:
+            raise ShapeError("evaluation point does not match arities")
         return tuple(c.evaluate((), point) for c in self.components)
 
     def jacobian_at(self, point: Sequence) -> Matrix:
+        if len(point) != self.domain_dim:
+            raise ShapeError("evaluation point does not match arities")
         return tuple(tuple(c.partial_base(j).evaluate((), point)
                            for j in range(self.domain_dim))
                      for c in self.components)
@@ -377,72 +387,71 @@ def _sample_core_points(n: int) -> list[tuple[Fraction, ...]]:
     ]
 
 
+def _first_derivatives(comps, m: int, n: int, points: Sequence):
+    """Yield ``(rows, u)`` per core point b: row i is u times the derivatives
+    of comps[i] at (p, x) = (0, b), first in x1..xn and then in p1..pm.
+
+    Only terms of fiber degree <= 1 reach them: c x^a adds d/dx_j (c x^a) to
+    column j, and c p_i x^a adds c x^a to column n + i.  They are read once,
+    over the lcm ``c`` of the component denominators; at a point b = a / d
+    every entry is an integer over u = c d^top, top the largest degree of an
+    entry's monomial.
+    """
+    c = lcm(*[comp.den for comp in comps])
+    codec = key_codec(m, n)
+    limit = 2 << codec.degree_shift
+    entries = []  # per component: (column, numerator over c, monomial)
+    for comp in comps:
+        scale = c // comp.den
+        row = []
+        for key, num in comp.nums.items():
+            if key >= limit:
+                continue
+            pe, xe = codec.unpack(key)
+            if key >> codec.degree_shift:
+                row.append((n + pe.index(1), num * scale, xe))
+            else:
+                row += [(j, num * scale * e, xe[:j] + (e - 1,) + xe[j + 1:])
+                        for j, e in enumerate(xe) if e]
+        entries.append(row)
+    top = max((sum(xe) for row in entries for _, _, xe in row), default=0)
+    for point in points:
+        b = [frac(v) for v in point]
+        if len(b) != n:
+            raise ShapeError(f"point has dimension {len(b)}, expected {n}")
+        d = lcm(*[v.denominator for v in b])
+        a = [v.numerator * (d // v.denominator) for v in b]
+        rows = []
+        for row in entries:
+            vals = [0] * (n + m)
+            for col, num, xe in row:
+                vals[col] += num * d ** (top - sum(xe)) * prod(map(pow, a, xe))
+            rows.append(vals)
+        yield rows, c * d ** top
+
+
 def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRelation:
     """Tangent relation of the parametrized relation of S at a base point.
 
     Works for any generating function, and is lagrangian for any, so it is
-    not checked: the unit pivots give rank m + n, and spp, sxx are symmetric.
-    For a valid micromorphism the base Hessian block vanishes and this
-    reduces to the normal-form formula dx1 = Q dp1 + Dphi dx2,
+    not checked: the unit pivots give rank m + n, and the Hessian of S is
+    symmetric.  For a valid micromorphism the base Hessian block vanishes
+    and this reduces to the normal-form formula dx1 = Q dp1 + Dphi dx2,
     dp2 = Dphi^T dp1 with Q = d2S/dp2(0, point).
-    The second derivatives at (0, point) are read off the terms of fiber
-    degree at most 2 in one pass: c p_i p_j x^a adds c b^a to spp[i][j] and
-    spp[j][i] (2 c b^a on the diagonal, from c p_i^2 x^a), c p_i x^a adds
-    d/dx_j (c x^a) at b to spx[i][j], and c x^a adds its second base
-    derivatives to sxx.
+    The vector of the variable v (p1..pm, then x1..xn) is the derivative in
+    v of the gradient (dS/dp, dS/dx) at (0, point), with the unit of v as its
+    dp1 or dx2 part; by that symmetry it is row v of ``_first_derivatives``
+    on the gradient, p part first, all over u.
     """
     m, n = gen.fiber_arity, gen.base_arity
-    b = tuple(frac(v) for v in point)
-    if len(b) != n:
-        raise ShapeError(f"point has dimension {len(b)}, expected {n}")
-
-    def at_b(c, xe):
-        for v, e in zip(b, xe):
-            if e:
-                c *= v ** e
-        return c
-
-    def lowered(xe, j):
-        return xe[:j] + (xe[j] - 1,) + xe[j + 1:]
-
-    zero = Fraction(0)
-    spp = [[zero] * m for _ in range(m)]
-    spx = [[zero] * n for _ in range(m)]
-    sxx = [[zero] * n for _ in range(n)]
-    # only terms of fiber degree <= 2 reach the second derivatives at p = 0
-    low = ((gen.codec.unpack(key), Fraction(num, gen.den)) for key, num in gen.nums.items()
-           if key < 3 << gen.codec.degree_shift)
-    for (pe, xe), c in low:
-        degree = sum(pe)
-        if degree == 2:
-            i = next(k for k, e in enumerate(pe) if e)
-            if pe[i] == 2:
-                spp[i][i] += 2 * at_b(c, xe)
-            else:
-                j = pe.index(1, i + 1)
-                val = at_b(c, xe)
-                spp[i][j] += val
-                spp[j][i] += val
-        elif degree == 1:
-            row = spx[pe.index(1)]
-            for j, e in enumerate(xe):
-                if e:
-                    row[j] += at_b(c * e, lowered(xe, j))
-        elif degree == 0:
-            for i, e in enumerate(xe):
-                if e:
-                    xi = lowered(xe, i)
-                    for j, f in enumerate(xi):
-                        if f:
-                            sxx[i][j] += at_b(c * e * f, lowered(xi, j))
-    vectors = []
-    for a in range(m):
-        vectors.append(tuple(spp[i][a] for i in range(m)) + unit_vector(m, a)
-                       + zero_vector(n) + tuple(spx[a][j] for j in range(n)))
-    for c in range(n):
-        vectors.append(tuple(spx[i][c] for i in range(m)) + zero_vector(m)
-                       + unit_vector(n, c) + tuple(sxx[j][c] for j in range(n)))
-    return LinCanonicalRelation._built(m, n, tuple(vectors), tuple(_integer_rows(vectors)))
+    grad = [gen.partial_fiber(i) for i in range(m)] + [gen.partial_base(j) for j in range(n)]
+    [(rows, u)] = _first_derivatives(grad, m, n, [point])
+    scaled = [row[n:] + [u if w == v else 0 for w in range(m + n)] + row[:n]
+              for v, row in enumerate(rows)]
+    # each vector has an entry 1, so its _integer_rows row is the primitive one
+    scales = [gcd(*row) for row in scaled]
+    return LinCanonicalRelation._built(m, n, _fractions(scaled, u), tuple(
+        [x // g for x in row] for row, g in zip(scaled, scales)))
 
 
 def tangent_relation_at(f: Micromorphism, point: Sequence) -> LinCanonicalRelation:
@@ -676,55 +685,22 @@ def invert_germ(germ: GermJet) -> GermJet:
     return GermJet(n, k, xs, sol[n:])
 
 
-def _symplectic_jacobian_check(germ: GermJet, points) -> None:
+def _symplectic_jacobian_check(germ: GermJet, points: Sequence) -> None:
     """Raise ValidityError at the first core point where the Jacobian J of the
     germ at p = 0 is not symplectic.
 
-    Only terms of fiber degree <= 1 reach J: c x^a adds d/dx_j (c x^a) to
-    column j, and c p_i x^a adds c x^a to column n + i.  They are read once,
-    over the lcm ``c`` of the component denominators; at a point b = a / d
-    every entry is an integer over c d^top, top the largest degree of an
-    entry's monomial.  J^T Omega J is antisymmetric, so only omega(J e_a,
-    J e_b) = omega(e_a, e_b) for a < b is tested, times (c d^top)^2.
+    J is read by ``_first_derivatives`` as integers over u.  J^T Omega J is
+    antisymmetric, so only omega(J e_a, J e_b) = omega(e_a, e_b) for a < b is
+    tested, times u^2.
     """
     n = germ.dim
-    comps = (*germ.x_out, *germ.p_out)
-    c = lcm(*[comp.den for comp in comps])
-    codec = key_codec(n, n)
-    entries = []  # per row of J: (column, numerator over c, monomial)
-    for comp in comps:
-        scale = c // comp.den
-        row = []
-        for key, num in comp.nums.items():
-            pe, xe = codec.unpack(key)
-            degree = sum(pe)
-            if degree == 1:
-                row.append((n + pe.index(1), num * scale, xe))
-            elif not degree:
-                row += [(j, num * scale * e, xe[:j] + (e - 1,) + xe[j + 1:])
-                        for j, e in enumerate(xe) if e]
-        entries.append(row)
-    top = max((sum(xe) for row in entries for _, _, xe in row), default=0)
-    for point in points:
-        b = [frac(v) for v in point]
-        d = lcm(*[v.denominator for v in b])
-        a = [v.numerator * (d // v.denominator) for v in b]
-        jac = []
-        for row in entries:
-            vals = [0] * (2 * n)
-            for col, num, xe in row:
-                val = num * d ** (top - sum(xe))
-                for v, e in zip(a, xe):
-                    if e:
-                        val *= v ** e
-                vals[col] += val
-            jac.append(vals)
-        unit = (c * d ** top) ** 2
+    jacobians = _first_derivatives((*germ.x_out, *germ.p_out), n, n, points)
+    for point, (jac, u) in zip(points, jacobians):
         xs, ps = jac[:n], jac[n:]
         for i in range(2 * n):
             for j in range(i + 1, 2 * n):
                 form = sum(p[i] * x[j] - x[i] * p[j] for x, p in zip(xs, ps))
-                if form != (-unit if j == i + n else 0):
+                if form != (-u * u if j == i + n else 0):
                     raise ValidityError(
                         f"linearization at core point {tuple(point)} is not symplectic")
 

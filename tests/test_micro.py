@@ -90,6 +90,27 @@ def test_lift_core_differential_matches_tangent_relation():
         assert check_linear_micromorphism(rel, phi.jacobian_at(b))
 
 
+@pytest.mark.parametrize("phi, point, values, jacobian", [
+    (CoreMap(2, ()), (1, 2), (), ()),
+    (CoreMap(0, (FiberGradedPoly.constant(0, 0, 0, 3),)), (), (F(3),), ((),)),
+    (CoreMap(1, (FiberGradedPoly.base_var(0, 1, 0, 0),)), (F(1, 2),), (F(1, 2),), ((F(1),),)),
+], ids=["no-components", "domain-0", "identity"])
+def test_core_map_points_must_match_the_domain(phi, point, values, jacobian):
+    assert phi.evaluate(point) == values and phi.jacobian_at(point) == jacobian
+    for bad in {point + (5,), point[1:]} - {point}:
+        for call in (phi.evaluate, phi.jacobian_at):
+            with pytest.raises(ShapeError, match="evaluation point does not match arities"):
+                call(bad)
+
+
+def test_jacobian_check_rejects_points_of_the_wrong_length():
+    germ = micro.identity_germ(2, 2)
+    micro._symplectic_jacobian_check(germ, [(1, F(1, 3))])
+    for point in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(ShapeError, match="point has dimension"):
+            micro._symplectic_jacobian_check(germ, [point])
+
+
 def test_lift_functoriality_exact():
     rng = rng_for(3, "lift-compose")
     for _ in range(15):

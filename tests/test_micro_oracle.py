@@ -246,6 +246,8 @@ SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 HUGE = st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**70))
 COEFF = st.one_of(SMALL, HUGE)
 POINT_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-2**90, 2**90), SMALL, HUGE)
+# every coordinate over its own large denominator, as the Jacobian check draws them
+LARGE_DEN_ENTRY = st.builds(F, st.integers(-2**40, 2**40), st.integers(2**30, 2**35))
 
 
 @st.composite
@@ -267,11 +269,18 @@ def generating_functions(draw):
 @given(gen=generating_functions(), data=st.data())
 def test_tangent_relation_matches_the_reference(gen, data):
     point = tuple(data.draw(POINT_ENTRY) for _ in range(gen.base_arity))
-    got = micro.linearized_relation(gen, point)
-    assert got.vectors == ref.linearized_relation(gen, point).vectors
-    assert all(type(v) is F for vec in got.vectors for v in vec)
+    for b in (point, tuple(data.draw(LARGE_DEN_ENTRY) for _ in point)):
+        got = micro.linearized_relation(gen, b)
+        assert got.vectors == ref.linearized_relation(gen, b).vectors
+        assert got.subspace._rows == tuple(_integer_rows(got.vectors))
+        assert all(type(v) is F for vec in got.vectors for v in vec)
     with pytest.raises(ShapeError, match="point has dimension"):
         micro.linearized_relation(gen, point + (1,))
+    # every entry is read as an exact rational before the length is checked
+    for bad in (point + (0.5,), (0.5,) + point, (0.5,) * gen.base_arity):
+        if bad:
+            with pytest.raises(TypeError, match="expected an exact rational"):
+                micro.linearized_relation(gen, bad)
 
 
 def test_tangent_relation_of_a_violator_has_a_base_hessian():
