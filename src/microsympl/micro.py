@@ -33,11 +33,12 @@ from 0 by one substitution batch W -> F(W) = L^-1 (targets - N(W)) per update
 compose_germs shifts the outer jets to the inner core restriction the same
 way, so only fiber-degree >= 1 values are substituted.
 
-First-order jets at core points (0, b) are read off the terms of fiber
-degree <= 1 by one integer evaluator, _first_derivatives: of the gradient
-of S for the tangent relation, of the germ jets for graph_of_germ's
-symplectic test.  CoreMap.jacobian_at, the other side of the cross-check in
-is_micromorphism, stays independent of it.
+graph_of_germ accepts a germ exactly when dS gives its graph form back, S
+the potential it builds; then the linearization is symplectic at every core
+point.  Tangent relations read the gradient of S at core points (0, b) off
+its terms of fiber degree <= 1, for all of a call's points in one pass of
+_first_derivatives.  CoreMap.jacobian_at, the other side of the cross-check
+in is_micromorphism, stays independent of it.
 """
 
 from __future__ import annotations
@@ -392,10 +393,10 @@ def _first_derivatives(comps, m: int, n: int, points: Sequence):
     of comps[i] at (p, x) = (0, b), first in x1..xn and then in p1..pm.
 
     Only terms of fiber degree <= 1 reach them: c x^a adds d/dx_j (c x^a) to
-    column j, and c p_i x^a adds c x^a to column n + i.  They are read once,
-    over the lcm ``c`` of the component denominators; at a point b = a / d
-    every entry is an integer over u = c d^top, top the largest degree of an
-    entry's monomial.
+    column j, and c p_i x^a adds c x^a to column n + i.  They are read once
+    for all points, over the lcm ``c`` of the component denominators; at a
+    point b = a / d every entry is an integer over u = c d^top, top the
+    largest degree of an entry's monomial.
     """
     c = lcm(*[comp.den for comp in comps])
     codec = key_codec(m, n)
@@ -430,6 +431,21 @@ def _first_derivatives(comps, m: int, n: int, points: Sequence):
         yield rows, c * d ** top
 
 
+def _linearized_relations(gen: FiberGradedPoly, points: Sequence) -> list[LinCanonicalRelation]:
+    """``linearized_relation`` at each of the points, from one gradient."""
+    m, n = gen.fiber_arity, gen.base_arity
+    grad = [gen.partial_fiber(i) for i in range(m)] + [gen.partial_base(j) for j in range(n)]
+    out = []
+    for rows, u in _first_derivatives(grad, m, n, points):
+        scaled = [row[n:] + [u if w == v else 0 for w in range(m + n)] + row[:n]
+                  for v, row in enumerate(rows)]
+        # each vector has an entry 1, so its _integer_rows row is the primitive one
+        scales = [gcd(*row) for row in scaled]
+        out.append(LinCanonicalRelation._built(m, n, _fractions(scaled, u), tuple(
+            [x // g for x in row] for row, g in zip(scaled, scales))))
+    return out
+
+
 def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRelation:
     """Tangent relation of the parametrized relation of S at a base point.
 
@@ -443,15 +459,7 @@ def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRe
     dp1 or dx2 part; by that symmetry it is row v of ``_first_derivatives``
     on the gradient, p part first, all over u.
     """
-    m, n = gen.fiber_arity, gen.base_arity
-    grad = [gen.partial_fiber(i) for i in range(m)] + [gen.partial_base(j) for j in range(n)]
-    [(rows, u)] = _first_derivatives(grad, m, n, [point])
-    scaled = [row[n:] + [u if w == v else 0 for w in range(m + n)] + row[:n]
-              for v, row in enumerate(rows)]
-    # each vector has an entry 1, so its _integer_rows row is the primitive one
-    scales = [gcd(*row) for row in scaled]
-    return LinCanonicalRelation._built(m, n, _fractions(scaled, u), tuple(
-        [x // g for x in row] for row, g in zip(scaled, scales)))
+    return _linearized_relations(gen, [point])[0]
 
 
 def tangent_relation_at(f: Micromorphism, point: Sequence) -> LinCanonicalRelation:
@@ -476,9 +484,9 @@ def is_micromorphism(gen: FiberGradedPoly, source: MicroObject,
         names = ", ".join(_monomial_names(offending))
         return CheckResult(False, (f"S(0, x) != 0; offending monomials: {names}",))
     morphism = Micromorphism(source, target, gen)
+    points = _sample_core_points(target.core_dim)
     reasons = []
-    for b in _sample_core_points(target.core_dim):
-        rel = tangent_relation_at(morphism, b)
+    for b, rel in zip(points, _linearized_relations(gen, points)):
         res = check_linear_micromorphism(rel, morphism.core.jacobian_at(b))
         if not res:
             reasons.append(f"linear check failed at core point {b}: {res.describe()}")
@@ -502,13 +510,6 @@ class GermJet:
     therefore the identity on extracted jets, while jets obtained by
     compose_germs agree with the re-extracted ones only through degree K-1
     in X (and exactly in P); the graphs themselves always agree exactly.
-
-    extract_germ, graph_of_germ and invert_germ compute the affine inverse
-    phi of the core once per call, shift their equations to X = phi(x) + W
-    once (_shifted), fold the inverse linear part and the targets into the
-    shifted equations once (_split_linear) and solve for W alone, one
-    substitution batch per update; compose_germs shifts the outer jets to
-    the inner X(x, 0) once.
     """
 
     dim: int
@@ -685,34 +686,14 @@ def invert_germ(germ: GermJet) -> GermJet:
     return GermJet(n, k, xs, sol[n:])
 
 
-def _symplectic_jacobian_check(germ: GermJet, points: Sequence) -> None:
-    """Raise ValidityError at the first core point where the Jacobian J of the
-    germ at p = 0 is not symplectic.
-
-    J is read by ``_first_derivatives`` as integers over u.  J^T Omega J is
-    antisymmetric, so only omega(J e_a, J e_b) = omega(e_a, e_b) for a < b is
-    tested, times u^2.
-    """
-    n = germ.dim
-    jacobians = _first_derivatives((*germ.x_out, *germ.p_out), n, n, points)
-    for point, (jac, u) in zip(points, jacobians):
-        xs, ps = jac[:n], jac[n:]
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                form = sum(p[i] * x[j] - x[i] * p[j] for x, p in zip(xs, ps))
-                if form != (-u * u if j == i + n else 0):
-                    raise ValidityError(
-                        f"linearization at core point {tuple(point)} is not symplectic")
-
-
 def graph_of_germ(germ: GermJet) -> Micromorphism:
     """The micromorphism whose parametrized relation is the graph of the germ.
 
-    Validates that the jets preserve the core, have symplectic linearization
-    at sampled core points, and satisfy the closedness identities at every
-    faithful order; then solves X(u, p1) = x2 for u, pushes the momenta
-    forward, and integrates the resulting closed form radially into S.
-    Functorial against compose, and inverse to extract_germ on its domain.
+    Checks that the jets preserve the core, solves X(u, p1) = x2 for u, pushes
+    the momenta forward and integrates u dp1 + p2 dx2, u cut below fiber degree
+    K, radially into S.  The germ is symplectic exactly when dS gives the form
+    back and du/dp1, at degree K too, is symmetric.  Functorial against
+    compose, and inverse to extract_germ on its domain.
     """
     n, k = germ.dim, germ.order
     phi = _core_inverse(germ)
@@ -721,31 +702,27 @@ def graph_of_germ(germ: GermJet) -> Micromorphism:
         if not stray.is_zero():
             raise ValidityError(
                 f"germ does not preserve the core: momentum output {stray.to_text()} at p = 0")
-    _symplectic_jacobian_check(germ, _sample_core_points(n))
-    space = (n, n, k)
+    if n and not k:  # P vanishes on the core, so at order 0 it is zero
+        raise ValidityError("linearization of an order-0 germ is not symplectic")
     x_hat, p_hat = _affine_solve(phi, germ.x_out, germ.p_out, n, k)
     for i in range(n):
         for j in range(i + 1, n):
             if x_hat[i].partial_fiber(j) != x_hat[j].partial_fiber(i):
                 raise ValidityError(
                     f"jet data is not lagrangian: dX{i + 1}/dp{j + 1} != dX{j + 1}/dp{i + 1}")
-            if p_hat[i].partial_base(j) != p_hat[j].partial_base(i):
-                raise ValidityError(
-                    f"jet data is not lagrangian: dP{i + 1}/dx{j + 1} != dP{j + 1}/dx{i + 1}")
-    for i in range(n):
-        for j in range(n):
-            lhs = x_hat[i].partial_base(j).at_order(k - 1)
-            rhs = p_hat[j].partial_fiber(i).at_order(k - 1)
-            if lhs != rhs:
-                raise ValidityError(
-                    f"jet data is not lagrangian: dX{i + 1}/dx{j + 1} != dP{j + 1}/dp{i + 1} "
-                    f"at the faithful order")
-    gen = _radial_potential(x_hat, p_hat, space).at_order(k)
+    gen = _radial_potential(x_hat, p_hat, (n, n, k))
+    for i, (x, p) in enumerate(zip(x_hat, p_hat)):
+        if gen.partial_fiber(i).at_order(k - 1) != x.at_order(k - 1):
+            raise ValidityError(
+                f"jet data is not lagrangian: X{i + 1} != dS/dp{i + 1} below fiber degree {k}")
+        if gen.partial_base(i) != p:
+            raise ValidityError(f"jet data is not lagrangian: P{i + 1} != dS/dx{i + 1}")
     return Micromorphism(MicroObject(n), MicroObject(n), gen)
 
 
 def _radial_potential(fiber_comps, base_comps, space) -> FiberGradedPoly:
-    """Potential of the closed 1-form (fiber_comps) dp + (base_comps) dx with S(0) = 0."""
+    """Radial potential, S(0) = 0, of omega = (fiber_comps) dp + (base_comps) dx
+    with fiber_comps cut below degree K: dS = omega exactly when omega is closed."""
     tm, tn, torder = space
     codec = key_codec(tm, tn)
     limit, units, exponents = torder << codec.degree_shift, codec.units, codec.exponents

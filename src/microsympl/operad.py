@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .errors import ShapeError
 from .jetalg import FiberGradedPoly
 from .micro import (CoreMap, Micromorphism, MicroObject, compose, cotangent_lift,
                     identity, tensor, unit_object, unit_to)
+from .sampling import rand_exponents, rand_fraction
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,10 @@ def random_L_element(rng: random.Random, obj: MicroObject, arity: int, order: in
     m = arity * n
     if arity == 0 or order < 2 or m == 0:
         return base_elem
-    gen = base_elem.morphism.gen
-    for _ in range(extra_terms):
-        deg = rng.randint(2, order)
-        pe = [0] * m
-        for _ in range(deg):
-            pe[rng.randrange(m)] += 1
-        xe = [0] * n
-        for _ in range(rng.randint(0, 2)):
-            xe[rng.randrange(n)] += 1
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        gen = gen + FiberGradedPoly.monomial(m, n, order, coeff, pe, xe)
+    noise = [((rand_exponents(rng, m, rng.randint(2, order)),
+               rand_exponents(rng, n, rng.randint(0, 2))), rand_fraction(rng))
+             for _ in range(extra_terms)]
+    gen = FiberGradedPoly(m, n, order, [*base_elem.morphism.gen.terms.items(), *noise])
     return OperadElement(obj, arity, Micromorphism(base_elem.morphism.source, obj, gen))
 
 

@@ -77,16 +77,8 @@ def rand_violating_gen(rng: random.Random, source_dim: int, target_dim: int,
 
 def rand_core_map(rng: random.Random, domain_dim: int, codomain_dim: int,
                   max_deg: int = 2, terms: int = 2) -> CoreMap:
-    comps = []
-    for _ in range(codomain_dim):
-        collected = []
-        for _ in range(terms):
-            xe = rand_exponents(rng, domain_dim, rng.randint(0, max_deg)) \
-                if domain_dim else ()
-            coeff = rand_fraction(rng, nonzero=True)
-            collected.append((((), xe), coeff))
-        comps.append(FiberGradedPoly(0, domain_dim, 0, collected))
-    return CoreMap(domain_dim, tuple(comps))
+    return CoreMap(domain_dim, tuple(rand_poly(rng, 0, domain_dim, 0, terms, max_base_deg=max_deg)
+                                     for _ in range(codomain_dim)))
 
 
 def rand_point(rng: random.Random, dim: int, max_num: int = 3,

@@ -61,16 +61,10 @@ MAX_DIM = 64
 # working space of every record of order at most 2 within MAX_DIM
 MAX_FIBER_MONOMIALS = comb(2 * MAX_DIM + 3, 3)
 
-# the characters of str.isdigit(), so that literals end where they always
-# did: the decimal digits of \d, which int() reads, and the other Unicode
-# digits (superscripts, circled digits, ...), which int() rejects with the
-# digit-limit ParseError at the literal
-_DIGIT = (r"\d\xb2\xb3\xb9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
-          r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
-          r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
-          r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a")
-_SCANNER = re.compile(rf"(?P<int>[{_DIGIT}]+)|(?P<var>[px][{_DIGIT}]*)|(?P<op>[-+*^/])"
-                      r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+# \d matches the decimal digits, those of str.isdecimal(), which int() reads;
+# any other character, a superscript digit too, is an unexpected one
+_SCANNER = re.compile(r"(?P<int>\d+)|(?P<var>[px]\d*)|(?P<op>[-+*^/])|(?P<space>\s+)"
+                      r"|(?P<bad>.)", re.DOTALL)
 _SIGNS = frozenset("+-")
 # the term scanner: a sign, then a coefficient a or a/b or a factor p<i> or
 # x<j> with an optional ^e, then '*'-joined factors; ASCII digits only

@@ -8,17 +8,22 @@ candidate ``X = phi(x) + W`` into the base slots of the equations, seeded at
 ``GermJet`` and ``Micromorphism`` types.  ``core_components`` is the
 ``Micromorphism.core`` of the same era: one fiber derivative, core
 restriction and fiber strip per source dimension.  The input checks of the library
-functions are left out: the oracle is only ever called on valid germs, and
-the checks are covered by ``tests/test_micro.py``.  ``linearized_relation``
+functions are left out: the oracle is only ever called on germs that pass
+them, and the checks are covered by ``tests/test_micro.py``.  ``linearized_relation``
 is the tangent relation of the same era: every first and second derivative
 of S built as a polynomial, then evaluated at (0, point).
 ``affine_parts`` and
 ``affine_inverse`` are the ``CoreMap`` methods from before they read integer
 rows: coefficients looked up one by one, then ``mat_inverse`` and
-``mat_vec`` on ``Fraction``s.  ``symplectic_jacobian_check`` is ``_symplectic_jacobian_check`` from before it
-ran on integers: each component truncated at order 1 and differentiated in
-all 2n directions, and J^T Omega J compared with Omega through two
-``Fraction`` ``mat_mul`` products per point.  ``compose_germs`` is the germ
+``mat_vec`` on ``Fraction``s.  ``symplectic_jacobian_check`` is the
+Jacobian test of ``graph_of_germ`` as it was before it ran on integers: each
+component truncated at order 1 and differentiated in all 2n directions, and
+J^T Omega J compared with Omega through two ``Fraction`` ``mat_mul``
+products per point.  ``closedness_check`` holds the pairwise closedness
+identities that ``graph_of_germ`` ran on the graph form (``graph_form``)
+before it checked the germ against its potential alone; it and
+``symplectic_jacobian_check`` were the whole symplectic test.
+``compose_germs`` is the germ
 composition from before it was shifted to the core: the whole inner position
 X(x, p) goes into the base slots of the outer jets, through the frozen
 ``reference_jetalg.substitute_many``.  Tests require the library to agree
@@ -124,14 +129,43 @@ def invert_germ(germ):
     return GermJet(n, k, sol[:n], sol[n:])
 
 
-def graph_of_germ(germ):
+def graph_form(germ):
+    """The components (x_hat, p_hat) of the graph form x_hat dp + p_hat dx:
+    X(x_hat, p) = x and p_hat = P(x_hat, p)."""
     n, k = germ.dim, germ.order
     phi = germ.core_restriction().affine_inverse()
     space = (n, n, k)
     x_hat = _affine_solve(phi, germ.x_out, space)
-    p_hat = tuple(substitute_many(germ.p_out, [None] * n, list(x_hat), space))
-    gen = _radial_potential(x_hat, p_hat, space).at_order(k)
+    return x_hat, tuple(substitute_many(germ.p_out, [None] * n, list(x_hat), space))
+
+
+def graph_of_germ(germ):
+    n, k = germ.dim, germ.order
+    x_hat, p_hat = graph_form(germ)
+    gen = _radial_potential(x_hat, p_hat, (n, n, k)).at_order(k)
     return Micromorphism(MicroObject(n), MicroObject(n), gen)
+
+
+def closedness_check(x_hat, p_hat, k):
+    """Raise ValidityError unless the graph form is closed, pair by pair:
+    dX/dp and dP/dx symmetric, and dX/dx = (dP/dp)^T below fiber degree K."""
+    n = len(x_hat)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if x_hat[i].partial_fiber(j) != x_hat[j].partial_fiber(i):
+                raise ValidityError(
+                    f"jet data is not lagrangian: dX{i + 1}/dp{j + 1} != dX{j + 1}/dp{i + 1}")
+            if p_hat[i].partial_base(j) != p_hat[j].partial_base(i):
+                raise ValidityError(
+                    f"jet data is not lagrangian: dP{i + 1}/dx{j + 1} != dP{j + 1}/dx{i + 1}")
+    for i in range(n):
+        for j in range(n):
+            lhs = x_hat[i].partial_base(j).at_order(k - 1)
+            rhs = p_hat[j].partial_fiber(i).at_order(k - 1)
+            if lhs != rhs:
+                raise ValidityError(
+                    f"jet data is not lagrangian: dX{i + 1}/dx{j + 1} != dP{j + 1}/dp{i + 1} "
+                    f"at the faithful order")
 
 
 def _radial_potential(fiber_comps, base_comps, space):

@@ -1,0 +1,50 @@
+"""Reference oracle: the polynomial samplers that drew term by term.
+
+Frozen copies of ``microsympl.sampling.rand_core_map`` and
+``microsympl.operad.random_L_element`` as they were before they drew through
+``rand_poly``, ``rand_exponents`` and ``rand_fraction``: every exponent and
+coefficient drawn inline, and each noise term of an L element added to the
+diagonal lift as a monomial of its own.  Every seeded corpus follows their
+draw order, so tests require the library to draw the same values and leave
+the generator in the same state; do not optimise this file.
+"""
+
+from fractions import Fraction
+
+from microsympl.jetalg import FiberGradedPoly
+from microsympl.micro import CoreMap, Micromorphism
+from microsympl.operad import OperadElement, diagonal_lift
+from microsympl.sampling import rand_exponents, rand_fraction
+
+
+def rand_core_map(rng, domain_dim, codomain_dim, max_deg=2, terms=2):
+    comps = []
+    for _ in range(codomain_dim):
+        collected = []
+        for _ in range(terms):
+            xe = rand_exponents(rng, domain_dim, rng.randint(0, max_deg)) \
+                if domain_dim else ()
+            coeff = rand_fraction(rng, nonzero=True)
+            collected.append((((), xe), coeff))
+        comps.append(FiberGradedPoly(0, domain_dim, 0, collected))
+    return CoreMap(domain_dim, tuple(comps))
+
+
+def random_L_element(rng, obj, arity, order, extra_terms=2):
+    base_elem = diagonal_lift(obj, arity, order)
+    n = obj.core_dim
+    m = arity * n
+    if arity == 0 or order < 2 or m == 0:
+        return base_elem
+    gen = base_elem.morphism.gen
+    for _ in range(extra_terms):
+        deg = rng.randint(2, order)
+        pe = [0] * m
+        for _ in range(deg):
+            pe[rng.randrange(m)] += 1
+        xe = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            xe[rng.randrange(n)] += 1
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        gen = gen + FiberGradedPoly.monomial(m, n, order, coeff, pe, xe)
+    return OperadElement(obj, arity, Micromorphism(base_elem.morphism.source, obj, gen))

@@ -6,7 +6,10 @@ dataclass per token, a per-character loop, one ``Fraction`` per factor, and
 duplicate monomials merged by the ``FiberGradedPoly`` constructor.  On top of
 it, a frozen copy of the morphism record logic of ``parse_morphism`` as it was
 before the term scanner: every core line parsed into a polynomial and compared
-with the core read off S.  Tests require the library to agree with these
+with the core read off S.  Its digits are those of ``str.isdecimal()``, the
+ones ``int()`` reads; it read ``str.isdigit()`` until the parser reported a
+superscript or circled digit as an unexpected character instead of failing to
+convert it.  Tests require the library to agree with these
 functions exactly, on well-formed text and on the ``ParseError`` of malformed
 text; do not optimise this file.
 """
@@ -47,15 +50,15 @@ def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
                 i += 1
                 continue
             col = i + 1
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < len(line) and line[j].isdigit():
+                while j < len(line) and line[j].isdecimal():
                     j += 1
                 tokens.append(_Token("int", line[i:j], lineno, col))
                 i = j
             elif ch in ("p", "x"):
                 j = i + 1
-                while j < len(line) and line[j].isdigit():
+                while j < len(line) and line[j].isdecimal():
                     j += 1
                 if j == i + 1:
                     raise ParseError(f"variable '{ch}' needs an index", lineno, col)

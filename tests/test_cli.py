@@ -224,6 +224,17 @@ def test_integer_literal_over_the_digit_limit(capsys, poly):
             f"{sys.get_int_max_str_digits()} digits") in err
 
 
+@pytest.mark.parametrize("poly, column, char", [
+    ("p1*x1 + p1^\xb2", 12, "\xb2"), ("p1*x1 + \u2460*p1^2", 9, "\u2460"), ("p1*x1\xb3", 6, "\xb3"),
+])
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(capsys, poly, column, char):
+    # superscript and circled digits are not numbers to int(); they are
+    # reported where they stand, not as an integer past the digit limit
+    code, out, err = run(capsys, "check", f"source=1 target=1 order=2\nS = {poly}\n")
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2, column {column}: unexpected character {char!r}\n"
+
+
 @pytest.mark.parametrize("flag, value, limit", [
     ("--dim", "9", "dim 9 exceeds the limit of 8"),
     ("--arity", "9", "arity 9 exceeds the limit of 8"),

@@ -286,6 +286,31 @@ def test_fixed_point_non_contracting_update_raises():
         solve_triangular_fixed_point([one], lambda z: [z[0] + one])
 
 
+def test_fixed_point_checks_the_component_count_of_every_update():
+    # at order 0 the first update fixes degree 0; the second, which finds the
+    # fixed point, must still return one component per unknown
+    one = FiberGradedPoly.constant(0, 1, 0, 1)
+    results = iter([[one], [one, one]])
+    with pytest.raises(ShapeError, match="update changed the number of components"):
+        solve_triangular_fixed_point([FiberGradedPoly.zero(0, 1, 0)], lambda z: next(results))
+
+
+def test_fixed_point_runs_at_most_k_plus_2_updates():
+    # each update moves the lowest changed degree up by one, 0 to K, and the
+    # next one finds the fixed point
+    for k in range(4):
+        p = FiberGradedPoly.fiber_var(1, 0, k, 0) if k else FiberGradedPoly.zero(1, 0, 0)
+        one = FiberGradedPoly.constant(1, 0, k, 1)
+        calls = []
+
+        def update(z):
+            calls.append(z)
+            return [one + p * z[0]]
+        got = solve_triangular_fixed_point([FiberGradedPoly.zero(1, 0, k)], update)
+        assert got[0] == sum((p ** d for d in range(1, k + 1)), one)
+        assert len(calls) == k + 2
+
+
 # -- text and ordering ----------------------------------------------------------
 
 

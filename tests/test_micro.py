@@ -103,12 +103,15 @@ def test_core_map_points_must_match_the_domain(phi, point, values, jacobian):
                 call(bad)
 
 
-def test_jacobian_check_rejects_points_of_the_wrong_length():
-    germ = micro.identity_germ(2, 2)
-    micro._symplectic_jacobian_check(germ, [(1, F(1, 3))])
+def test_linearized_relations_reject_points_of_the_wrong_length():
+    gen = identity(MicroObject(2), 2).gen
+    good = (1, F(1, 3))
+    assert micro._linearized_relations(gen, [good, good]) == [linearized_relation(gen, good)] * 2
     for point in [(1,), (1, 2, 3), ()]:
         with pytest.raises(ShapeError, match="point has dimension"):
-            micro._symplectic_jacobian_check(germ, [point])
+            linearized_relation(gen, point)
+        with pytest.raises(ShapeError, match="point has dimension"):
+            micro._linearized_relations(gen, [good, point])
 
 
 def test_lift_functoriality_exact():
@@ -309,6 +312,23 @@ def test_is_micromorphism_names_offending_monomials():
     assert "x1^2" in res.reasons[0]
 
 
+def test_is_micromorphism_builds_the_gradient_of_s_once(monkeypatch):
+    # m + n derivatives of S per call, shared by the three sample points
+    calls = []
+    for name in ("partial_fiber", "partial_base"):
+        def counted(self, index, original=getattr(FiberGradedPoly, name), name=name):
+            calls.append((self, name, index))
+            return original(self, index)
+        monkeypatch.setattr(FiberGradedPoly, name, counted)
+    rng = rng_for(21, "gradient-once")
+    for m, n in ((1, 1), (2, 3), (3, 2), (0, 2), (2, 1)):
+        gen = rand_micromorphism(rng, m, n, 3).gen
+        calls.clear()
+        assert is_micromorphism(gen, MicroObject(m), MicroObject(n))
+        assert sorted((name, i) for g, name, i in calls if g is gen) == \
+            [("partial_base", j) for j in range(n)] + [("partial_fiber", i) for i in range(m)]
+
+
 def test_constructor_rejects_normal_form_violation():
     with pytest.raises(NormalFormError):
         morphism(1, 1, 2, {((0,), (1,)): F(1)})
@@ -439,15 +459,50 @@ def test_graph_of_germ_rejects_non_symplectic_data():
         graph_of_germ(GermJet(1, k, (x2,), (p2,)))
 
 
-def test_graph_of_germ_names_the_first_non_symplectic_core_point():
-    # P = p1 + x1*p1: symplectic linearization at x1 = 0, not at x1 = 1, so
-    # the check must reach the second sample point with the same derivatives
-    k = 2
-    x2 = FiberGradedPoly.base_var(1, 1, k, 0)
-    p2 = FiberGradedPoly(1, 1, k, {((1,), (0,)): F(1), ((1,), (1,)): F(1)})
+def _jets(n, k, *components):
+    return tuple(FiberGradedPoly(n, n, k, terms) for terms in components)
+
+
+@pytest.mark.parametrize("n, x_terms, p_terms, message", [
+    # P = p1 + x1*p1 along X = x1: dS/dp1 = x1 + x1^2/3
+    (1, [{((0,), (1,)): F(1)}], [{((1,), (0,)): F(1), ((1,), (1,)): F(1)}],
+     "X1 != dS/dp1 below fiber degree 2"),
+    # P = (p1 + x2*p1, p2 - x1*p1) along X = x: S = p1*x1 + p2*x2, so dS/dp = X
+    # but dS/dx1 = P1 - x2*p1
+    (2, [{((0, 0), (1, 0)): F(1)}, {((0, 0), (0, 1)): F(1)}],
+     [{((1, 0), (0, 0)): F(1), ((1, 0), (0, 1)): F(1)},
+      {((0, 1), (0, 0)): F(1), ((1, 0), (1, 0)): F(-1)}],
+     "P1 != dS/dx1"),
+    # X1 = x1 + p2 moves only x_hat1 = x1 - p2, so dX1/dp2 = -1 and dX2/dp1 = 0
+    (2, [{((0, 0), (1, 0)): F(1), ((0, 1), (0, 0)): F(1)}, {((0, 0), (0, 1)): F(1)}],
+     [{((1, 0), (0, 0)): F(1)}, {((0, 1), (0, 0)): F(1)}],
+     "dX1/dp2 != dX2/dp1"),
+], ids=["X", "P", "dX/dp"])
+def test_graph_of_germ_names_the_identity_that_fails(n, x_terms, p_terms, message):
+    germ = GermJet(n, 2, _jets(n, 2, *x_terms), _jets(n, 2, *p_terms))
     with pytest.raises(ValidityError) as err:
-        graph_of_germ(GermJet(1, k, (x2,), (p2,)))
-    assert str(err.value) == "linearization at core point (Fraction(1, 1),) is not symplectic"
+        graph_of_germ(germ)
+    assert str(err.value) == f"jet data is not lagrangian: {message}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_graph_of_germ_rejects_order_0_germs(n):
+    # P vanishes on the core, so at order 0 it is zero and not invertible
+    xs = tuple(FiberGradedPoly.base_var(n, n, 0, i) for i in range(n))
+    zeros = (FiberGradedPoly.zero(n, n, 0),) * n
+    with pytest.raises(ValidityError) as err:
+        graph_of_germ(GermJet(n, 0, xs, zeros))
+    assert str(err.value) == "linearization of an order-0 germ is not symplectic"
+    # the core checks still come first
+    curved = (xs[0] * xs[0], *xs[1:])
+    with pytest.raises(UnsupportedCoreError, match="core restriction is not affine"):
+        graph_of_germ(GermJet(n, 0, curved, zeros))
+    off_core = (FiberGradedPoly.constant(n, n, 0, 1), *zeros[1:])
+    with pytest.raises(ValidityError, match="germ does not preserve the core"):
+        graph_of_germ(GermJet(n, 0, xs, off_core))
+    # dimension 0 has no linearization to check, and no micromorphism of order 0
+    with pytest.raises(ShapeError, match="fiber order K >= 1"):
+        graph_of_germ(identity_germ(0, 0))
 
 
 def test_graph_of_germ_rejects_core_breaking_data():

@@ -9,9 +9,12 @@ some with a core restriction that is not affine.  The tangent relation read
 off the terms is checked against the derivative-then-evaluate reference on
 drawn generating functions, and on seeded valid, violating and base-Hessian
 ones, where the relation it builds unchecked must also equal a validated one.
-The integer Jacobian check and the integer affine core inverse must raise
-where the ``Fraction`` references raise, with the same message, and return
-the same values where they do not.
+``graph_of_germ``, which checks a germ against its potential alone, must
+reject exactly the perturbed germs that the deleted Jacobian test or
+pairwise closedness identities rejected, and give the reference graph of the
+others.  The integer affine core inverse must raise where the ``Fraction``
+reference raises, with the same message, and return the same values where
+it does not.
 """
 
 import random
@@ -246,7 +249,7 @@ SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 HUGE = st.builds(F, st.integers(-2**90, 2**90), st.integers(1, 2**70))
 COEFF = st.one_of(SMALL, HUGE)
 POINT_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-2**90, 2**90), SMALL, HUGE)
-# every coordinate over its own large denominator, as the Jacobian check draws them
+# every coordinate over its own large denominator
 LARGE_DEN_ENTRY = st.builds(F, st.integers(-2**40, 2**40), st.integers(2**30, 2**35))
 
 
@@ -326,7 +329,7 @@ def test_trusted_tangent_relations_match_the_reference_and_a_validated_build(m, 
                 assert repr(got) == repr(validated)
 
 
-# -- the Jacobian check and the affine core ------------------------------------------
+# -- the symplectic check of a germ and the affine core ------------------------------
 
 
 def outcome(call, *args):
@@ -347,46 +350,76 @@ def with_added_terms(germ, row, terms):
     return GermJet(n, k, tuple(comps[:n]), tuple(comps[n:]))
 
 
-@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
-def test_jacobian_check_matches_the_reference(n, k):
-    # at p = 0 a term c p_i x_j is 0 at the origin and c at (1, ..., 1), and
-    # c p_i (x_1^2 - x_1) is 0 at both and -c/4 at (1/2, -1/2, ...): the
-    # perturbed copies first fail at the second or the third sample point
-    rng = rng_for(10 * n + k, "jacobian-oracle")
-    g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k)) for _ in range(2))
-    points = micro._sample_core_points(n)
-    first_failures = set()
-    for germ in (g1, compose_germs(g2, g1)):
-        assert outcome(micro._symplectic_jacobian_check, germ, points) == ("ok", None)
-        for row in range(2 * n):
-            i, j = row % n, (row + 1) % n
-            pi = unit_exp(n, i)
-            copies = [
-                with_added_terms(germ, row, {(pi, unit_exp(n, j)): F(1, 7)}),
-                with_added_terms(germ, row, {(pi, (2,) + (0,) * (n - 1)): F(-3, 5),
-                                             (pi, unit_exp(n, 0)): F(3, 5)}),
-            ]
-            for copy in copies:
-                assert len({c.den for c in (*copy.x_out, *copy.p_out)}) > 1
-                got = outcome(micro._symplectic_jacobian_check, copy, points)
-                assert got == outcome(ref.symplectic_jacobian_check, copy, points)
-                if got[0] != "ok":
-                    first_failures.add(next(b for b in points if str(b) in got[1]))
-    assert first_failures == set(points[1:])
+def frozen_rejection(germ):
+    """The message of the first of the deleted checks to reject ``germ``:
+    the Jacobian test at the sample points, then the pairwise closedness
+    identities on the graph form; None when both accept it."""
+    try:
+        ref.symplectic_jacobian_check(germ, micro._sample_core_points(germ.dim))
+        ref.closedness_check(*ref.graph_form(germ), germ.order)
+    except ValidityError as exc:
+        return str(exc)
+    return None
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_jacobian_check_at_points_with_large_denominators(seed):
-    rng = rng_for(seed, "jacobian-oracle-points")
-    n = seed + 1
-    germ = extract_germ(rand_affine_core_micromorphism(rng, n, 3))
-    points = [tuple(F(rng.randint(-2**40, 2**40), rng.randint(1, 2**35)) for _ in range(n)),
-              tuple(rng.randint(-9, 9) for _ in range(n))]
-    bad = with_added_terms(germ, n, {(unit_exp(n, 0), (1,) * n): F(1, 2**33)})
-    for g in (germ, bad):
-        got = outcome(micro._symplectic_jacobian_check, g, points)
-        assert got == outcome(ref.symplectic_jacobian_check, g, points)
-    assert outcome(micro._symplectic_jacobian_check, bad, points)[0] == "ValidityError"
+def sheared(rng, germ):
+    """``germ`` with X moved by -A grad_p h, A the linear part of its core
+    and h a random term of fiber degree K + 1: the graph form's x_hat moves
+    by grad_p h at degree K, p_hat stays, so the germ stays symplectic."""
+    n, k = germ.dim, germ.order
+    a_rows, _ = germ.core_restriction().affine_parts()
+    pe, c = rand_exponents(rng, n, k + 1), rand_fraction(rng, nonzero=True)
+    grad = [FiberGradedPoly(n, n, k, {(pe[:j] + (e - 1,) + pe[j + 1:], (0,) * n): c * e})
+            if e else FiberGradedPoly.zero(n, n, k) for j, e in enumerate(pe)]
+    xs = tuple(x - sum((g.scale(a) for a, g in zip(row, grad)), FiberGradedPoly.zero(n, n, k))
+               for x, row in zip(germ.x_out, a_rows))
+    return GermJet(n, k, xs, germ.p_out)
+
+
+def perturbed_germs(rng, germ):
+    """Copies of ``germ`` with terms of fiber degree >= 1 added: per row of
+    (X, P), c p_i x_j, which moves the Jacobian at (1, ..., 1), c p_i (x_1^2 -
+    x_1), which moves it only at (1/2, -1/2, ...), and a random term of fiber
+    degree 1 and one of fiber degree K; then c p_1 x^(1, ..., 1) over 2^33
+    in P1, and three symplectic shears, one after the other."""
+    n, k = germ.dim, germ.order
+    for row in range(2 * n):
+        pi = unit_exp(n, row % n)
+        yield with_added_terms(germ, row, {(pi, unit_exp(n, (row + 1) % n)): F(1, 7)})
+        yield with_added_terms(germ, row, {(pi, (2,) + (0,) * (n - 1)): F(-3, 5),
+                                           (pi, unit_exp(n, 0)): F(3, 5)})
+        for degree in (1, k):
+            term = (rand_exponents(rng, n, degree), rand_exponents(rng, n, rng.randint(0, 2)))
+            yield with_added_terms(germ, row, {term: rand_fraction(rng, nonzero=True)})
+    yield with_added_terms(germ, n, {(unit_exp(n, 0), (1,) * n): F(1, 2**33)})
+    for _ in range(3):
+        germ = sheared(rng, germ)
+        yield germ
+
+
+def test_graph_of_germ_rejects_exactly_what_the_deleted_checks_rejected():
+    # extracted and composed germs and their perturbed copies: graph_of_germ
+    # raises ValidityError exactly when the Jacobian test or the pairwise
+    # closedness identities rejected, and returns the reference graph otherwise
+    counts = {"ok": 0, "ValidityError": 0}
+    first_to_reject = set()
+    for n, k in SHAPES:
+        rng = rng_for(10 * n + k, "germ-rejection")
+        g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k, 1)) for _ in range(2))
+        for germ in (g1, compose_germs(g2, g1)):
+            for copy in (germ, *perturbed_germs(rng, germ)):
+                got = outcome(graph_of_germ, copy)
+                rejection = frozen_rejection(copy)
+                if rejection is None:
+                    assert got == ("ok", ref.graph_of_germ(copy))
+                else:
+                    assert got[0] == "ValidityError"
+                    first_to_reject.add("Jacobian" if rejection.startswith("linearization")
+                                        else "pairwise")
+                counts[got[0]] += 1
+    assert min(counts.values()) >= 100
+    # both deleted checks are the first to reject some copies
+    assert first_to_reject == {"Jacobian", "pairwise"}
 
 
 def affine_core_maps(rng):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference_sampling as ref
 from microsympl.errors import ShapeError
 from microsympl.jetalg import FiberGradedPoly
 from microsympl.micro import (Micromorphism, MicroObject, compose, extract_germ,
@@ -9,7 +10,7 @@ from microsympl.micro import (Micromorphism, MicroObject, compose, extract_germ,
 from microsympl.operad import (OperadElement, check_operad_axioms, diagonal_lift,
                                is_in_L, operad_compose, random_L_element,
                                unit_element)
-from microsympl.sampling import rng_for
+from microsympl.sampling import rand_core_map, rng_for
 
 
 ONE = MicroObject(1)
@@ -112,3 +113,21 @@ def test_axiom_report_on_dimension_two_base():
     report = check_operad_axioms(MicroObject(2), seed=9, max_arity=2, levels=2,
                                  samples=5)
     assert report.passed
+
+
+def test_samplers_draw_what_their_frozen_copies_drew():
+    # the same values and the same generator state afterwards, since every
+    # seeded corpus follows the draw order
+    for seed in range(400):
+        rng, ref_rng = rng_for(seed, "poly-samplers"), rng_for(seed, "poly-samplers")
+        for domain in range(4):
+            for codomain in range(4):
+                args = (domain, codomain, (seed + domain) % 4, (seed + codomain) % 4)
+                assert rand_core_map(rng, *args) == ref.rand_core_map(ref_rng, *args)
+                assert rng.getstate() == ref_rng.getstate()
+        for n in range(3):
+            for arity in range(4):
+                args = (MicroObject(n), arity, seed % 4 + 1, seed % 3 + 1)
+                got, want = random_L_element(rng, *args), ref.random_L_element(ref_rng, *args)
+                assert (got.arity, got.morphism) == (want.arity, want.morphism)
+                assert rng.getstate() == ref_rng.getstate()

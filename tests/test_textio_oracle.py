@@ -101,7 +101,7 @@ def test_sums_with_repeated_monomials_and_powered_fractions(case):
 GRAMMAR = list("px0123456789+-*^/ \t")
 # characters the grammar does not know, line breaks that str.splitlines()
 # honours, Unicode decimal digits that int() reads (Arabic-Indic three) and
-# digits that it does not (superscript two, circled one)
+# digits that are not decimal (superscript two, circled one)
 ODD = ["\n", "\r", "\x0b", "\u2028", "\xa0", "\u2003", "y", "P", ".", "(", "\xbd",
        "\u0663", "\xb2", "\u2460"]
 
@@ -133,13 +133,16 @@ def test_edge_cases_match_the_reference(text):
             assert_agrees(text, *space, first_line)
 
 
-def test_the_digit_class_is_str_isdigit():
+def test_the_digit_class_is_str_isdecimal():
     # the scanner's int and var groups read exactly the characters that the
-    # reference tokenizer's isdigit() loop reads
-    import re
+    # reference tokenizer's isdecimal() loop reads
     everything = "".join(map(chr, range(0x110000)))
-    assert re.findall(f"[{textio._DIGIT}]", everything) == \
-        [c for c in everything if c.isdigit()]
+    ints = [m.group() for m in textio._SCANNER.finditer(everything) if m.lastgroup == "int"]
+    assert "".join(ints) == "".join(c for c in everything if c.isdecimal())
+    assert ints[0] == "0123456789"
+    for c in "\xb2\u2460\u0663":
+        kinds = [m.lastgroup for m in textio._SCANNER.finditer(f"p{c}")]
+        assert kinds == (["var"] if c.isdecimal() else ["var", "bad"])
     assert textio.MAX_EXPONENT == ref.MAX_EXPONENT
 
 
