@@ -33,12 +33,12 @@ from 0 by one substitution batch W -> F(W) = L^-1 (targets - N(W)) per update
 compose_germs shifts the outer jets to the inner core restriction the same
 way, so only fiber-degree >= 1 values are substituted.
 
-graph_of_germ accepts a germ exactly when dS gives its graph form back, S
-the potential it builds; then the linearization is symplectic at every core
-point.  Tangent relations read the gradient of S at core points (0, b) off
-its terms of fiber degree <= 1, for all of a call's points in one pass of
-_first_derivatives.  CoreMap.jacobian_at, the other side of the cross-check
-in is_micromorphism, stays independent of it.
+graph_of_germ accepts a germ when dS gives its graph form back, S the
+potential it builds, and dX/dp is symmetric; then its linearization is
+symplectic at every core point.  Tangent relations read the gradient of S off
+its terms of fiber degree <= 1, at all of a call's core points (0, b) in
+one pass of _first_derivatives.  CoreMap.jacobian_at, the other side of the
+cross-check in is_micromorphism, stays independent of it.
 """
 
 from __future__ import annotations
