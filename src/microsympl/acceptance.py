@@ -62,9 +62,9 @@ def _category_fixture(seed):
     return morphisms, triples
 
 
-def criterion_category_laws(seed, _fixture=None) -> CriterionResult:
+def criterion_category_laws(fixture) -> CriterionResult:
     """Identity is a two-sided unit and composition is associative, exactly."""
-    morphisms, triples = _fixture or _category_fixture(seed)
+    morphisms, triples = fixture
     unit_failures = 0
     for f in morphisms:
         if compose(f, identity(f.source, f.order)) != f:
@@ -79,9 +79,9 @@ def criterion_category_laws(seed, _fixture=None) -> CriterionResult:
         f"100 triples, associativity failures {assoc_failures}")
 
 
-def criterion_closure(seed, _fixture=None) -> CriterionResult:
+def criterion_closure(fixture) -> CriterionResult:
     """Composites are valid micromorphisms and cores compose contravariantly."""
-    _, triples = _fixture or _category_fixture(seed)
+    _, triples = fixture
     failures = 0
     checked = 0
     for f, g, h, gf, hg, h_gf, _ in triples:
@@ -320,9 +320,8 @@ def criterion_pointwise_composition(seed) -> CriterionResult:
         f"{instances} truncation-free instances x 3 points, failures {failures}")
 
 
+# criteria 3..9; 1 and 2 share the category fixture
 _CRITERIA = (
-    criterion_category_laws,
-    criterion_closure,
     criterion_lift_functoriality,
     criterion_transversality,
     criterion_linear_layer,
@@ -335,11 +334,8 @@ _CRITERIA = (
 
 def run_criteria(seed) -> list[CriterionResult]:
     fixture = _category_fixture(seed)
-    results = [criterion_category_laws(seed, _fixture=fixture),
-               criterion_closure(seed, _fixture=fixture)]
-    for fn in _CRITERIA[2:]:
-        results.append(fn(seed))
-    return results
+    return [criterion_category_laws(fixture), criterion_closure(fixture),
+            *(fn(seed) for fn in _CRITERIA)]
 
 
 def build_report(seed) -> tuple[str, bool]:

@@ -290,9 +290,6 @@ class FiberGradedPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def max_fiber_degree(self) -> int:
-        return max(self.nums, default=0) >> self.codec.degree_shift
-
     def coefficient(self, fiber_exps: Sequence[int], base_exps: Sequence[int]) -> Fraction:
         return self.terms.get((tuple(fiber_exps), tuple(base_exps)), Fraction(0))
 

@@ -114,9 +114,9 @@ def rand_splitting(rng: random.Random, n: int) -> Splitting:
     return Splitting(n, rand_symmetric_matrix(rng, n))
 
 
-def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int,
-                                   extra_terms: int = 2) -> Micromorphism:
-    """Valid micromorphism whose core map is affine with invertible linear part."""
+def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int) -> Micromorphism:
+    """Valid micromorphism whose core map is affine with invertible linear part,
+    with two random terms of fiber degree 2..order added when order >= 2."""
     a_rows = rand_invertible_int_matrix(rng, dim)
     collected = []
     for i in range(dim):
@@ -127,7 +127,7 @@ def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int,
             if a_rows[i][j]:
                 collected.append(((unit_exp(dim, i), unit_exp(dim, j)), a_rows[i][j]))
     if order >= 2:
-        for _ in range(extra_terms):
+        for _ in range(2):
             pdeg = rng.randint(2, order)
             pe = rand_exponents(rng, dim, pdeg)
             xe = rand_exponents(rng, dim, rng.randint(0, 2))

@@ -37,7 +37,7 @@ combine into unbounded expansions either; the limit admits every record of
 order at most 2 within ``MAX_DIM``.  An integer literal (coefficient,
 denominator, exponent or variable index) longer than the interpreter's
 integer string conversion limit (4,300 digits by default) raises ParseError
-as well.
+as well, and so does a term of S above the record's order, at the S line.
 """
 
 from __future__ import annotations
@@ -320,7 +320,10 @@ def parse_morphism(text: str) -> Micromorphism:
                 raise ParseError("expected 'S = <polynomial>'", lineno)
             if gen is not None:
                 raise ParseError("duplicate generating function line", lineno)
-            gen = parse_polynomial(expr.strip(), m, n, order, first_line=lineno)
+            try:
+                gen = parse_polynomial(expr.strip(), m, n, order, first_line=lineno)
+            except ShapeError as exc:  # a term above the order, or a key field overflow
+                raise ParseError(str(exc), lineno) from None
         else:
             raise ParseError(f"unexpected line {line!r}", lineno)
     if gen is None:

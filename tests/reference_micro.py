@@ -15,7 +15,8 @@ of S built as a polynomial, then evaluated at (0, point).
 ``affine_parts`` and
 ``affine_inverse`` are the ``CoreMap`` methods from before they read integer
 rows: coefficients looked up one by one, then ``mat_inverse`` and
-``mat_vec`` on ``Fraction``s.  ``symplectic_jacobian_check`` is the
+``mat_vec`` on ``Fraction``s; the solves here read their linear parts
+through this ``affine_parts``.  ``symplectic_jacobian_check`` is the
 Jacobian test of ``graph_of_germ`` as it was before it ran on integers: each
 component truncated at order 1 and differentiated in all 2n directions, and
 J^T Omega J compared with Omega through two ``Fraction`` ``mat_mul``
@@ -69,7 +70,7 @@ def _affine_solve(phi, equations, space):
     """Positions X with equations(p, X) = x, seeded at phi, corrected by
     z -> z + A^-1 (x - equations(p, z))."""
     n, _, k = space
-    inv, _ = phi.affine_parts()
+    inv, _ = affine_parts(phi)
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
     seeds = tuple(c.embed(n, n).at_order(k) for c in phi.components)
     none_fiber = [None] * n
@@ -110,7 +111,7 @@ def invert_germ(germ):
                          for j in range(n)) for i in range(n))
     c_inv = mat_inverse(c_rows)
     space = (n, n, k)
-    b_inv, _ = phi.affine_parts()
+    b_inv, _ = affine_parts(phi)
     xvars = [FiberGradedPoly.base_var(n, n, k, j) for j in range(n)]
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
     seeds = [c.embed(n, n).at_order(k) for c in phi.components]

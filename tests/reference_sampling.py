@@ -4,17 +4,21 @@ Frozen copies of ``microsympl.sampling.rand_core_map`` and
 ``microsympl.operad.random_L_element`` as they were before they drew through
 ``rand_poly``, ``rand_exponents`` and ``rand_fraction``: every exponent and
 coefficient drawn inline, and each noise term of an L element added to the
-diagonal lift as a monomial of its own.  Every seeded corpus follows their
-draw order, so tests require the library to draw the same values and leave
-the generator in the same state; do not optimise this file.
+diagonal lift as a monomial of its own.  ``rand_affine_core_micromorphism``
+is the sampler of that name as it was while it took an ``extra_terms``
+option; the library always draws 2, and the germ oracle tests draw 1 through
+this copy, so that their ``Fraction`` references stay fast.  Every seeded
+corpus follows their draw order, so tests require the library to draw the
+same values and leave the generator in the same state; do not optimise this
+file.
 """
 
 from fractions import Fraction
 
 from microsympl.jetalg import FiberGradedPoly
-from microsympl.micro import CoreMap, Micromorphism
+from microsympl.micro import CoreMap, Micromorphism, MicroObject, unit_exp
 from microsympl.operad import OperadElement, diagonal_lift
-from microsympl.sampling import rand_exponents, rand_fraction
+from microsympl.sampling import rand_exponents, rand_fraction, rand_invertible_int_matrix
 
 
 def rand_core_map(rng, domain_dim, codomain_dim, max_deg=2, terms=2):
@@ -48,3 +52,23 @@ def random_L_element(rng, obj, arity, order, extra_terms=2):
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         gen = gen + FiberGradedPoly.monomial(m, n, order, coeff, pe, xe)
     return OperadElement(obj, arity, Micromorphism(base_elem.morphism.source, obj, gen))
+
+
+def rand_affine_core_micromorphism(rng, dim, order, extra_terms=2):
+    a_rows = rand_invertible_int_matrix(rng, dim)
+    collected = []
+    for i in range(dim):
+        const = Fraction(rng.randint(-2, 2))
+        if const:
+            collected.append(((unit_exp(dim, i), (0,) * dim), const))
+        for j in range(dim):
+            if a_rows[i][j]:
+                collected.append(((unit_exp(dim, i), unit_exp(dim, j)), a_rows[i][j]))
+    if order >= 2:
+        for _ in range(extra_terms):
+            pdeg = rng.randint(2, order)
+            pe = rand_exponents(rng, dim, pdeg)
+            xe = rand_exponents(rng, dim, rng.randint(0, 2))
+            collected.append(((pe, xe), rand_fraction(rng, nonzero=True)))
+    gen = FiberGradedPoly(dim, dim, order, collected)
+    return Micromorphism(MicroObject(dim), MicroObject(dim), gen)

@@ -9,9 +9,11 @@ before the term scanner: every core line parsed into a polynomial and compared
 with the core read off S.  Its digits are those of ``str.isdecimal()``, the
 ones ``int()`` reads; it read ``str.isdigit()`` until the parser reported a
 superscript or circled digit as an unexpected character instead of failing to
-convert it.  Tests require the library to agree with these
-functions exactly, on well-formed text and on the ``ParseError`` of malformed
-text; do not optimise this file.
+convert it.  Its ``parse_morphism`` reports a ShapeError of the S line, a term
+above the record's order, as a ParseError at that line; until then it let the
+ShapeError through without a line.  Tests require the library to agree with
+these functions exactly, on well-formed text and on the ``ParseError`` of
+malformed text; do not optimise this file.
 """
 
 import sys
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from microsympl.errors import ParseError
+from microsympl.errors import ParseError, ShapeError
 from microsympl.jetalg import FiberGradedPoly
 from microsympl.micro import MicroObject, Micromorphism
 
@@ -265,7 +267,10 @@ def parse_morphism(text: str) -> Micromorphism:
                 raise ParseError("expected 'S = <polynomial>'", lineno)
             if gen is not None:
                 raise ParseError("duplicate generating function line", lineno)
-            gen = parse_polynomial(expr.strip(), m, n, order, first_line=lineno)
+            try:
+                gen = parse_polynomial(expr.strip(), m, n, order, first_line=lineno)
+            except ShapeError as exc:  # a term above the order, or a key field overflow
+                raise ParseError(str(exc), lineno) from None
         else:
             raise ParseError(f"unexpected line {line!r}", lineno)
     if gen is None:

@@ -31,11 +31,11 @@ def category_fixture():
 
 
 def test_criterion_01_category_laws(category_fixture):
-    _assert_criterion(acceptance.criterion_category_laws(SEED, _fixture=category_fixture))
+    _assert_criterion(acceptance.criterion_category_laws(category_fixture))
 
 
 def test_criterion_02_closure(category_fixture):
-    _assert_criterion(acceptance.criterion_closure(SEED, _fixture=category_fixture))
+    _assert_criterion(acceptance.criterion_closure(category_fixture))
 
 
 def test_criterion_03_lift_functoriality():

@@ -109,6 +109,13 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("poly", ["p1*x1 + p1^3", "p1*x1 + 0*p1^3"])
+def test_a_term_above_the_order_names_its_line(capsys, poly):
+    code, out, err = run(capsys, "check", f"source=1 target=1 order=2\n\nS = {poly}")
+    assert (code, out) == (1, "")
+    assert err == "error: line 3: fiber degree 3 exceeds order 2\n"
+
+
 def test_check_reads_a_file_whose_name_starts_with_germ(tmp_path, monkeypatch, capsys):
     (tmp_path / "germ_a.txt").write_text(DEFORM_A)
     monkeypatch.chdir(tmp_path)

@@ -464,9 +464,10 @@ def _jets(n, k, *components):
 
 
 @pytest.mark.parametrize("n, x_terms, p_terms, message", [
-    # P = p1 + x1*p1 along X = x1: dS/dp1 = x1 + x1^2/3
+    # P = p1 + x1*p1 along X = x1: S = 3/2*p1*x1 + 1/3*p1*x1^2, so
+    # dS/dx1 = 3/2*p1 + 2/3*p1*x1
     (1, [{((0,), (1,)): F(1)}], [{((1,), (0,)): F(1), ((1,), (1,)): F(1)}],
-     "X1 != dS/dp1 below fiber degree 2"),
+     "P1 != dS/dx1"),
     # P = (p1 + x2*p1, p2 - x1*p1) along X = x: S = p1*x1 + p2*x2, so dS/dp = X
     # but dS/dx1 = P1 - x2*p1
     (2, [{((0, 0), (1, 0)): F(1)}, {((0, 0), (0, 1)): F(1)}],

@@ -10,7 +10,7 @@ from microsympl.micro import (Micromorphism, MicroObject, compose, extract_germ,
 from microsympl.operad import (OperadElement, check_operad_axioms, diagonal_lift,
                                is_in_L, operad_compose, random_L_element,
                                unit_element)
-from microsympl.sampling import rand_core_map, rng_for
+from microsympl.sampling import rand_affine_core_micromorphism, rand_core_map, rng_for
 
 
 ONE = MicroObject(1)
@@ -130,4 +130,9 @@ def test_samplers_draw_what_their_frozen_copies_drew():
                 args = (MicroObject(n), arity, seed % 4 + 1, seed % 3 + 1)
                 got, want = random_L_element(rng, *args), ref.random_L_element(ref_rng, *args)
                 assert (got.arity, got.morphism) == (want.arity, want.morphism)
+                assert rng.getstate() == ref_rng.getstate()
+        for n in range(1, 4):
+            for k in range(1, 5):
+                got = rand_affine_core_micromorphism(rng, n, k)
+                assert got == ref.rand_affine_core_micromorphism(ref_rng, n, k)
                 assert rng.getstate() == ref_rng.getstate()
