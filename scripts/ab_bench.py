@@ -6,6 +6,9 @@ Usage (from anywhere; stdlib only):
     python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload linear-checks \\
         --seed 1 --seconds 30 --pairs 10
 
+``--workload`` may be given more than once; the workloads run one after the
+other, in the order given, each with its own pairs and its own table.
+
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, as it is
 committed there, one run at a time; even pairs run the parent first and odd
 pairs the change first, so that a drift of the host's speed does not favour
@@ -27,7 +30,8 @@ bound.  ``--claim METRIC`` also prints whether
 a claimed gain on METRIC holds: the change is better in at least nine pairs
 of ten, and its median is better than the parent median by more than the
 parent's quartile spread (q3 - q1).  The exit status is 1 when a claim does
-not hold or anything but ``UNRESOLVED`` is flagged.  Arguments are checked
+not hold or anything but ``UNRESOLVED`` is flagged, on any of the
+workloads; a claim is checked on each of them.  Arguments are checked
 before any run: ``--pairs`` below 1, ``--seconds`` not positive and finite,
 or a ``--workload`` that the parent's ``BENCHMARK.json`` does not name exit 2.
 """
@@ -152,11 +156,34 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
     return lines + flags + output_flags(parent, change)
 
 
+def run_workload(args: argparse.Namespace, end_to_end: list[dict], workload: str) -> int:
+    """The pairs of one workload and its table; 1 when it is flagged or a
+    claim does not hold, else 0."""
+    key = end_to_end[0]["name"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_once(getattr(args, side), workload, args.seed, args.seconds)
+            runs[side].append(run)
+            print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                  f"{key}={run['metrics'][key]:.4g}", file=sys.stderr, flush=True)
+    print(f"workload={workload} seed={args.seed} seconds={args.seconds:g} "
+          f"pairs={args.pairs}")
+    print("\n".join(summarize(runs["parent"], runs["change"], end_to_end, args.claim)),
+          flush=True)
+    stats = {m["name"]: compare(runs["parent"], runs["change"], m) for m in end_to_end}
+    bad = (any(regressed(stats[m["name"]], m) for m in end_to_end)
+           or output_flags(runs["parent"], runs["change"]))
+    return 1 if bad or (args.claim and not claim_holds(stats[args.claim])) else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload of the parent's BENCHMARK.json; repeatable")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=10)
@@ -169,28 +196,13 @@ def main(argv=None) -> int:
         parser.error(f"--seconds must be positive and finite, got {args.seconds:g}")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        parser.error(f"--workload {args.workload} is not a workload of the parent's "
-                     f"BENCHMARK.json")
+    for workload in args.workload:
+        if workload not in {w["name"] for w in spec["workloads"]}:
+            parser.error(f"--workload {workload} is not a workload of the parent's "
+                         f"BENCHMARK.json")
     if args.claim and args.claim not in {m["name"] for m in spec["end_to_end"]}:
         parser.error(f"--claim {args.claim} is not an end-to-end metric")
-    key = spec["end_to_end"][0]["name"]
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
-            runs[side].append(run)
-            print(f"pair {i + 1}/{args.pairs} {side}: {key}={run['metrics'][key]:.4g}",
-                  file=sys.stderr, flush=True)
-    print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
-          f"pairs={args.pairs}")
-    end_to_end = spec["end_to_end"]
-    print("\n".join(summarize(runs["parent"], runs["change"], end_to_end, args.claim)))
-    stats = {m["name"]: compare(runs["parent"], runs["change"], m) for m in end_to_end}
-    bad = (any(regressed(stats[m["name"]], m) for m in end_to_end)
-           or output_flags(runs["parent"], runs["change"]))
-    return 1 if bad or (args.claim and not claim_holds(stats[args.claim])) else 0
+    return max(run_workload(args, spec["end_to_end"], workload) for workload in args.workload)
 
 
 if __name__ == "__main__":

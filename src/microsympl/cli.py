@@ -28,6 +28,7 @@ _INTERNAL_ERRORS = (ConvergenceError, InternalInvariantError)
 MAX_OPERAD_DIM = 8
 MAX_OPERAD_ARITY = 8
 MAX_OPERAD_SAMPLES = 10_000
+MAX_OPERAD_LEVELS = 2
 
 
 def _int_flag(minimum: int, maximum: int | None = None, name: str = ""):
@@ -116,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=_int_flag(0, MAX_OPERAD_ARITY, "arity"), default=3,
                    help="largest diagonal arity enumerated exactly "
                         f"(at most {MAX_OPERAD_ARITY})")
-    p.add_argument("--levels", type=_int_flag(1), default=2,
-                   help="composition depth (2 adds two-level associativity)")
+    p.add_argument("--levels", type=_int_flag(1, MAX_OPERAD_LEVELS, "levels"), default=2,
+                   help="composition depth (2 adds two-level associativity; "
+                        f"at most {MAX_OPERAD_LEVELS})")
     p.add_argument("--out", help="write the report to this path")
 
     p = sub.add_parser("selfcheck", help="run the full acceptance suite")

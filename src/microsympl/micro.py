@@ -24,12 +24,15 @@ that always converges for valid operands; internally one extra truncation
 order is carried so fiber derivatives stay faithful at the stored order.
 
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
-part.  extract_germ, graph_of_germ and invert_germ expand their equations once
-at X = phi(x) + w, phi the affine core inverse and w new fiber variables
-(_shifted), fold the inverse of the L read off their terms L w into
-F = L^-1 (targets - shifted) + w once (_split_linear), and solve for W alone
-from 0 by one substitution batch W -> F(W) = L^-1 (targets - N(W)) per update
-(_corrected), the momentum block of invert_germ before its position block.
+part.  extract_germ, graph_of_germ and invert_germ solve for the fiber part W
+of X = phi(x) + W, phi the affine core inverse.  At p = 0 the position
+equations are the core map A X + b that phi inverts, and every other term has
+a p, so at X = phi(x) + w they read x + A w + N, N their terms of fiber
+degree >= 1: their part L w is A w, and phi holds A^-1.  Each solve folds
+F = -L^-1 N once (_folded), expands it once at X = phi(x) + w (_shifted), and
+updates W from 0 by one batch W -> F(W) (_corrected); the first, F(0), is
+read off the keys of F.  invert_germ solves its momenta first, with L = C,
+the constant linear part of P, and N its terms of fiber degree >= 2.
 compose_germs shifts the outer jets to the inner core restriction the same
 way, so only fiber-degree >= 1 values are substituted.
 
@@ -555,37 +558,26 @@ def compose_germs(outer: GermJet, inner: GermJet) -> GermJet:
 def _shifted(polys, phi: CoreMap, n: int, k: int) -> list[FiberGradedPoly]:
     """polys(p, X) at X = phi(x) + w, expanded once in (2n, n, K); w are the
     fiber variables n..2n-1, so truncation at K applies to them."""
-    w_at_core = [c.embed(2 * n, n).at_order(k) + FiberGradedPoly.fiber_var(2 * n, n, k, n + j)
+    # a key of fiber degree 0 is the same int in (0, n) and (2n, n); w is cut at order 0
+    units = key_codec(2 * n, n).units
+    w_at_core = [FiberGradedPoly._raw(2 * n, n, k, c.den,
+                                      {**c.nums, units[n + j]: c.den} if k else c.nums)
                  for j, c in enumerate(phi.components)]
     return substitute_many(polys, [None] * n, w_at_core, (2 * n, n, k))
 
 
-def _split_linear(shifted, offset: int, targets=()):
-    """``(L^-1, F)`` for shifted systems S = L v + N(v) in (2n, n, K), v_j the
-    fiber variable offset + j, once per solve: L is read off the terms c v_j
-    with v_j alone, and F = L^-1 (targets - S) + v, in which those terms
-    cancel, so F(v) = L^-1 (targets - N(v)).  ``targets`` are n polynomials
-    of the shifted space, or none.  Both are None when L is singular.
-    """
-    n = len(shifted)
-    keys = key_codec(2 * n, n).units[offset:offset + n]
-    # row i of [L | I] times the denominator of equation i
-    inv = _left_solve([[p.nums.get(key, 0) for key in keys] + [p.den * (j == i) for j in range(n)]
-                       for i, p in enumerate(shifted)], n)
-    if inv is None:
-        return None, None
-    # F_i is one combination of the targets, the equations and v_i
-    return inv, [combine((*targets, *shifted, FiberGradedPoly.fiber_var(*p.space(), offset + i)),
-                         (*(row if targets else ()), *(-c for c in row), 1))
-                 for i, (row, p) in enumerate(zip(inv, shifted))]
+def _folded(equations, inverse, low: int) -> list[FiberGradedPoly]:
+    """F = -L^-1 N, before the shift, for equations t + L v + N, N their terms
+    of fiber degree >= ``low``, and ``inverse`` the rows of L^-1."""
+    rest = [FiberGradedPoly._reduced(*e.space(), e.den, {
+        key: c for key, c in e.nums.items() if key >> e.codec.degree_shift >= low})
+        for e in equations]
+    return [combine(rest, [-c for c in row]) for row in inverse]
 
 
 def _corrected(folded, fiber_values):
-    """The folded system F of _split_linear at the fiber values, in one batch."""
-    if folded is None:
-        # invert_germ rejects a singular momentum block; a position block is
-        # invertible, since phi inverts its core
-        raise InternalInvariantError("germ solve: singular linear part of the shifted positions")
+    """F(v) = -L^-1 N(v), the folded and shifted system of a germ solve, at
+    the fiber values v, in one batch."""
     try:
         # W and P never get a fiber-degree-0 term: phi is the exact core
         # inverse and the momentum outputs vanish on the core (both checked)
@@ -598,17 +590,25 @@ def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
     """Positions X with equations(p, X) = x, as a filtered fixed point, and
     momenta(p, X).
 
-    ``phi`` is the affine inverse of the core map that the equations restrict
-    to at p = 0; the equations are shifted once to X = phi(x) + W, where they
-    read x + A W + N(p, W), and folded once into F = A^-1 (x - shifted) + W,
-    so W, seeded at 0, is updated by W -> F(W) = A^-1 (x - N(p, W)).  The
-    targets x are base variables of the shifted space, which the update keeps.
+    ``phi`` inverts the core map A X + b that the equations restrict to at
+    p = 0, so at X = phi(x) + W they read x + A W + N(p, W), N their terms of
+    fiber degree >= 1, and W = -A^-1 N(p, W) = F(W), A^-1 the linear part of
+    phi.  W, seeded at 0, is updated by one substitution batch W -> F(W); the
+    first update, F(0), is the w-free part of F, read off its keys.
     """
     space = (n, n, k)
-    xvars = [FiberGradedPoly.base_var(2 * n, n, k, j) for j in range(n)]
-    _, folded = _split_linear(_shifted(equations, phi, n, k), n, xvars)
+    a_inv = [[Fraction(a, den) for a in row[:n]] for den, row in phi._affine_rows()]
+    folded = _shifted(_folded(equations, a_inv, 1), phi, n, k)
+    # the w fields sit just above the x fields; dropping them re-keys a term
+    mask = key_codec(2 * n, n).base_mask
+    shift = mask.bit_length()
+    first = tuple(FiberGradedPoly._reduced(*space, f.den, {
+        key >> shift | key & mask: c for key, c in f.nums.items() if not key >> shift & mask})
+        for f in folded)
 
     def step(w):
+        if not any(c.nums for c in w):
+            return first
         return _corrected(folded, [None] * n + list(w))
 
     ws = solve_triangular_fixed_point((FiberGradedPoly.zero(*space),) * n, step)
@@ -657,14 +657,17 @@ def invert_germ(germ: GermJet) -> GermJet:
         raise UnsupportedCoreError(
             "momentum linearization varies along the core; inversion "
             "is supported only for the affine class")
-    shifted = _shifted((*germ.p_out, *germ.x_out), phi, n, k)
-    # P reads C p + N(p, w) and X reads x + B w + N(p, w) once shifted; the
-    # p slots take values, so C^-1 p is added after each momentum batch
-    c_inv, p_folded = _split_linear(shifted[:n], 0)
+    # P reads C p + N(p, X), so p = C^-1 (p' - N); the p slots take values,
+    # so C^-1 p' is added after each momentum batch
+    c_inv = _left_solve([[p.nums.get(codec.units[j], 0) for j in range(n)]
+                         + [p.den * (j == i) for j in range(n)]
+                         for i, p in enumerate(germ.p_out)], n)
     if c_inv is None:
         raise UnsupportedCoreError("momentum linearization is not invertible")
-    _, x_folded = _split_linear(shifted[n:], n,
-                                [FiberGradedPoly.base_var(2 * n, n, k, j) for j in range(n)])
+    a_inv = [[Fraction(a, den) for a in row[:n]] for den, row in phi._affine_rows()]
+    folded = _shifted([*_folded(germ.p_out, c_inv, 2), *_folded(germ.x_out, a_inv, 1)],
+                      phi, n, k)
+    p_folded, x_folded = folded[:n], folded[n:]
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
     c_inv_p = [combine(pvars, row) for row in c_inv]
 

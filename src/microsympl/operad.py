@@ -79,9 +79,9 @@ def is_in_L(elem: OperadElement) -> bool:
     return elem.morphism.core == CoreMap.diagonal(elem.base.core_dim, elem.arity)
 
 
-def random_L_element(rng: random.Random, obj: MicroObject, arity: int, order: int,
-                     extra_terms: int = 2) -> OperadElement:
-    """Random diagonal-core element: the diagonal lift plus fiber-degree >= 2 noise."""
+def random_L_element(rng: random.Random, obj: MicroObject, arity: int,
+                     order: int) -> OperadElement:
+    """Random diagonal-core element: the diagonal lift plus two fiber-degree >= 2 noise terms."""
     base_elem = diagonal_lift(obj, arity, order)
     n = obj.core_dim
     m = arity * n
@@ -89,7 +89,7 @@ def random_L_element(rng: random.Random, obj: MicroObject, arity: int, order: in
         return base_elem
     noise = [((rand_exponents(rng, m, rng.randint(2, order)),
                rand_exponents(rng, n, rng.randint(0, 2))), rand_fraction(rng))
-             for _ in range(extra_terms)]
+             for _ in range(2)]
     gen = FiberGradedPoly(m, n, order, [*base_elem.morphism.gen.terms.items(), *noise])
     return OperadElement(obj, arity, Micromorphism(base_elem.morphism.source, obj, gen))
 

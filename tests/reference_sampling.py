@@ -7,7 +7,8 @@ coefficient drawn inline, and each noise term of an L element added to the
 diagonal lift as a monomial of its own.  ``rand_affine_core_micromorphism``
 is the sampler of that name as it was while it took an ``extra_terms``
 option; the library always draws 2, and the germ oracle tests draw 1 through
-this copy, so that their ``Fraction`` references stay fast.  Every seeded
+this copy, so that their ``Fraction`` references stay fast.  Both copies keep
+that option, which the library's samplers no longer take.  Every seeded
 corpus follows their draw order, so tests require the library to draw the
 same values and leave the generator in the same state; do not optimise this
 file.

@@ -171,6 +171,33 @@ def test_exit_status_reports_differing_digests_or_more_failures(tmp_path, monkey
     assert "DIGESTS DIFFER" in out and "MORE FAILURES" in out
 
 
+def test_each_workload_gets_its_own_table_and_any_flag_fails_the_run(tmp_path, monkeypatch,
+                                                                     capsys):
+    import json
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": BOUNDED}))
+    change = tmp_path / "change"
+    ops = {}
+    started = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        started.append(workload)
+        return runs([ops[workload] if checkout == change else 100], [2])[0]
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    argv = [str(tmp_path), str(change), "--workload", "v", "--workload", "w", "--pairs", "2"]
+    for v_ops, w_ops, status in ((100, 100, 0), (70, 100, 1), (100, 70, 1)):
+        ops.update({"v": v_ops, "w": w_ops})
+        started.clear()
+        assert ab_bench.main(argv) == status
+        # the workloads run one after the other, in the order given
+        assert started == ["v"] * 4 + ["w"] * 4
+        out = capsys.readouterr().out
+        tables = [line.split()[0] for line in out.splitlines() if line.startswith("workload=")]
+        assert tables == ["workload=v", "workload=w"]
+        assert out.count("REGRESSED ops_per_s") == status
+
+
 def test_a_run_without_a_digest_line_is_an_error(tmp_path, monkeypatch):
     import json
     result = json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "failed": 0,
@@ -196,6 +223,8 @@ def test_a_run_without_a_digest_line_is_an_error(tmp_path, monkeypatch):
     (["--seconds", "nan"], "--seconds must be positive and finite, got nan"),
     (["--seconds", "inf"], "--seconds must be positive and finite, got inf"),
     (["--workload", "v"], "--workload v is not a workload of the parent's BENCHMARK.json"),
+    (["--workload", "w", "--workload", "v"],
+     "--workload v is not a workload of the parent's BENCHMARK.json"),
 ])
 def test_bad_arguments_exit_2_before_any_run(tmp_path, monkeypatch, capsys, extra, message):
     import json

@@ -246,6 +246,8 @@ def test_a_digit_that_is_not_decimal_is_an_unexpected_character(capsys, poly, co
     ("--dim", "9", "dim 9 exceeds the limit of 8"),
     ("--arity", "9", "arity 9 exceeds the limit of 8"),
     ("--samples", "10001", "samples 10001 exceeds the limit of 10000"),
+    # the axioms go two levels deep; a deeper --levels ran depth 2 silently
+    ("--levels", "3", "levels 3 exceeds the limit of 2"),
 ])
 def test_operad_flag_limits(capsys, flag, value, limit):
     code, _, err = run(capsys, "operad", flag, value)
@@ -256,8 +258,8 @@ def test_operad_flag_limits(capsys, flag, value, limit):
 def test_operad_flags_at_their_limits_parse():
     from microsympl.cli import _build_parser
     args = _build_parser().parse_args(["operad", "--dim", "8", "--arity", "8",
-                                       "--samples", "10000"])
-    assert (args.dim, args.arity, args.samples) == (8, 8, 10000)
+                                       "--samples", "10000", "--levels", "2"])
+    assert (args.dim, args.arity, args.samples, args.levels) == (8, 8, 10000, 2)
 
 
 def test_check_at_without_splitting_shows_the_check_usage_line(capsys):

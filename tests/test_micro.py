@@ -602,10 +602,20 @@ def test_invert_germ_rejects_core_breaking_data():
     assert str(err.value) == "germ does not preserve the core"
 
 
+def _run_germ_list():
+    # a seeded germ list: extract two germs, graph their composite and
+    # extract it again, invert the first
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            rng = rng_for(10 * n + k, "solver-work")
+            g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k)) for _ in range(2))
+            extract_germ(graph_of_germ(compose_germs(g2, g1)))
+            invert_germ(g1)
+
+
 def test_germ_solves_take_a_fixed_amount_of_work(monkeypatch):
-    # machine-independent counts of the filtered solver over a seeded germ
-    # list: extract two germs, graph their composite and extract it again,
-    # invert the first; a change of the update must not add an iteration
+    # machine-independent counts of the filtered solver over the germ list; a
+    # change of the update must not add an iteration
     counts = {"calls": 0, "updates": 0}
     solve = micro.solve_triangular_fixed_point
 
@@ -618,10 +628,36 @@ def test_germ_solves_take_a_fixed_amount_of_work(monkeypatch):
         return solve(initial, counted_update)
 
     monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted)
-    for n in (1, 2, 3):
-        for k in (1, 2, 3):
-            rng = rng_for(10 * n + k, "solver-work")
-            g1, g2 = (extract_germ(rand_affine_core_micromorphism(rng, n, k)) for _ in range(2))
-            extract_germ(graph_of_germ(compose_germs(g2, g1)))
-            invert_germ(g1)
+    _run_germ_list()
     assert counts == {"calls": 45, "updates": 118}
+
+
+def test_germ_solves_take_a_fixed_number_of_substitutions(monkeypatch):
+    # over the same germ list: each solve folds and shifts its equations in
+    # one batch, and the first update of a position solve, at W = 0, is read
+    # off the folded system's keys instead of substituted
+    counts = {"batches": 0, "polys": 0}
+    substitute = micro.substitute_many
+
+    def counted(polys, *args):
+        counts["batches"] += 1
+        counts["polys"] += len(polys)
+        return substitute(polys, *args)
+
+    monkeypatch.setattr(micro, "substitute_many", counted)
+    _run_germ_list()
+    assert counts == {"batches": 206, "polys": 465}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_germs_of_order_0_compose_as_their_cores(n):
+    # at order 0 a germ is its core restriction: the w of X = phi(x) + w are
+    # truncated away, and P is zero, so it has no momentum linearization
+    xs = tuple(FiberGradedPoly.base_var(n, n, 0, i) * 2 + FiberGradedPoly.constant(n, n, 0, i + 1)
+               for i in range(n))
+    zeros = (FiberGradedPoly.zero(n, n, 0),) * n
+    germ = GermJet(n, 0, xs, zeros)
+    twice = tuple(x * 2 + FiberGradedPoly.constant(n, n, 0, i + 1) for i, x in enumerate(xs))
+    assert compose_germs(germ, germ) == GermJet(n, 0, twice, zeros)
+    with pytest.raises(UnsupportedCoreError, match="momentum linearization is not invertible"):
+        invert_germ(germ)

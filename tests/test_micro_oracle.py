@@ -23,6 +23,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_linsympl as ref_linsympl
 import reference_micro as ref
 import reference_sampling as ref_sampling
 from microsympl import micro
@@ -90,65 +91,37 @@ def test_a_fiber_value_off_the_core_is_an_internal_error():
     off_core = FiberGradedPoly.constant(1, 1, 2, 1)
     with pytest.raises(InternalInvariantError, match="left the core"):
         micro._corrected(folded, [None, off_core])
-    with pytest.raises(InternalInvariantError, match="singular linear part"):
-        micro._corrected(None, [None, w])
-
-
-def remainder_of(shifted, offset):
-    """The shifted equations without their terms c v_j, v_j the fiber
-    variable offset + j alone: the nonlinear remainder the split returned
-    before it folded the system."""
-    n = len(shifted)
-    linear = {(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)}
-    return [FiberGradedPoly(*p.space(), {key: c for key, c in p.terms.items() if key not in linear})
-            for p in shifted]
 
 
 def test_the_remainder_drops_exactly_the_linear_part():
-    # shifted to X = phi(x) + w, the positions read x + A w + N(p, w): the
-    # split returns A^-1, the linear part of phi, and F = A^-1 (x - N) + w,
-    # with no term c w_j alone; the momenta read C p + N(p, w) and fold to
-    # -C^-1 N + p; with no term c v_j alone the linear part is zero and has
-    # no inverse
+    # shifted to X = phi(x) + w, the positions read x + A w + N(p, w) and the
+    # momenta C p + N(p, w); the fold -L^-1 N, taken before the shift with L^-1
+    # the linear part of phi or C^-1, is the solve L^-1 (targets - shifted) + v
+    # of the whole shifted system, L read off its terms c v_j alone, and has
+    # no such term
     rng = rng_for(0, "germ-remainder")
     for n in (1, 2, 3):
         germ = extract_germ(rand_affine_core_micromorphism(rng, n, 2))
         phi = micro._core_inverse(germ)
-        a_rows, _ = ref.affine_parts(germ.core_restriction())
+        base = (0,) * n
+        a_inv = ref.affine_parts(phi)[0]
+        c_inv = ref_linsympl.mat_inverse(
+            [[p.coefficient(unit_exp(n, j), base) for j in range(n)] for p in germ.p_out])
         xvars = [FiberGradedPoly.base_var(2 * n, n, 2, j) for j in range(n)]
-        shifted = micro._shifted((*germ.p_out, *germ.x_out), phi, n, 2)
-        for offset, equations, targets in ((n, shifted[n:], xvars), (0, shifted[:n], ())):
-            inv, folded = micro._split_linear(equations, offset, targets)
-            remainder = remainder_of(equations, offset)
-            if offset:
-                assert inv == ref.affine_parts(phi)[0]
-                for poly, rem, row in zip(equations, remainder, a_rows):
-                    linear = FiberGradedPoly.zero(2 * n, n, 2)
-                    for j, c in enumerate(row):
-                        linear = linear + FiberGradedPoly.fiber_var(2 * n, n, 2, n + j).scale(c)
-                    assert (poly - rem).terms == linear.terms
-            lone = {(unit_exp(2 * n, offset + j), (0,) * n) for j in range(n)}
-            zero = FiberGradedPoly.zero(2 * n, n, 2)
-            goals = list(targets) or [zero] * n
-            for row, f in zip(inv, folded):
-                assert not lone & f.terms.keys()
-                want = zero
-                for c, goal, rem in zip(row, goals, remainder):
-                    want = want + (goal - rem).scale(c)
+        zeros = [FiberGradedPoly.zero(2 * n, n, 2)] * n
+        for offset, equations, inverse, low, targets in ((n, germ.x_out, a_inv, 1, xvars),
+                                                         (0, germ.p_out, c_inv, 2, zeros)):
+            shifted = micro._shifted(equations, phi, n, 2)
+            lone = [(unit_exp(2 * n, offset + j), base) for j in range(n)]
+            linear = [[p.terms.get(key, 0) for key in lone] for p in shifted]
+            assert ref_linsympl.mat_inverse(linear) == inverse
+            folded = micro._shifted(micro._folded(equations, inverse, low), phi, n, 2)
+            for i, (row, f) in enumerate(zip(inverse, folded)):
+                assert not set(lone) & f.terms.keys()
+                want = FiberGradedPoly.fiber_var(2 * n, n, 2, offset + i)
+                for c, goal, eq in zip(row, targets, shifted):
+                    want = want + (goal - eq).scale(c)
                 assert f == want
-            assert micro._split_linear(remainder, offset, targets) == (None, None)
-            # scaling equation j by c_j scales row j of L, so column j of L^-1
-            # by 1/c_j, and leaves F as it is
-            scales = [F(j + 2, 3) for j in range(n)]
-            scaled_inv, scaled_folded = micro._split_linear(
-                [p.scale(c) for p, c in zip(equations, scales)], offset,
-                [t.scale(c) for t, c in zip(targets, scales)])
-            assert scaled_inv == tuple(tuple(v / c for v, c in zip(row, scales)) for row in inv)
-            assert scaled_folded == folded
-            if n > 1:
-                # a repeated equation: L is singular but not zero
-                assert micro._split_linear([equations[0]] * n, offset,
-                                           [targets[0]] * n if targets else ())[0] is None
 
 
 # -- germ composition -----------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_samplers_draw_what_their_frozen_copies_drew():
                 assert rng.getstate() == ref_rng.getstate()
         for n in range(3):
             for arity in range(4):
-                args = (MicroObject(n), arity, seed % 4 + 1, seed % 3 + 1)
+                args = (MicroObject(n), arity, seed % 4 + 1)
                 got, want = random_L_element(rng, *args), ref.random_L_element(ref_rng, *args)
                 assert (got.arity, got.morphism) == (want.arity, want.morphism)
                 assert rng.getstate() == ref_rng.getstate()
