@@ -27,8 +27,10 @@ orders 1-4.
 ``tests/golden/cli.txt`` holds the exit code and stdout of the CLI verbs
 ``compose`` (fixed records, and seeded ``rand_micromorphism`` pairs at core
 dimensions 0-3 and orders 1-4), ``germ --roundtrip`` (fixed records, and
-seeded ``rand_affine_core_micromorphism`` records) and ``operad --dim 2
---arity 2 --samples 3 --order 6`` at two seeds, each run in process through
+seeded ``rand_affine_core_micromorphism`` records), ``operad --dim 2
+--arity 2 --samples 3 --order 6`` at two seeds and at ``--order 15``, and
+``compose`` of seeded ``rand_micromorphism`` pairs at orders 5-8 and base
+degree 2, each run in process through
 ``cli.main`` on the text of ``textio.format_morphism``.
 
 ``tests/golden/scripts.txt`` holds the stdout of ``scripts/compose_demo.py``
@@ -73,6 +75,7 @@ MICRO_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 JETALG_CASES = 80
 LINEAR_CASES = 48
 CLI_CASES = 16
+CLI_HIGH_CASES = 12
 # records whose base degrees and mixed denominators the seeded ones do not reach
 CLI_RECORDS = [
     "source=1 target=1 order=3\nS = p1*x1^7 - 3/4*p1^2*x1^5 + 1/9*p1^3*x1\n",
@@ -254,6 +257,15 @@ def _cli_blocks():
     for seed in ("0", "1"):
         yield "operad", _cli_run(["operad", "--dim", "2", "--arity", "2", "--samples", "3",
                                   "--order", "6", "--seed", seed])
+    # high orders, where composition does most of its work
+    yield "operad", _cli_run(["operad", "--dim", "2", "--arity", "2", "--samples", "3",
+                              "--order", "15"])
+    for case in range(CLI_HIGH_CASES):
+        rng = rng_for(case, "golden-cli-high")
+        m, mid, n, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3), 5 + case % 4
+        f = rand_micromorphism(rng, m, mid, k, terms=rng.randint(3, 6))
+        g = rand_micromorphism(rng, mid, n, k, terms=rng.randint(3, 6))
+        yield "compose", _cli_run(["compose", format_morphism(g), format_morphism(f)])
 
 
 def cli_text() -> str:
