@@ -342,24 +342,25 @@ class FiberGradedPoly:
 
         The result keeps the stored order; a derivative of an order-K jet is
         faithful only through fiber degree K-1, which callers must account
-        for (composition lifts operands one order for exactly this reason).
+        for (composition differentiates its operands before it cuts them).
         """
         if not 0 <= index < self.fiber_arity:
             raise ShapeError(f"fiber index {index} out of range for arity {self.fiber_arity}")
-        return self._lowered(index)
+        return self._lowered(index, self.order)
 
-    def _lowered(self, field: int) -> "FiberGradedPoly":
-        # the derivative in the variable of key field ``field`` (p1..pm, x1..xn)
+    def _lowered(self, field: int, order: int) -> "FiberGradedPoly":
+        # the derivative in the variable of key field ``field`` (p1..pm, x1..xn), cut at ``order``
         shift, unit = self.codec.shifts[field], self.codec.units[field]
+        limit = ((order + 1) << self.codec.degree_shift) + unit
         out = {key - unit: n * e for key, n in self.nums.items()
-               if (e := key >> shift & MAX_KEY_EXPONENT)}
-        return FiberGradedPoly._reduced(*self.space(), self.den, out)
+               if key < limit and (e := key >> shift & MAX_KEY_EXPONENT)}
+        return FiberGradedPoly._reduced(self.fiber_arity, self.base_arity, order, self.den, out)
 
     def partial_base(self, index: int) -> "FiberGradedPoly":
         """Formal derivative in the base variable x(index+1); exact at all orders."""
         if not 0 <= index < self.base_arity:
             raise ShapeError(f"base index {index} out of range for arity {self.base_arity}")
-        return self._lowered(self.fiber_arity + index)
+        return self._lowered(self.fiber_arity + index, self.order)
 
     # -- substitution and evaluation ----------------------------------------
 

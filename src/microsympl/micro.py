@@ -20,8 +20,8 @@ coefficient because the additive constant is pinned to zero.
 
 Composition eliminates the middle cotangent block through the stationarity
 system of S_f(p1, y) + S_g(q, x3) - <q, y>, solved as a filtered fixed point
-that always converges for valid operands; internally one extra truncation
-order is carried so fiber derivatives stay faithful at the stored order.
+that always converges for valid operands.  The sum is stationary there, so a
+middle point exact through fiber degree K // 2 gives it exactly at order K.
 
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
 part.  extract_germ, graph_of_germ and invert_germ solve for the fiber part W
@@ -300,28 +300,23 @@ def symmetry(a: MicroObject, b: MicroObject, order: int) -> Micromorphism:
 
 
 def _stationary(g: Micromorphism, f: Micromorphism, order: int):
-    """Middle fixed point of composition, in the (source fiber, final base) space."""
-    m = f.source.core_dim
-    n = f.target.core_dim
-    q = g.target.core_dim
-    sf = f.gen.at_order(order)
-    sg = g.gen.at_order(order)
-    sf_dx = [sf.partial_base(j) for j in range(n)]
-    sg_dp = [sg.partial_fiber(j) for j in range(n)]
+    """Middle point (Y, Q) of composition in (source fiber, final base, order)."""
+    m, n, q = f.source.core_dim, f.target.core_dim, g.target.core_dim
+    # derivatives of the stored jets, cut as they are built: a fiber derivative
+    # of a jet already cut at ``order`` would lose its terms of degree ``order``
+    sf_dx = [f.gen._lowered(m + j, order) for j in range(n)]
+    sg_dp = [g.gen._lowered(j, order) for j in range(n)]
     space = (m, q, order)
-    seed_x = [comp.embed(m, q).at_order(order) for comp in g.core.components]
-    seed_p = [FiberGradedPoly.zero(m, q, order) for _ in range(n)]
-    none_m = [None] * m
-    none_q = [None] * q
+    # a key of fiber degree 0 is the same int in (0, q) and (m, q)
+    seed_x = [FiberGradedPoly._raw(*space, c.den, c.nums) for c in g.core.components]
+    seed_p = [FiberGradedPoly.zero(*space)] * n
 
     def step(z):
-        xb = z[:n]
-        pb = substitute_many(sf_dx, none_m, xb, space)
-        xb_new = substitute_many(sg_dp, pb, none_q, space)
-        return (*xb_new, *pb)
+        pb = substitute_many(sf_dx, [None] * m, z[:n], space)
+        return (*substitute_many(sg_dp, pb, [None] * q, space), *pb)
 
     sol = solve_triangular_fixed_point((*seed_x, *seed_p), step)
-    return sol[:n], sol[n:], sf, sg, space
+    return sol[:n], sol[n:]
 
 
 def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
@@ -330,38 +325,37 @@ def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
     With f carrying S_f(p1, y) and g carrying S_g(q, x3), the composite is
     S_f(p1, Y) + S_g(Q, x3) - <Q, Y> where (Y, Q) is the unique filtered
     stationary point, seeded at (core(g)(x3), 0).  The core of the result is
-    core(f) composed after core(g).  A non-contracting fixed point cannot
-    occur for valid operands; hitting one raises InternalInvariantError.
+    core(f) composed after core(g).  (Y, Q) is solved through fiber degree
+    j = K // 2 only: the sum is stationary there, so an error of degree > j
+    moves it by terms quadratic in the error, of degree >= 2j + 2 > K.  A
+    non-contracting fixed point cannot occur for valid operands; hitting one
+    raises InternalInvariantError.
     """
     if f.target != g.source:
         raise ShapeError(
             f"objects do not match: {f.target.core_dim} vs {g.source.core_dim}")
     if f.order != g.order:
         raise ShapeError(f"orders differ: {f.order} vs {g.order}")
-    k = f.order
-    m = f.source.core_dim
-    n = f.target.core_dim
-    q = g.target.core_dim
+    k, m, n, q = f.order, f.source.core_dim, f.target.core_dim, g.target.core_dim
+    space = (m, q, k)
     try:
-        xb, pb, sf, sg, space = _stationary(g, f, k + 1)
-        total = combine((sf.substitute([None] * m, xb, space=space),
-                         sg.substitute(list(pb), [None] * q, space=space),
-                         *(p * y for y, p in zip(xb, pb))), (1, 1, *(-1,) * n))
-        return Micromorphism(f.source, g.target, total.at_order(k))
+        ys, qs = ([v.at_order(k) for v in part] for part in _stationary(g, f, k // 2))
+        total = combine((f.gen.substitute([None] * m, ys, space=space),
+                         g.gen.substitute(qs, [None] * q, space=space),
+                         *(p * y for y, p in zip(ys, qs))), (1, 1, *(-1,) * n))
+        return Micromorphism(f.source, g.target, total)
     except (ConvergenceError, NormalFormError, FiltrationError) as exc:
         raise InternalInvariantError(
             f"composition failed on valid-looking inputs: {exc}") from exc
 
 
 def stationary_middle(g: Micromorphism, f: Micromorphism):
-    """The middle point (Y, Q) eliminated by compose, truncated at the stored order."""
+    """The middle point (Y, Q) eliminated by compose, at the stored order."""
     if f.target != g.source:
         raise ShapeError("objects do not match")
     if f.order != g.order:
         raise ShapeError("orders differ")
-    xb, pb, _, _, _ = _stationary(g, f, f.order + 1)
-    k = f.order
-    return tuple(y.at_order(k) for y in xb), tuple(p.at_order(k) for p in pb)
+    return _stationary(g, f, f.order)
 
 
 def tensor(f1: Micromorphism, f2: Micromorphism) -> Micromorphism:

@@ -129,9 +129,12 @@ def check_operad_axioms(obj: MicroObject, seed: int, max_arity: int = 3,
     Exact checks: every composite of diagonal lifts with total arity at most
     ``max_arity`` equals the diagonal lift of the composed arity (this covers
     the unit-insertion identities), the unit law on sampled elements, and,
-    when ``levels`` >= 2, the two-level associativity equation both on the
-    diagonal suboperad and on ``samples`` random diagonal-core elements.
+    when ``levels`` is 2 (1 and 2 are the only depths), the two-level
+    associativity equation both on the diagonal suboperad and on ``samples``
+    random diagonal-core elements.
     """
+    if levels not in (1, 2):
+        raise ShapeError(f"levels must be 1 or 2, got {levels}")
     rng = random.Random(f"{seed}:operad")
     lines: list[str] = []
     checked = 0
@@ -153,7 +156,7 @@ def check_operad_axioms(obj: MicroObject, seed: int, max_arity: int = 3,
             ok = got.morphism == want.morphism and got.arity == want.arity
             record("diagonal-compose", f"arities={arity};{parts}", ok)
 
-    if levels >= 2:
+    if levels == 2:
         for arity in range(1, min(2, max_arity) + 1):
             for parts in _partitions(max_arity, arity, 2):
                 for shape in _partitions(max_arity, sum(parts), 2):
@@ -170,7 +173,7 @@ def check_operad_axioms(obj: MicroObject, seed: int, max_arity: int = 3,
         ok = operad_compose(f, (ident,) * arity).morphism == f.morphism
         record("unit-law", f"instance={i} arities={arity}", ok)
 
-    if levels >= 2:
+    if levels == 2:
         for i in range(samples):
             arity = rng.randint(1, 2)
             f = random_L_element(rng, obj, arity, order)

@@ -29,9 +29,9 @@ Input limits: a record's order is at most ``MAX_ORDER``, its dimensions
 (``source``/``target`` of a morphism, ``domain``/``codomain`` of a core map)
 at most ``MAX_DIM``, and every exponent written after ``^`` at most
 ``MAX_EXPONENT``; a larger value raises ParseError, so a short record cannot
-ask for a huge power, order or dimension.  A morphism record's largest
-working space, 2 * max(source, target) fiber variables at order K + 1 (the
-germ shift and composition work there), may hold at most
+ask for a huge power, order or dimension.  A morphism record's working space,
+counted as 2 * max(source, target) fiber variables at order K + 1 (one order
+above the germ shift's, the largest expansion), may hold at most
 ``MAX_FIBER_MONOMIALS`` fiber monomials, so that dimension and order cannot
 combine into unbounded expansions either; the limit admits every record of
 order at most 2 within ``MAX_DIM``.  An integer literal (coefficient,

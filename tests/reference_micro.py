@@ -27,15 +27,21 @@ before it checked the germ against its potential alone; it and
 ``compose_germs`` is the germ
 composition from before it was shifted to the core: the whole inner position
 X(x, p) goes into the base slots of the outer jets, through the frozen
-``reference_jetalg.substitute_many``.  Tests require the library to agree
-with these functions exactly; do not optimise this file.
+``reference_jetalg.substitute_many``.  ``_stationary``, ``compose`` and
+``stationary_middle`` are the composition from before it solved its middle
+point at half the order: both operands lifted to order K + 1, the middle
+point solved there, the composite assembled there and then truncated at K.
+Tests require the library to agree with these functions exactly; do not
+optimise this file.
 """
 
 from fractions import Fraction
 
 import reference_jetalg
-from microsympl.errors import ShapeError, UnsupportedCoreError, ValidityError
-from microsympl.jetalg import (FiberGradedPoly, frac, solve_triangular_fixed_point,
+from microsympl.errors import (ConvergenceError, FiltrationError, InternalInvariantError,
+                               NormalFormError, ShapeError, UnsupportedCoreError,
+                               ValidityError)
+from microsympl.jetalg import (FiberGradedPoly, combine, frac, solve_triangular_fixed_point,
                                substitute_many)
 from microsympl.linsympl import (LinCanonicalRelation, mat_inverse, mat_mul, mat_vec,
                                  transpose, unit_vector, zero_vector)
@@ -255,3 +261,68 @@ def affine_inverse(core):
         terms[((), (0,) * n)] = -shift[i]
         comps.append(FiberGradedPoly(0, n, 0, terms))
     return CoreMap(n, tuple(comps))
+
+
+def _stationary(g: Micromorphism, f: Micromorphism, order: int):
+    """Middle fixed point of composition, in the (source fiber, final base) space."""
+    m = f.source.core_dim
+    n = f.target.core_dim
+    q = g.target.core_dim
+    sf = f.gen.at_order(order)
+    sg = g.gen.at_order(order)
+    sf_dx = [sf.partial_base(j) for j in range(n)]
+    sg_dp = [sg.partial_fiber(j) for j in range(n)]
+    space = (m, q, order)
+    seed_x = [comp.embed(m, q).at_order(order) for comp in g.core.components]
+    seed_p = [FiberGradedPoly.zero(m, q, order) for _ in range(n)]
+    none_m = [None] * m
+    none_q = [None] * q
+
+    def step(z):
+        xb = z[:n]
+        pb = substitute_many(sf_dx, none_m, xb, space)
+        xb_new = substitute_many(sg_dp, pb, none_q, space)
+        return (*xb_new, *pb)
+
+    sol = solve_triangular_fixed_point((*seed_x, *seed_p), step)
+    return sol[:n], sol[n:], sf, sg, space
+
+
+def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
+    """Composite g after f; always defined for valid micromorphisms.
+
+    With f carrying S_f(p1, y) and g carrying S_g(q, x3), the composite is
+    S_f(p1, Y) + S_g(Q, x3) - <Q, Y> where (Y, Q) is the unique filtered
+    stationary point, seeded at (core(g)(x3), 0).  The core of the result is
+    core(f) composed after core(g).  A non-contracting fixed point cannot
+    occur for valid operands; hitting one raises InternalInvariantError.
+    """
+    if f.target != g.source:
+        raise ShapeError(
+            f"objects do not match: {f.target.core_dim} vs {g.source.core_dim}")
+    if f.order != g.order:
+        raise ShapeError(f"orders differ: {f.order} vs {g.order}")
+    k = f.order
+    m = f.source.core_dim
+    n = f.target.core_dim
+    q = g.target.core_dim
+    try:
+        xb, pb, sf, sg, space = _stationary(g, f, k + 1)
+        total = combine((sf.substitute([None] * m, xb, space=space),
+                         sg.substitute(list(pb), [None] * q, space=space),
+                         *(p * y for y, p in zip(xb, pb))), (1, 1, *(-1,) * n))
+        return Micromorphism(f.source, g.target, total.at_order(k))
+    except (ConvergenceError, NormalFormError, FiltrationError) as exc:
+        raise InternalInvariantError(
+            f"composition failed on valid-looking inputs: {exc}") from exc
+
+
+def stationary_middle(g: Micromorphism, f: Micromorphism):
+    """The middle point (Y, Q) eliminated by compose, truncated at the stored order."""
+    if f.target != g.source:
+        raise ShapeError("objects do not match")
+    if f.order != g.order:
+        raise ShapeError("orders differ")
+    xb, pb, _, _, _ = _stationary(g, f, f.order + 1)
+    k = f.order
+    return tuple(y.at_order(k) for y in xb), tuple(p.at_order(k) for p in pb)

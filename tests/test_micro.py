@@ -649,6 +649,44 @@ def test_germ_solves_take_a_fixed_number_of_substitutions(monkeypatch):
     assert counts == {"batches": 206, "polys": 465}
 
 
+def test_compose_takes_a_fixed_amount_of_work(monkeypatch):
+    # machine-independent counts over a seeded list of compositions: every
+    # middle point is solved at order K // 2, in a fixed number of updates
+    # and substitution batches
+    counts = {"calls": 0, "updates": 0, "batches": 0, "polys": 0}
+    orders = []
+    solve, substitute = micro.solve_triangular_fixed_point, micro.substitute_many
+
+    def counted_solve(initial, update):
+        counts["calls"] += 1
+        orders.append({p.order for p in initial})
+
+        def counted_update(state):
+            counts["updates"] += 1
+            return update(state)
+        return solve(initial, counted_update)
+
+    def counted_substitute(polys, *args):
+        counts["batches"] += 1
+        counts["polys"] += len(polys)
+        return substitute(polys, *args)
+
+    monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted_solve)
+    monkeypatch.setattr(micro, "substitute_many", counted_substitute)
+    ks = []
+    for case in range(24):
+        rng = rng_for(case, "compose-work")
+        m, mid, n, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3), 1 + case % 8
+        f = rand_micromorphism(rng, m, mid, k, terms=5)
+        g = rand_micromorphism(rng, mid, n, k, terms=5)
+        h, e = (rand_affine_core_micromorphism(rng, 1 + case % 3, k) for _ in range(2))
+        compose(g, f)
+        compose(h, e)
+        ks += [k, k]
+    assert orders == [{k // 2} for k in ks]
+    assert counts == {"calls": 48, "updates": 87, "batches": 174, "polys": 338}
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_germs_of_order_0_compose_as_their_cores(n):
     # at order 0 a germ is its core restriction: the w of X = phi(x) + w are

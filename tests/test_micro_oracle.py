@@ -14,7 +14,10 @@ reject exactly the perturbed germs that the deleted Jacobian test or
 pairwise closedness identities rejected, and give the reference graph of the
 others.  The integer affine core inverse must raise where the ``Fraction``
 reference raises, with the same message, and return the same values where
-it does not.
+it does not.  ``compose``, which solves its middle point at half the order,
+must write the same record as the frozen composition at one order above,
+and ``stationary_middle`` the same middle point, on seeded pairs and on
+identity, unit and point-morphism operands.
 """
 
 import random
@@ -36,6 +39,7 @@ from microsympl.micro import (CoreMap, GermJet, compose_germs, extract_germ, gra
 from microsympl.sampling import (rand_affine_core_micromorphism, rand_exponents,
                                  rand_fraction, rand_micromorphism, rand_point, rand_poly,
                                  rand_violating_gen, rng_for)
+from microsympl.textio import format_morphism
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 
@@ -122,6 +126,66 @@ def test_the_remainder_drops_exactly_the_linear_part():
                 for c, goal, eq in zip(row, targets, shifted):
                     want = want + (goal - eq).scale(c)
                 assert f == want
+
+
+# -- composition -----------------------------------------------------------------------
+
+
+def _random_operands(case):
+    """A seeded composable pair (g, f), dims 0-3, K 1-8, base degree 0-2 and
+    1-5 terms per operand; the middle dimension is 1-3, since the middle
+    point of a middle of dimension 0 is empty (the special operands have one)."""
+    rng = rng_for(case, "compose-oracle")
+    m, mid, n, k = rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 3), 1 + case % 8
+    f = rand_micromorphism(rng, m, mid, k, terms=rng.randint(1, 5),
+                           max_base_deg=rng.randint(0, 2))
+    g = rand_micromorphism(rng, mid, n, k, terms=rng.randint(1, 5),
+                           max_base_deg=rng.randint(0, 2))
+    return g, f
+
+
+def _affine_operands(case):
+    """A seeded pair of affine-core morphisms of dimension 1-3 at K 1-8: a
+    core of full rank keeps the middle point nonzero in every degree."""
+    rng = rng_for(case, "compose-oracle-affine")
+    n, k = 1 + case % 3, 1 + case % 8
+    return rand_affine_core_micromorphism(rng, n, k), rand_affine_core_micromorphism(rng, n, k)
+
+
+def _special_operands(case):
+    """Identity, unit and point-morphism operands around a seeded morphism."""
+    g, f = _random_operands(case)
+    k = f.order
+    mid, n = f.target, g.target
+    tail = rand_poly(rng_for(case, "compose-oracle-tail"), mid.core_dim, 0, k, terms=3,
+                     min_fiber_deg=1)
+    point = micro.point_morphism(mid, tail)
+    unit = micro.unit_to(mid, k)
+    yield g, micro.identity(mid, k)
+    yield micro.identity(n, k), g
+    yield f, micro.unit_to(f.source, k)
+    yield point, f
+    yield point, unit
+    yield g, unit
+    yield micro.unit_to(n, k), micro.point_morphism(n, FiberGradedPoly.zero(n.core_dim, 0, k))
+
+
+def _same_composition(g, f):
+    assert format_morphism(micro.compose(g, f)) == format_morphism(ref.compose(g, f))
+    ys, qs = micro.stationary_middle(g, f)
+    ref_ys, ref_qs = ref.stationary_middle(g, f)
+    assert [p.to_text() for p in (*ys, *qs)] == [p.to_text() for p in (*ref_ys, *ref_qs)]
+    assert (ys, qs) == (ref_ys, ref_qs)
+
+
+def test_compose_matches_the_reference():
+    for case in range(400):
+        _same_composition(*_random_operands(case))
+    for case in range(48):
+        _same_composition(*_affine_operands(case))
+    for case in range(40):
+        for g, f in _special_operands(case):
+            _same_composition(g, f)
 
 
 # -- germ composition -----------------------------------------------------------------

@@ -109,6 +109,18 @@ def test_axiom_report_passes_and_is_deterministic():
     assert report.format().rstrip().splitlines()[-1].startswith("#summary ")
 
 
+@pytest.mark.parametrize("levels", [0, 3])
+def test_axiom_report_rejects_levels_outside_one_and_two(levels):
+    # a depth the checks do not run must not report a pass
+    with pytest.raises(ShapeError, match=f"levels must be 1 or 2, got {levels}"):
+        check_operad_axioms(ONE, seed=7, levels=levels, samples=1)
+
+
+def test_axiom_report_at_one_level_has_no_associativity_checks():
+    lines = check_operad_axioms(ONE, seed=7, levels=1, samples=2).lines
+    assert lines and not any("assoc" in line or "closure" in line for line in lines)
+
+
 def test_axiom_report_on_dimension_two_base():
     report = check_operad_axioms(MicroObject(2), seed=9, max_arity=2, levels=2,
                                  samples=5)
