@@ -30,7 +30,10 @@ dimensions 0-3 and orders 1-4), ``germ --roundtrip`` (fixed records, and
 seeded ``rand_affine_core_micromorphism`` records), ``operad --dim 2
 --arity 2 --samples 3 --order 6`` at two seeds and at ``--order 15``, and
 ``compose`` of seeded ``rand_micromorphism`` pairs at orders 5-8 and base
-degree 2, each run in process through
+degree 2, ``compose`` at orders 2-8 after inner operands whose terms with a
+base variable start just above fiber degree K // 2, and after the same
+draws with such terms starting exactly at K // 2, and ``compose`` of seeded
+outer records after ``micro.unit_to``, each run in process through
 ``cli.main`` on the text of ``textio.format_morphism``.
 
 ``tests/golden/scripts.txt`` holds the stdout of ``scripts/compose_demo.py``
@@ -52,13 +55,14 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from microsympl import cli, micro
-from microsympl.jetalg import substitute_many
+from microsympl.jetalg import FiberGradedPoly, substitute_many
 from microsympl.linsympl import (check_linear_micromorphism, compose_linear,
                                  image_of_point, is_lagrangian,
                                  mat_inverse, nullspace, reduce_span,
                                  subspace_contains, subspace_equal,
                                  transverse_to_splitting, zero_section_relation)
-from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
+from microsympl.micro import MicroObject, Micromorphism
+from microsympl.sampling import (rand_affine_core_micromorphism, rand_exponents, rand_fraction,
                                  rand_invertible_int_matrix,
                                  rand_lagrangian_relation, rand_micromorphism,
                                  rand_point, rand_poly, rand_splitting,
@@ -76,6 +80,7 @@ JETALG_CASES = 80
 LINEAR_CASES = 48
 CLI_CASES = 16
 CLI_HIGH_CASES = 12
+CLI_UNIT_CASES = 4
 # records whose base degrees and mixed denominators the seeded ones do not reach
 CLI_RECORDS = [
     "source=1 target=1 order=3\nS = p1*x1^7 - 3/4*p1^2*x1^5 + 1/9*p1^3*x1\n",
@@ -86,6 +91,19 @@ CLI_RECORDS = [
 ]
 # (outer, inner) indices into CLI_RECORDS
 CLI_COMPOSE_PAIRS = [(0, 1), (1, 0), (0, 0), (2, 2), (3, 4), (4, 3)]
+
+
+def layered_micromorphism(rng, m, mid, k, start):
+    """A seeded micromorphism m -> mid at order k whose terms with a base
+    variable have fiber degree >= ``start``, one of them exactly ``start``
+    unless start > k or m or mid is 0; its other terms are pure in p."""
+    gen = rand_poly(rng, m, mid, k, terms=3, min_fiber_deg=1, max_base_deg=0)
+    if m and mid and start <= k:
+        gen = gen + FiberGradedPoly.monomial(
+            m, mid, k, rand_fraction(rng, nonzero=True), rand_exponents(rng, m, start),
+            rand_exponents(rng, mid, rng.randint(1, 2)))
+        gen = gen + rand_poly(rng, m, mid, k, terms=2, min_fiber_deg=start)
+    return Micromorphism(MicroObject(m), MicroObject(mid), gen)
 
 
 def _rand_rows(rng, nrows, ncols):
@@ -266,6 +284,21 @@ def _cli_blocks():
         f = rand_micromorphism(rng, m, mid, k, terms=rng.randint(3, 6))
         g = rand_micromorphism(rng, mid, n, k, terms=rng.randint(3, 6))
         yield "compose", _cli_run(["compose", format_morphism(g), format_morphism(f)])
+    # the middle point of these is its seed through K // 2 when the inner
+    # operand's terms with a y start above it, and moves when they start at it
+    for k in range(2, 9):
+        for start in (k // 2 + 1, k // 2):
+            rng = rng_for(k, "golden-cli-layered")
+            m, mid, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)
+            f = layered_micromorphism(rng, m, mid, k, start)
+            g = rand_micromorphism(rng, mid, n, k, terms=rng.randint(3, 6))
+            yield "compose", _cli_run(["compose", format_morphism(g), format_morphism(f)])
+    for case in range(CLI_UNIT_CASES):
+        rng = rng_for(case, "golden-cli-unit")
+        mid, n, k = rng.randint(1, 3), rng.randint(0, 3), 1 + 2 * case
+        g = rand_micromorphism(rng, mid, n, k, terms=rng.randint(3, 6))
+        unit = micro.unit_to(MicroObject(mid), k)
+        yield "compose", _cli_run(["compose", format_morphism(g), format_morphism(unit)])
 
 
 def cli_text() -> str:

@@ -246,7 +246,7 @@ def test_canonical_records_never_take_the_token_fallback(monkeypatch):
     # shape, so that a change to to_text cannot move them back onto the tokens
     texts = re.findall(r"^source=.*\n(?:core .*\n)*S = .*\n", GOLDEN_CLI.read_text(),
                        re.MULTILINE)
-    assert len(texts) == 34
+    assert len(texts) == 52
     rng = rng_for(0, "scanner shape")
     texts += [format_morphism(rand_micromorphism(
         rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 4))) for _ in range(200)]
