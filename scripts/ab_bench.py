@@ -31,9 +31,13 @@ a claimed gain on METRIC holds: the change is better in at least nine pairs
 of ten, and its median is better than the parent median by more than the
 parent's quartile spread (q3 - q1).  The exit status is 1 when a claim does
 not hold or anything but ``UNRESOLVED`` is flagged, on any of the
-workloads; a claim is checked on each of them.  Arguments are checked
-before any run: ``--pairs`` below 1, ``--seconds`` not positive and finite,
-or a ``--workload`` that the parent's ``BENCHMARK.json`` does not name exit 2.
+workloads; ``--claim METRIC`` is checked on each of them, and ``--claim
+WORKLOAD:METRIC`` on WORKLOAD alone, so that one call checks a claim on one
+workload and the others for regressions.  Arguments are checked before any
+run: ``--pairs`` below 1, ``--seconds`` not positive and finite, a
+``--workload`` that the parent's ``BENCHMARK.json`` does not name, a claimed
+METRIC that is not one of its end-to-end metrics, or a claimed WORKLOAD that
+is not a ``--workload`` of the call exit 2.
 """
 
 from __future__ import annotations
@@ -156,9 +160,10 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
     return lines + flags + output_flags(parent, change)
 
 
-def run_workload(args: argparse.Namespace, end_to_end: list[dict], workload: str) -> int:
-    """The pairs of one workload and its table; 1 when it is flagged or a
-    claim does not hold, else 0."""
+def run_workload(args: argparse.Namespace, end_to_end: list[dict], workload: str,
+                 claim: str | None) -> int:
+    """The pairs of one workload and its table; 1 when it is flagged or the
+    claim on the metric ``claim`` does not hold, else 0."""
     key = end_to_end[0]["name"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -170,12 +175,12 @@ def run_workload(args: argparse.Namespace, end_to_end: list[dict], workload: str
                   f"{key}={run['metrics'][key]:.4g}", file=sys.stderr, flush=True)
     print(f"workload={workload} seed={args.seed} seconds={args.seconds:g} "
           f"pairs={args.pairs}")
-    print("\n".join(summarize(runs["parent"], runs["change"], end_to_end, args.claim)),
+    print("\n".join(summarize(runs["parent"], runs["change"], end_to_end, claim)),
           flush=True)
     stats = {m["name"]: compare(runs["parent"], runs["change"], m) for m in end_to_end}
     bad = (any(regressed(stats[m["name"]], m) for m in end_to_end)
            or output_flags(runs["parent"], runs["change"]))
-    return 1 if bad or (args.claim and not claim_holds(stats[args.claim])) else 0
+    return 1 if bad or (claim and not claim_holds(stats[claim])) else 0
 
 
 def main(argv=None) -> int:
@@ -187,8 +192,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--claim", metavar="METRIC",
-                        help="report whether a gain on this end-to-end metric holds")
+    parser.add_argument("--claim", metavar="[WORKLOAD:]METRIC",
+                        help="report whether a gain on this end-to-end metric holds, "
+                             "on WORKLOAD alone when it is given")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
@@ -200,9 +206,14 @@ def main(argv=None) -> int:
         if workload not in {w["name"] for w in spec["workloads"]}:
             parser.error(f"--workload {workload} is not a workload of the parent's "
                          f"BENCHMARK.json")
-    if args.claim and args.claim not in {m["name"] for m in spec["end_to_end"]}:
+    claimed, _, metric = (args.claim or "").rpartition(":")
+    if args.claim and metric not in {m["name"] for m in spec["end_to_end"]}:
         parser.error(f"--claim {args.claim} is not an end-to-end metric")
-    return max(run_workload(args, spec["end_to_end"], workload) for workload in args.workload)
+    if claimed and claimed not in args.workload:
+        parser.error(f"--claim {args.claim}: {claimed} is not a --workload of this call")
+    return max(run_workload(args, spec["end_to_end"], workload,
+                            metric if claimed in ("", workload) else None)
+               for workload in args.workload)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,9 @@ Composition eliminates the middle cotangent block through the stationarity
 system of S_f(p1, y) + S_g(q, x3) - <q, y>, solved as a filtered fixed point
 that always converges for valid operands.  The sum is stationary there, so a
 middle point exact through fiber degree K // 2 gives it exactly at order K.
+When dS_f/dy vanishes through K // 2, Q = 0 is exact, so Y = core(g) and the
+composite is S_f(p1, Y), as S_g(0, x3) = 0: always at K = 1, after unit_to
+(S_f = 0), and at K <= 3 after an inner operand with a constant core.
 
 Symplectomorphism germs (GermJet) need an affine core with invertible linear
 part.  extract_germ, graph_of_germ and invert_germ solve for the fiber part W
@@ -300,16 +303,19 @@ def symmetry(a: MicroObject, b: MicroObject, order: int) -> Micromorphism:
 
 
 def _stationary(g: Micromorphism, f: Micromorphism, order: int):
-    """Middle point (Y, Q) of composition in (source fiber, final base, order)."""
+    """Middle point (Y, Q) of composition in (source fiber, final base, order);
+    the seed itself when S_f has no term with a y of fiber degree <= order."""
     m, n, q = f.source.core_dim, f.target.core_dim, g.target.core_dim
-    # derivatives of the stored jets, cut as they are built: a fiber derivative
-    # of a jet already cut at ``order`` would lose its terms of degree ``order``
-    sf_dx = [f.gen._lowered(m + j, order) for j in range(n)]
-    sg_dp = [g.gen._lowered(j, order) for j in range(n)]
     space = (m, q, order)
     # a key of fiber degree 0 is the same int in (0, q) and (m, q)
     seed_x = [FiberGradedPoly._raw(*space, c.den, c.nums) for c in g.core.components]
     seed_p = [FiberGradedPoly.zero(*space)] * n
+    # derivatives of the stored jets, cut as they are built: a fiber derivative
+    # of a jet already cut at ``order`` would lose its terms of degree ``order``
+    sf_dx = [f.gen._lowered(m + j, order) for j in range(n)]
+    if not any(p.nums for p in sf_dx):
+        return tuple(seed_x), tuple(seed_p)
+    sg_dp = [g.gen._lowered(j, order) for j in range(n)]
 
     def step(z):
         pb = substitute_many(sf_dx, [None] * m, z[:n], space)
@@ -327,9 +333,10 @@ def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
     stationary point, seeded at (core(g)(x3), 0).  The core of the result is
     core(f) composed after core(g).  (Y, Q) is solved through fiber degree
     j = K // 2 only: the sum is stationary there, so an error of degree > j
-    moves it by terms quadratic in the error, of degree >= 2j + 2 > K.  A
-    non-contracting fixed point cannot occur for valid operands; hitting one
-    raises InternalInvariantError.
+    moves it by terms quadratic in the error, of degree >= 2j + 2 > K.  The
+    seed is exact when dS_f/dy vanishes through j; with Q = 0 the composite
+    is S_f(p1, Y).  A non-contracting fixed point cannot occur for valid
+    operands; hitting one raises InternalInvariantError.
     """
     if f.target != g.source:
         raise ShapeError(
@@ -340,9 +347,10 @@ def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
     space = (m, q, k)
     try:
         ys, qs = ([v.at_order(k) for v in part] for part in _stationary(g, f, k // 2))
-        total = combine((f.gen.substitute([None] * m, ys, space=space),
-                         g.gen.substitute(qs, [None] * q, space=space),
-                         *(p * y for y, p in zip(ys, qs))), (1, 1, *(-1,) * n))
+        total = f.gen.substitute([None] * m, ys, space=space)
+        if any(p.nums for p in qs):
+            total = combine((total, g.gen.substitute(qs, [None] * q, space=space),
+                             *(p * y for y, p in zip(ys, qs))), (1, 1, *(-1,) * n))
         return Micromorphism(f.source, g.target, total)
     except (ConvergenceError, NormalFormError, FiltrationError) as exc:
         raise InternalInvariantError(
@@ -668,9 +676,11 @@ def invert_germ(germ: GermJet) -> GermJet:
     def step(z):
         # momenta first, then positions against the refreshed momenta: the
         # momentum equation contracts on its own, the position one only
-        # against momenta that are already one degree better
+        # against momenta that are already one degree better; the momenta
+        # fold at z = 0 is zero, its terms all of fiber degree >= 2
         ws, ps = z[:n], z[n:]
-        new_p = [f + q for f, q in zip(_corrected(p_folded, [*ps, *ws]), c_inv_p)]
+        new_p = c_inv_p if not any(c.nums for c in z) else [
+            f + q for f, q in zip(_corrected(p_folded, [*ps, *ws]), c_inv_p)]
         new_w = _corrected(x_folded, [*new_p, *ws])
         return (*new_w, *new_p)
 

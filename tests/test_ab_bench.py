@@ -198,6 +198,45 @@ def test_each_workload_gets_its_own_table_and_any_flag_fails_the_run(tmp_path, m
         assert out.count("REGRESSED ops_per_s") == status
 
 
+def test_a_claim_named_with_its_workload_is_checked_on_that_workload_alone(
+        tmp_path, monkeypatch, capsys):
+    import json
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}, {"name": "v"}, {"name": "u"}], "end_to_end": BOUNDED}))
+    change = tmp_path / "change"
+    ops = {"v": 120, "w": 100}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return runs([ops[workload] if checkout == change else 100], [2])[0]
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    argv = [str(tmp_path), str(change), "--workload", "v", "--workload", "w", "--pairs", "2"]
+    # the gain on v holds; w shows none, and without a claim on it that is no fault
+    assert ab_bench.main(argv + ["--claim", "v:ops_per_s"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("claim")] == [
+        "claim ops_per_s"]
+    assert out.index("claim ops_per_s") < out.index("workload=w")
+    # the plain form checks the claim on every workload, and w does not hold it
+    assert ab_bench.main(argv + ["--claim", "ops_per_s"]) == 1
+    assert capsys.readouterr().out.count("claim ops_per_s") == 2
+    assert ab_bench.main(argv + ["--claim", "w:ops_per_s"]) == 1
+    ops["w"] = 70
+    assert ab_bench.main(argv + ["--claim", "v:ops_per_s"]) == 1
+    assert "REGRESSED ops_per_s" in capsys.readouterr().out
+
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(ab_bench, "run_once", no_run)
+    # u is a workload of the parent's BENCHMARK.json, but not of this call
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main(argv + ["--claim", "u:ops_per_s"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        "error: --claim u:ops_per_s: u is not a --workload of this call")
+
+
 def test_a_run_without_a_digest_line_is_an_error(tmp_path, monkeypatch):
     import json
     result = json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "failed": 0,
@@ -225,6 +264,9 @@ def test_a_run_without_a_digest_line_is_an_error(tmp_path, monkeypatch):
     (["--workload", "v"], "--workload v is not a workload of the parent's BENCHMARK.json"),
     (["--workload", "w", "--workload", "v"],
      "--workload v is not a workload of the parent's BENCHMARK.json"),
+    (["--claim", "speed"], "--claim speed is not an end-to-end metric"),
+    (["--claim", "w:speed"], "--claim w:speed is not an end-to-end metric"),
+    (["--claim", "v:ops_per_s"], "--claim v:ops_per_s: v is not a --workload of this call"),
 ])
 def test_bad_arguments_exit_2_before_any_run(tmp_path, monkeypatch, capsys, extra, message):
     import json

@@ -16,8 +16,11 @@ others.  The integer affine core inverse must raise where the ``Fraction``
 reference raises, with the same message, and return the same values where
 it does not.  ``compose``, which solves its middle point at half the order,
 must write the same record as the frozen composition at one order above,
-and ``stationary_middle`` the same middle point, on seeded pairs and on
-identity, unit and point-morphism operands.
+and ``stationary_middle`` the same middle point, on seeded pairs, on
+identity, unit and point-morphism operands, and on inner operands whose
+terms with a base variable start just above fiber degree K // 2, exactly at
+it, or nowhere; only the first and the last take the middle point from its
+seed without a solve.
 """
 
 import random
@@ -40,6 +43,7 @@ from microsympl.sampling import (rand_affine_core_micromorphism, rand_exponents,
                                  rand_fraction, rand_micromorphism, rand_point, rand_poly,
                                  rand_violating_gen, rng_for)
 from microsympl.textio import format_morphism
+from test_golden import layered_micromorphism
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 
@@ -178,6 +182,28 @@ def _same_composition(g, f):
     assert (ys, qs) == (ref_ys, ref_qs)
 
 
+def _y_start(f):
+    """The lowest fiber degree of a term of S_f with a base variable, or None."""
+    return min((sum(pe) for pe, xe in f.gen.terms if any(xe)), default=None)
+
+
+def _layered_operands(case, family):
+    """A seeded pair (g, f) at K 2-8 whose inner S_f has its terms with a y
+    from fiber degree K // 2 + 1 on (family 1) or from K // 2 on (family 0),
+    at dims 1-3 around a middle of dimension 1-3, or none at all (family
+    None), at dims 0-3."""
+    rng = rng_for(case, f"compose-oracle-layered-{family}")
+    k = 2 + case % 7
+    low = 0 if family is None else 1
+    m, mid, n = rng.randint(low, 3), rng.randint(low, 3), rng.randint(0, 3)
+    start = k + 1 if family is None else k // 2 + family
+    f = layered_micromorphism(rng, m, mid, k, start)
+    g = rand_micromorphism(rng, mid, n, k, terms=rng.randint(1, 5),
+                           max_base_deg=rng.randint(0, 2))
+    assert _y_start(f) == (None if family is None else start)
+    return g, f
+
+
 def test_compose_matches_the_reference():
     for case in range(400):
         _same_composition(*_random_operands(case))
@@ -186,6 +212,26 @@ def test_compose_matches_the_reference():
     for case in range(40):
         for g, f in _special_operands(case):
             _same_composition(g, f)
+
+
+def test_a_middle_point_is_taken_from_its_seed_exactly_when_it_is_exact(monkeypatch):
+    # compose solves at K // 2 and stationary_middle at K; each skips the
+    # solve exactly when S_f has no term with a y of fiber degree <= its order
+    solves = []
+    solve = micro.solve_triangular_fixed_point
+
+    def counted(initial, update):
+        solves.append(initial[0].order if initial else None)
+        return solve(initial, update)
+
+    monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted)
+    for family, composes, middles in ((1, False, True), (0, True, True), (None, False, False)):
+        for case in range(42):
+            g, f = _layered_operands(case, family)
+            k = f.order
+            del solves[:]
+            _same_composition(g, f)
+            assert solves == [k // 2] * composes + [k] * middles
 
 
 # -- germ composition -----------------------------------------------------------------
