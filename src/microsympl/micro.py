@@ -34,10 +34,11 @@ a p, so at X = phi(x) + w they read x + A w + N, N their terms of fiber
 degree >= 1: their part L w is A w, and phi holds A^-1.  Each solve folds
 F = -L^-1 N once (_folded), expands it once at X = phi(x) + w (_shifted), and
 updates W from 0 by one batch W -> F(W) (_corrected); the first, F(0), is
-read off the keys of F.  invert_germ solves its momenta first, with L = C,
-the constant linear part of P, and N its terms of fiber degree >= 2.
-compose_germs shifts the outer jets to the inner core restriction the same
-way, so only fiber-degree >= 1 values are substituted.
+read off the keys of F.  invert_germ runs graph_of_germ's position solve,
+then one momentum solve on the pushed-forward momenta p_hat = C p + N, C the
+constant linear part of P and N of fiber degree >= 2, whose first update is
+C^-1 p'.  compose_germs shifts the outer jets to the inner core restriction
+the same way, so only fiber-degree >= 1 values are substituted.
 
 graph_of_germ checks two identities, S the radial potential it builds: dX/dp
 is symmetric and dS/dx = P.  They imply dS/dp = X below fiber degree K: with
@@ -578,8 +579,8 @@ def _folded(equations, inverse, low: int) -> list[FiberGradedPoly]:
 
 
 def _corrected(folded, fiber_values):
-    """F(v) = -L^-1 N(v), the folded and shifted system of a germ solve, at
-    the fiber values v, in one batch."""
+    """F(v) = -L^-1 N(v), the folded system of a germ solve, at the fiber
+    values v, in one batch; an inversion also puts its momenta into x_hat."""
     try:
         # W and P never get a fiber-degree-0 term: phi is the exact core
         # inverse and the momentum outputs vanish on the core (both checked)
@@ -647,7 +648,12 @@ def extract_germ(f: Micromorphism) -> GermJet:
 
 
 def invert_germ(germ: GermJet) -> GermJet:
-    """Jet inverse of a germ whose core restriction is affine invertible."""
+    """Jet inverse of a germ whose core restriction is affine invertible.
+
+    graph_of_germ's position solve gives x_hat(p, x') and p_hat = C p + N, N of
+    fiber degree >= 2 as P vanishes on the core; the momentum solve of
+    p = C^-1 p' - C^-1 N(p), seeded at 0 and first updated to C^-1 p', gives
+    pi(p', x'), and the inverse is (x_hat(pi, x'), pi)."""
     n, k = germ.dim, germ.order
     for comp in germ.p_out:
         if not comp.core_part().is_zero():
@@ -659,34 +665,24 @@ def invert_germ(germ: GermJet) -> GermJet:
         raise UnsupportedCoreError(
             "momentum linearization varies along the core; inversion "
             "is supported only for the affine class")
-    # P reads C p + N(p, X), so p = C^-1 (p' - N); the p slots take values,
-    # so C^-1 p' is added after each momentum batch
     c_inv = _left_solve([[p.nums.get(codec.units[j], 0) for j in range(n)]
                          + [p.den * (j == i) for j in range(n)]
                          for i, p in enumerate(germ.p_out)], n)
     if c_inv is None:
         raise UnsupportedCoreError("momentum linearization is not invertible")
-    a_inv = [[Fraction(a, den) for a in row[:n]] for den, row in phi._affine_rows()]
-    folded = _shifted([*_folded(germ.p_out, c_inv, 2), *_folded(germ.x_out, a_inv, 1)],
-                      phi, n, k)
-    p_folded, x_folded = folded[:n], folded[n:]
+    x_hat, p_hat = _affine_solve(phi, germ.x_out, germ.p_out, n, k)
+    # the p slots take values, so C^-1 p' is added after each batch
+    folded = _folded(p_hat, c_inv, 2)
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
     c_inv_p = [combine(pvars, row) for row in c_inv]
 
-    def step(z):
-        # momenta first, then positions against the refreshed momenta: the
-        # momentum equation contracts on its own, the position one only
-        # against momenta that are already one degree better; the momenta
-        # fold at z = 0 is zero, its terms all of fiber degree >= 2
-        ws, ps = z[:n], z[n:]
-        new_p = c_inv_p if not any(c.nums for c in z) else [
-            f + q for f, q in zip(_corrected(p_folded, [*ps, *ws]), c_inv_p)]
-        new_w = _corrected(x_folded, [*new_p, *ws])
-        return (*new_w, *new_p)
+    def step(ps):
+        if not any(c.nums for c in ps):
+            return c_inv_p
+        return [f + q for f, q in zip(_corrected(folded, ps), c_inv_p)]
 
-    sol = solve_triangular_fixed_point((FiberGradedPoly.zero(n, n, k),) * (2 * n), step)
-    xs = tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, sol[:n]))
-    return GermJet(n, k, xs, sol[n:])
+    ps = solve_triangular_fixed_point((FiberGradedPoly.zero(n, n, k),) * n, step)
+    return GermJet(n, k, tuple(_corrected(x_hat, ps)), ps)
 
 
 def graph_of_germ(germ: GermJet) -> Micromorphism:

@@ -98,6 +98,13 @@ def _tokenize(text: str, first_line: int = 1) -> list[Token]:
     return tokens
 
 
+def _int(text: str) -> int:
+    """``int(text)`` without the '_' digit separators the grammar rejects."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return int(text)
+
+
 def _fail(message: str, tok: Token):
     raise ParseError(message, tok[2], tok[3])
 
@@ -257,7 +264,7 @@ def _parse_header(line: str, lineno: int, keys: tuple[str, ...]) -> dict[str, in
         if key in fields:
             raise ParseError(f"duplicate header key {key!r}", lineno)
         try:
-            fields[key] = int(value)
+            fields[key] = _int(value)
         except ValueError:
             raise ParseError(f"header value for {key!r} is not an integer", lineno)
     missing = [k for k in keys if k not in fields]
@@ -310,7 +317,7 @@ def parse_morphism(text: str) -> Micromorphism:
             if not eq or not name.startswith("f"):
                 raise ParseError("expected 'core f<i> = <polynomial>'", lineno)
             try:
-                idx = int(name[1:])
+                idx = _int(name[1:])
             except ValueError:
                 raise ParseError(f"bad core component name {name!r}", lineno)
             core_lines.append((lineno, idx, expr.strip()))
@@ -368,7 +375,7 @@ def parse_core_map(text: str) -> CoreMap:
         if not eq or not name.startswith("f"):
             raise ParseError("expected 'f<i> = <polynomial>'", lineno)
         try:
-            idx = int(name[1:])
+            idx = _int(name[1:])
         except ValueError:
             raise ParseError(f"bad component name {name!r}", lineno)
         if not 1 <= idx <= m:
@@ -379,13 +386,6 @@ def parse_core_map(text: str) -> CoreMap:
     if sorted(comps) != list(range(1, m + 1)):
         raise ParseError("components must cover f1..fm exactly once", header_line)
     return CoreMap(n, tuple(comps[i] for i in range(1, m + 1)))
-
-
-def format_core_map(phi: CoreMap) -> str:
-    lines = [f"domain={phi.domain_dim} codomain={phi.codomain_dim}"]
-    for i, comp in enumerate(phi.components):
-        lines.append(f"f{i + 1} = {comp.to_text()}")
-    return "\n".join(lines) + "\n"
 
 
 def format_germ(germ: GermJet) -> str:
@@ -402,13 +402,15 @@ def format_germ(germ: GermJet) -> str:
 
 def _parse_rational(text: str, lineno: int | None = None) -> Fraction:
     text = text.strip()
-    try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational entry {text!r}", lineno)
+    if "_" not in text:
+        try:
+            if "/" in text:
+                num, _, den = text.partition("/")
+                return Fraction(int(num), int(den))
+            return Fraction(int(text))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational entry {text!r}", lineno)
 
 
 def parse_vector(text: str) -> Vector:

@@ -283,6 +283,25 @@ def test_dimension_limit_in_record_headers(capsys, verb, record, key):
     assert f"line 1: {key} 65 exceeds the limit of 64" in err
 
 
+# int() reads "1_0" as 10; record headers, component names and matrix and
+# point entries reject the '_' digit separator, as the polynomial grammar does
+@pytest.mark.parametrize("args, message", [
+    (["check", "source=1 target=1 order=1_0\nS = p1*x1\n"],
+     "header value for 'order' is not an integer"),
+    (["check", DEFORM_A, "--splitting", "1_0"], "bad rational entry '1_0'"),
+    (["check", DEFORM_A, "--splitting", "1/2", "--at", "1/1_0"], "bad rational entry '1/1_0'"),
+    (["lift", "domain=1 codomain=10\n" + "".join(f"f{i} = x1\n" for i in range(1, 10))
+      + "f1_0 = x1\n"], "bad component name 'f1_0'"),
+    (["check", "source=1 target=1 order=2\nS = p1*x1 + 1_0*p1^2\n"],
+     "unexpected character '_'"),
+])
+def test_digit_separators_are_rejected(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_dimensions_at_the_limit_are_accepted():
     from microsympl.textio import parse_core_map, parse_morphism
     assert parse_morphism("source=64 target=1 order=1\nS = p64*x1\n").source.core_dim == 64

@@ -296,10 +296,12 @@ def test_compose_germs_off_the_affine_class_matches_the_reference(n, k):
 
 
 def test_compose_germs_in_dimension_zero():
-    for k in (1, 2, 3):
+    for k in (0, 1, 2, 3):
         empty = identity_germ(0, k)
         assert same_germ(compose_germs(empty, empty), ref.compose_germs(empty, empty))
         assert compose_germs(empty, empty) == GermJet(0, k, (), ())
+        assert same_germ(invert_germ(empty), ref.invert_germ(empty))
+        assert invert_germ(empty) == GermJet(0, k, (), ())
 
 
 def test_compose_germs_rejects_what_the_reference_rejects():
