@@ -34,7 +34,7 @@ MAX_OPERAD_LEVELS = 2
 def _int_flag(minimum: int, maximum: int | None = None, name: str = ""):
     def convert(text: str) -> int:
         try:
-            value = int(text)
+            value = textio._int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         if value < minimum:

@@ -714,8 +714,11 @@ def solve_triangular_fixed_point(
     The update must change any candidate only in fiber degrees strictly above
     the degrees it already fixed, so the minimum fiber degree of successive
     corrections strictly increases.  That degree is at most K, so at most
-    K+2 updates run: the last one changes nothing at the stored order, or
-    revisits a stabilized degree and raises :class:`ConvergenceError`.
+    K+1 updates run: the last one either changes degree K, after which the
+    next could change only truncated degrees, or changes nothing.  An update
+    that revisits a stabilized degree below K raises
+    :class:`ConvergenceError`; one that is non-contracting only at degree K
+    is not detected.
     """
     state = tuple(initial)
     if not state:
@@ -729,6 +732,8 @@ def solve_triangular_fixed_point(
                 default=None)
         if m is None:
             return state
+        if m == state[0].order:
+            return new
         if m <= last_min:
             raise ConvergenceError(
                 f"update changed fiber degree {m} after degrees <= {last_min} stabilized")

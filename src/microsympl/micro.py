@@ -337,7 +337,8 @@ def compose(g: Micromorphism, f: Micromorphism) -> Micromorphism:
     moves it by terms quadratic in the error, of degree >= 2j + 2 > K.  The
     seed is exact when dS_f/dy vanishes through j; with Q = 0 the composite
     is S_f(p1, Y).  A non-contracting fixed point cannot occur for valid
-    operands; hitting one raises InternalInvariantError.
+    operands; one found below the solve's order raises
+    InternalInvariantError (the solver does not check the order itself).
     """
     if f.target != g.source:
         raise ShapeError(

@@ -6,8 +6,11 @@ Frozen copies, written as functions over ``FiberGradedPoly`` values, of
 products ran on integers; ``__add__``, ``__sub__``, ``__neg__``, ``scale``,
 ``partial_fiber``, ``partial_base``, ``at_order``, ``core_part``, ``embed``
 and ``_lowest_change`` from before the stored form became integer numerators
-over one denominator; and the residual test of ``solve_triangular_fixed_point``
-as it was before it compared term maps, ``lowest_change``; and ``zero``, ``constant``, ``fiber_var`` and
+over one denominator; the residual test of ``solve_triangular_fixed_point``
+as it was before it compared term maps, ``lowest_change``;
+``solve_triangular_fixed_point`` as it was before it stopped at an update
+whose lowest change is the stored order, which runs up to K+2 updates, the
+last of which changes nothing; and ``zero``, ``constant``, ``fiber_var`` and
 ``base_var`` as they were before they skipped the public constructor.  Every
 coefficient operation is a ``Fraction`` operation and every merge drops zeros
 as it goes; results are built by the public constructor from the term map.
@@ -18,7 +21,7 @@ optimise this file.
 from fractions import Fraction
 from operator import add as add_exponents
 
-from microsympl.errors import ShapeError
+from microsympl.errors import ConvergenceError, ShapeError
 from microsympl.jetalg import FiberGradedPoly, frac
 
 
@@ -138,6 +141,29 @@ def lowest_change(new, old):
     a ShapeError when their spaces differ."""
     terms = sub(new, old).terms
     return min((sum(pe) for pe, _ in terms), default=None)
+
+
+def solve_triangular_fixed_point(initial, update):
+    """Fixed point of a filtration-contracting update, modulo order K+1: the
+    update is applied until it changes nothing, and a change at a degree
+    that an earlier update already stabilized raises ConvergenceError."""
+    state = tuple(initial)
+    if not state:
+        return state
+    last_min = -1
+    while True:
+        new = tuple(update(state))
+        if len(new) != len(state):
+            raise ShapeError("update changed the number of components")
+        m = min((d for d in map(lowest_change, new, state) if d is not None),
+                default=None)
+        if m is None:
+            return state
+        if m <= last_min:
+            raise ConvergenceError(
+                f"update changed fiber degree {m} after degrees <= {last_min} stabilized")
+        last_min = m
+        state = new
 
 
 def _poly(like, terms, fiber_arity=None, base_arity=None, order=None):

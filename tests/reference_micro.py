@@ -31,8 +31,10 @@ X(x, p) goes into the base slots of the outer jets, through the frozen
 ``stationary_middle`` are the composition from before it solved its middle
 point at half the order: both operands lifted to order K + 1, the middle
 point solved there, the composite assembled there and then truncated at K.
-Tests require the library to agree with these functions exactly; do not
-optimise this file.
+Every solve here runs through the frozen
+``reference_jetalg.solve_triangular_fixed_point``, which applies its update
+until it changes nothing.  Tests require the library to agree with these
+functions exactly; do not optimise this file.
 """
 
 from fractions import Fraction
@@ -41,8 +43,7 @@ import reference_jetalg
 from microsympl.errors import (ConvergenceError, FiltrationError, InternalInvariantError,
                                NormalFormError, ShapeError, UnsupportedCoreError,
                                ValidityError)
-from microsympl.jetalg import (FiberGradedPoly, combine, frac, solve_triangular_fixed_point,
-                               substitute_many)
+from microsympl.jetalg import FiberGradedPoly, combine, frac, substitute_many
 from microsympl.linsympl import (LinCanonicalRelation, mat_inverse, mat_mul, mat_vec,
                                  transpose, unit_vector, zero_vector)
 from microsympl.micro import CoreMap, GermJet, Micromorphism, MicroObject, unit_exp
@@ -85,7 +86,7 @@ def _affine_solve(phi, equations, space):
         return _corrected(z, xvars, substitute_many(equations, none_fiber, list(z), space),
                           inv)
 
-    return solve_triangular_fixed_point(seeds, step)
+    return reference_jetalg.solve_triangular_fixed_point(seeds, step)
 
 
 def extract_germ(f):
@@ -132,7 +133,7 @@ def invert_germ(germ):
                            b_inv)
         return (*new_x, *new_p)
 
-    sol = solve_triangular_fixed_point(tuple(seeds), step)
+    sol = reference_jetalg.solve_triangular_fixed_point(tuple(seeds), step)
     return GermJet(n, k, sol[:n], sol[n:])
 
 
@@ -284,7 +285,7 @@ def _stationary(g: Micromorphism, f: Micromorphism, order: int):
         xb_new = substitute_many(sg_dp, pb, none_q, space)
         return (*xb_new, *pb)
 
-    sol = solve_triangular_fixed_point((*seed_x, *seed_p), step)
+    sol = reference_jetalg.solve_triangular_fixed_point((*seed_x, *seed_p), step)
     return sol[:n], sol[n:], sf, sg, space
 
 

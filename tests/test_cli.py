@@ -302,6 +302,21 @@ def test_digit_separators_are_rejected(capsys, args, message):
     assert message in err
 
 
+@pytest.mark.parametrize("args", [
+    ["lift", "domain=1 codomain=1\nf1 = x1\n", "--order", "1_0"],
+    ["operad", "--order", "0_2"],
+    ["operad", "--dim", "0_1"],
+    ["operad", "--arity", "0_2"],
+    ["operad", "--samples", "1_0"],
+    ["operad", "--levels", "0_1"],
+])
+def test_digit_separators_in_integer_flags_are_usage_errors(capsys, args):
+    # the same usage error as --order abc, not the value int() reads
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert f"{args[-1]!r} is not an integer" in err
+
+
 def test_dimensions_at_the_limit_are_accepted():
     from microsympl.textio import parse_core_map, parse_morphism
     assert parse_morphism("source=64 target=1 order=1\nS = p64*x1\n").source.core_dim == 64

@@ -10,6 +10,7 @@ result must also keep the class invariants: a stored form in lowest terms
 nonzero Fraction, and every fiber degree at most the order.
 """
 
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -18,7 +19,8 @@ from hypothesis import given, strategies as st
 
 import reference_jetalg as ref
 from microsympl.errors import ShapeError
-from microsympl.jetalg import FiberGradedPoly, _lowest_change, substitute_many
+from microsympl.jetalg import (FiberGradedPoly, _lowest_change, solve_triangular_fixed_point,
+                               substitute_many)
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -330,6 +332,65 @@ def test_lowest_change_across_spaces_is_the_same_shape_error(a, b):
     with pytest.raises(ShapeError) as got:
         _lowest_change(new, old)
     assert str(got.value) == str(want.value)
+
+
+def _rand_poly(rng, m, n, k, min_fiber_deg=0):
+    terms = {}
+    for _ in range(rng.randint(0, 3) if min_fiber_deg <= k else 0):
+        pe = [0] * m
+        for _ in range(rng.randint(min_fiber_deg, k)):
+            pe[rng.randrange(m)] += 1
+        xe = tuple(rng.randint(0, 2) for _ in range(n))
+        terms[tuple(pe), xe] = F(rng.randint(-5, 5), rng.randint(1, 5))
+    return FiberGradedPoly(m, n, k, terms)
+
+
+def _contracting_solve(rng, r, m, n, k):
+    """A seed and the update z_i = c_i + p z_j + t z_a z_b over r components.
+    Each update fixes one more fiber degree: p raises it, and t is free of
+    fiber degree 0 unless neither c nor the seed has a term there, when no
+    candidate has one either."""
+    low = rng.randint(0, 1)
+    cs = [_rand_poly(rng, m, n, k, min_fiber_deg=low) for _ in range(r)]
+    seed = [_rand_poly(rng, m, n, k, min_fiber_deg=low) for _ in range(r)]
+    ps = [FiberGradedPoly.fiber_var(m, n, k, rng.randrange(m)) if k
+          else FiberGradedPoly.zero(m, n, k) for _ in range(r)]
+    ts = [_rand_poly(rng, m, n, k, min_fiber_deg=1 - low) for _ in range(r)]
+    picks = [(rng.randrange(r), rng.randrange(r), rng.randrange(r)) for _ in range(r)]
+
+    def update(z):
+        return [c + p * z[j] + t * z[a] * z[b]
+                for c, p, t, (j, a, b) in zip(cs, ps, ts, picks)]
+    return seed, update
+
+
+def test_fixed_point_matches_the_frozen_solve_with_one_update_fewer_at_k():
+    # the frozen solve runs until an update changes nothing; the library stops
+    # one update earlier exactly when the last productive change was at K
+    stopped = 0
+    for case in range(120):
+        rng = random.Random(case)
+        r, m, n, k = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 1), case % 7
+        seed, update = _contracting_solve(rng, r, m, n, k)
+        ref_calls, lib_calls = [], []
+
+        def recorded(calls):
+            def step(z):
+                calls.append((tuple(z), tuple(update(z))))
+                return calls[-1][1]
+            return step
+        want = ref.solve_triangular_fixed_point(seed, recorded(ref_calls))
+        got = solve_triangular_fixed_point(seed, recorded(lib_calls))
+        for g, w in zip(got, want, strict=True):
+            assert_same(g, w)
+        changes = [min((d for d in map(ref.lowest_change, new, old) if d is not None),
+                       default=None) for old, new in ref_calls]
+        assert changes[-1] is None and None not in changes[:-1]
+        at_k = len(changes) > 1 and changes[-2] == k
+        stopped += at_k
+        assert len(lib_calls) == len(ref_calls) - at_k
+        assert lib_calls == ref_calls[:len(lib_calls)]
+    assert 0 < stopped < 120
 
 
 @given(operand_pairs(), COEFF)

@@ -613,88 +613,66 @@ def _run_germ_list():
             invert_germ(g1)
 
 
-def test_germ_solves_take_a_fixed_amount_of_work(monkeypatch):
+def test_germ_solves_take_a_fixed_amount_of_work(solver_work):
     # machine-independent counts of the filtered solver over the germ list:
     # an inversion runs the position solve of graph_of_germ, then one momentum
     # solve, both over n components; an added solve or update shows here
-    counts = {"calls": 0, "updates": 0}
-    solve = micro.solve_triangular_fixed_point
-
-    def counted(initial, update):
-        counts["calls"] += 1
-
-        def counted_update(state):
-            counts["updates"] += 1
-            return update(state)
-        return solve(initial, counted_update)
-
-    monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted)
     _run_germ_list()
-    assert counts == {"calls": 54, "updates": 140}
+    assert (solver_work.calls, solver_work.updates) == (54, 105)
 
 
-def test_germ_solves_take_a_fixed_number_of_substitutions(monkeypatch):
+def test_germ_solves_take_a_fixed_number_of_substitutions(solver_work):
     # over the same germ list: each solve folds and shifts its equations in
     # one batch, and the first update of a position solve, at W = 0, is read
     # off the folded system's keys instead of substituted; so is the first
     # update of an inversion's momentum solve, C^-1 p, at p = 0
-    counts = {"batches": 0, "polys": 0}
-    substitute = micro.substitute_many
-
-    def counted(polys, *args):
-        counts["batches"] += 1
-        counts["polys"] += len(polys)
-        return substitute(polys, *args)
-
-    monkeypatch.setattr(micro, "substitute_many", counted)
     _run_germ_list()
-    assert counts == {"batches": 203, "polys": 441}
+    assert (solver_work.batches, solver_work.polys) == (168, 375)
 
 
-def test_compose_takes_a_fixed_amount_of_work(monkeypatch):
-    # machine-independent counts over a seeded list of compositions: every
-    # middle point that is solved is solved at order K // 2, in a fixed number
-    # of updates and substitution batches; it is taken from its seed, with no
-    # solve, exactly when S_f has no term with a y of fiber degree <= K // 2
-    counts = {"calls": 0, "updates": 0, "batches": 0, "polys": 0}
-    orders = []
-    solve, substitute = micro.solve_triangular_fixed_point, micro.substitute_many
-
-    def counted_solve(initial, update):
-        counts["calls"] += 1
-        orders.append({p.order for p in initial})
-
-        def counted_update(state):
-            counts["updates"] += 1
-            return update(state)
-        return solve(initial, counted_update)
-
-    def counted_substitute(polys, *args):
-        counts["batches"] += 1
-        counts["polys"] += len(polys)
-        return substitute(polys, *args)
-
-    monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted_solve)
-    monkeypatch.setattr(micro, "substitute_many", counted_substitute)
-    solved_ks, skipped = [], 0
+def _compose_list():
+    # a seeded list of compositions, as (outer, inner) pairs
     for case in range(24):
         rng = rng_for(case, "compose-work")
         m, mid, n, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3), 1 + case % 8
         f = rand_micromorphism(rng, m, mid, k, terms=5)
         g = rand_micromorphism(rng, mid, n, k, terms=5)
         h, e = (rand_affine_core_micromorphism(rng, 1 + case % 3, k) for _ in range(2))
-        for outer, inner in ((g, f), (h, e)):
-            calls = counts["calls"]
-            compose(outer, inner)
-            y_free = all(sum(pe) > k // 2 or not any(xe) for pe, xe in inner.gen.terms)
-            assert counts["calls"] == calls + (not y_free)
-            if y_free:
-                skipped += 1
-            else:
-                solved_ks.append(k)
+        yield from ((g, f), (h, e))
+
+
+def test_compose_takes_a_fixed_amount_of_work(solver_work):
+    # machine-independent counts over a seeded list of compositions: every
+    # middle point that is solved is solved at order K // 2, in a fixed number
+    # of updates and substitution batches; it is taken from its seed, with no
+    # solve, exactly when S_f has no term with a y of fiber degree <= K // 2
+    solved_ks, skipped = [], 0
+    for outer, inner in _compose_list():
+        k, calls = inner.order, solver_work.calls
+        compose(outer, inner)
+        y_free = all(sum(pe) > k // 2 or not any(xe) for pe, xe in inner.gen.terms)
+        assert solver_work.calls == calls + (not y_free)
+        if y_free:
+            skipped += 1
+        else:
+            solved_ks.append(k)
+    orders = [{p.order for p in initial} for initial, _, _ in solver_work.solves]
     assert orders == [{k // 2} for k in solved_ks]
     assert skipped == 11
-    assert counts == {"calls": 37, "updates": 76, "batches": 152, "polys": 298}
+    assert (solver_work.calls, solver_work.updates) == (37, 60)
+    assert (solver_work.batches, solver_work.polys) == (120, 236)
+
+
+def test_every_solve_ends_at_a_fixed_point_of_its_update(solver_work):
+    # the solver returns once an update's lowest change reaches the order K,
+    # without the update that would confirm it, so a non-contracting update
+    # at degree K goes unseen there; run that update here after every solve
+    _run_germ_list()
+    for outer, inner in _compose_list():
+        compose(outer, inner)
+    assert len(solver_work.solves) == 54 + 37
+    for _, update, result in solver_work.solves:
+        assert tuple(update(result)) == result
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -214,23 +214,17 @@ def test_compose_matches_the_reference():
             _same_composition(g, f)
 
 
-def test_a_middle_point_is_taken_from_its_seed_exactly_when_it_is_exact(monkeypatch):
+def test_a_middle_point_is_taken_from_its_seed_exactly_when_it_is_exact(solver_work):
     # compose solves at K // 2 and stationary_middle at K; each skips the
     # solve exactly when S_f has no term with a y of fiber degree <= its order
-    solves = []
-    solve = micro.solve_triangular_fixed_point
-
-    def counted(initial, update):
-        solves.append(initial[0].order if initial else None)
-        return solve(initial, update)
-
-    monkeypatch.setattr(micro, "solve_triangular_fixed_point", counted)
     for family, composes, middles in ((1, False, True), (0, True, True), (None, False, False)):
         for case in range(42):
             g, f = _layered_operands(case, family)
             k = f.order
-            del solves[:]
+            del solver_work.solves[:]
             _same_composition(g, f)
+            solves = [initial[0].order if initial else None
+                      for initial, _, _ in solver_work.solves]
             assert solves == [k // 2] * composes + [k] * middles
 
 
