@@ -14,14 +14,8 @@ import sys
 from pathlib import Path
 
 from . import acceptance, micro, operad, textio
-from .errors import (ConvergenceError, FiltrationError, InternalInvariantError,
-                     NormalFormError, ParseError, ShapeError,
-                     UnsupportedCoreError, ValidityError)
+from .errors import ConvergenceError, InternalInvariantError, MicrosymplError, ParseError
 from .micro import MicroObject
-
-_VALIDATION_ERRORS = (ParseError, NormalFormError, ShapeError, FiltrationError,
-                      UnsupportedCoreError, ValidityError, OSError)
-_INTERNAL_ERRORS = (ConvergenceError, InternalInvariantError)
 
 # upper bounds of the operad flags; they do not bound the work, which also
 # grows steeply with --order
@@ -31,13 +25,13 @@ MAX_OPERAD_SAMPLES = 10_000
 MAX_OPERAD_LEVELS = 2
 
 
-def _int_flag(minimum: int, maximum: int | None = None, name: str = ""):
+def _int_flag(minimum: int | None = None, maximum: int | None = None, name: str = ""):
     def convert(text: str) -> int:
         try:
             value = textio._int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(
@@ -111,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_int_flag(0, MAX_OPERAD_DIM, "dim"), default=1,
                    help=f"core dimension (at most {MAX_OPERAD_DIM})")
     p.add_argument("--order", type=_order, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_flag(), default=0)
     p.add_argument("--samples", type=_int_flag(1, MAX_OPERAD_SAMPLES, "samples"),
                    default=50, help=f"at most {MAX_OPERAD_SAMPLES}")
     p.add_argument("--arity", type=_int_flag(0, MAX_OPERAD_ARITY, "arity"), default=3,
@@ -123,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report to this path")
 
     p = sub.add_parser("selfcheck", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_flag(), default=42)
     p.add_argument("--out", help="write the report to this path")
     return parser
 
@@ -203,10 +197,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except _INTERNAL_ERRORS as exc:
+    except (ConvergenceError, InternalInvariantError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except (MicrosymplError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import index, or_
 from struct import Struct, error as StructError
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -182,7 +182,7 @@ class FiberGradedPoly:
         codec = key_codec(fiber_arity, base_arity)
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (pe, xe), coeff in items:
-            pe, xe = tuple(map(int, pe)), tuple(map(int, xe))
+            pe, xe = tuple(map(index, pe)), tuple(map(index, xe))
             if len(pe) != fiber_arity or len(xe) != base_arity:
                 raise ShapeError(
                     f"term exponents ({len(pe)}, {len(xe)}) do not match arities "

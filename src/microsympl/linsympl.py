@@ -170,13 +170,6 @@ def _fractions(rows: Iterable[Sequence[int]], d: int) -> Matrix:
     return tuple(tuple(Fraction(v, d) if v else zero for v in row) for row in rows)
 
 
-def _unit_row(entries: Sequence[Fraction], pad: int, j: int, n: int) -> list[int]:
-    """Integer row of (entries, 0^pad, e_j in R^n), scaled by s = lcm of denominators."""
-    s = lcm(*[v.denominator for v in entries])
-    return ([v.numerator * (s // v.denominator) for v in entries] + [0] * pad
-            + [s if k == j else 0 for k in range(n)])
-
-
 def _kernel(work: list, pivots: list[int], d: int, ncols: int) -> list[list[int]]:
     """Nullspace of the first ``ncols`` columns of a full elimination: v[f] = d."""
     pivot_set = set(pivots)
@@ -394,8 +387,8 @@ class Splitting:
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValidityError(f"splitting matrix not symmetric at ({i},{j})")
         # column j of B is its row j, since B is symmetric
-        object.__setattr__(self, "_rows", tuple(_unit_row(row, 0, j, n)
-                                                for j, row in enumerate(self.rows)))
+        object.__setattr__(self, "_rows", tuple(_integer_rows(
+            row + unit_vector(n, j) for j, row in enumerate(self.rows))))
 
 
 @dataclass(frozen=True)
@@ -559,7 +552,8 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     # the rows of a lagrangian basis are independent, so these combinations are too
     width = 2 * (m + n)
     intersection = [_combine(vrows, c, 0, width) for c in _kernel(work, pivots, d, len(vrows))]
-    graph = [_unit_row([phi[i][j] for i in range(m)], m, j, n) + [0] * n for j in range(n)]
+    graph = _integer_rows(tuple(phi[i][j] for i in range(m)) + (_ZERO,) * m + unit_vector(n, j)
+                          + (_ZERO,) * n for j in range(n))
     ok = _same_span(intersection, graph)
     reasons = ()
     if not ok:

@@ -286,7 +286,7 @@ def point_morphism(obj: MicroObject, tail: FiberGradedPoly) -> Micromorphism:
     """
     if tail.base_arity != 0 or tail.fiber_arity != obj.core_dim:
         raise ShapeError("tail must be a fiber-only polynomial over the object fibers")
-    if tail.coefficient((0,) * tail.fiber_arity, ()):
+    if 0 in tail.nums:  # the key of the unit monomial
         raise NormalFormError("tail has a nonzero constant term")
     return Micromorphism(obj, unit_object(), tail)
 
@@ -590,6 +590,15 @@ def _corrected(folded, fiber_values):
         raise InternalInvariantError(f"germ solve left the core: {exc}") from exc
 
 
+def _solve_from_zero(space, first, update):
+    """A germ solve, seeded at zero in ``space``: its step returns ``first``,
+    the F(0) that the caller holds, on the zero state without a substitution,
+    and runs ``update`` on every other state."""
+    return solve_triangular_fixed_point(
+        (FiberGradedPoly.zero(*space),) * len(first),
+        lambda state: update(state) if any(c.nums for c in state) else first)
+
+
 def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
     """Positions X with equations(p, X) = x, as a filtered fixed point, and
     momenta(p, X).
@@ -597,8 +606,8 @@ def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
     ``phi`` inverts the core map A X + b that the equations restrict to at
     p = 0, so at X = phi(x) + W they read x + A W + N(p, W), N their terms of
     fiber degree >= 1, and W = -A^-1 N(p, W) = F(W), A^-1 the linear part of
-    phi.  W, seeded at 0, is updated by one substitution batch W -> F(W); the
-    first update, F(0), is the w-free part of F, read off its keys.
+    phi.  W is solved from 0 by one substitution batch W -> F(W) per update;
+    F(0) is the w-free part of F, read off its keys.
     """
     space = (n, n, k)
     a_inv = [[Fraction(a, den) for a in row[:n]] for den, row in phi._affine_rows()]
@@ -609,13 +618,7 @@ def _affine_solve(phi: CoreMap, equations, momenta, n: int, k: int):
     first = tuple(FiberGradedPoly._reduced(*space, f.den, {
         key >> shift | key & mask: c for key, c in f.nums.items() if not key >> shift & mask})
         for f in folded)
-
-    def step(w):
-        if not any(c.nums for c in w):
-            return first
-        return _corrected(folded, [None] * n + list(w))
-
-    ws = solve_triangular_fixed_point((FiberGradedPoly.zero(*space),) * n, step)
+    ws = _solve_from_zero(space, first, lambda w: _corrected(folded, [None] * n + list(w)))
     xs = tuple(c.embed(n, n).at_order(k) + w for c, w in zip(phi.components, ws))
     return xs, tuple(substitute_many(momenta, [None] * n, list(xs), space))
 
@@ -676,13 +679,8 @@ def invert_germ(germ: GermJet) -> GermJet:
     folded = _folded(p_hat, c_inv, 2)
     pvars = [FiberGradedPoly.fiber_var(n, n, k, j) for j in range(n)]
     c_inv_p = [combine(pvars, row) for row in c_inv]
-
-    def step(ps):
-        if not any(c.nums for c in ps):
-            return c_inv_p
-        return [f + q for f, q in zip(_corrected(folded, ps), c_inv_p)]
-
-    ps = solve_triangular_fixed_point((FiberGradedPoly.zero(n, n, k),) * n, step)
+    ps = _solve_from_zero((n, n, k), c_inv_p, lambda ps: [
+        f + q for f, q in zip(_corrected(folded, ps), c_inv_p)])
     return GermJet(n, k, tuple(_corrected(x_hat, ps)), ps)
 
 

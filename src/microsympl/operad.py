@@ -90,7 +90,7 @@ def random_L_element(rng: random.Random, obj: MicroObject, arity: int,
     noise = [((rand_exponents(rng, m, rng.randint(2, order)),
                rand_exponents(rng, n, rng.randint(0, 2))), rand_fraction(rng))
              for _ in range(2)]
-    gen = FiberGradedPoly(m, n, order, [*base_elem.morphism.gen.terms.items(), *noise])
+    gen = base_elem.morphism.gen + FiberGradedPoly(m, n, order, noise)
     return OperadElement(obj, arity, Micromorphism(base_elem.morphism.source, obj, gen))
 
 

@@ -400,17 +400,13 @@ def format_germ(germ: GermJet) -> str:
 # -- matrices -----------------------------------------------------------------
 
 
-def _parse_rational(text: str, lineno: int | None = None) -> Fraction:
+def _parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if "_" not in text:
-        try:
-            if "/" in text:
-                num, _, den = text.partition("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ParseError(f"bad rational entry {text!r}", lineno)
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(_int(num), _int(den)) if slash else Fraction(_int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational entry {text!r}") from None
 
 
 def parse_vector(text: str) -> Vector:

@@ -317,6 +317,32 @@ def test_digit_separators_in_integer_flags_are_usage_errors(capsys, args):
     assert f"{args[-1]!r} is not an integer" in err
 
 
+@pytest.mark.parametrize("verb", [["operad", "--samples", "1", "--arity", "1", "--levels", "1"],
+                                  ["selfcheck"]])
+def test_digit_separators_in_seeds_are_usage_errors(capsys, verb):
+    code, out, err = run(capsys, *verb, "--seed", "1_0")
+    assert (code, out) == (2, "")
+    assert "'1_0' is not an integer" in err
+
+
+def test_seeds_may_be_negative(capsys):
+    code, out, _ = run(capsys, "operad", "--seed", "-3", "--samples", "1", "--arity", "1",
+                       "--levels", "1")
+    assert code == 0 and "#summary" in out
+
+
+def test_every_package_error_is_a_validation_failure(capsys, monkeypatch):
+    # exit 1 follows the error hierarchy, not a list of its classes
+    from microsympl import micro
+    from microsympl.errors import MicrosymplError
+
+    def fail(*args):
+        raise MicrosymplError("no composite")
+    monkeypatch.setattr(micro, "compose", fail)
+    code, out, err = run(capsys, "compose", DEFORM_A, DEFORM_B)
+    assert (code, out, err) == (1, "", "error: no composite\n")
+
+
 def test_dimensions_at_the_limit_are_accepted():
     from microsympl.textio import parse_core_map, parse_morphism
     assert parse_morphism("source=64 target=1 order=1\nS = p64*x1\n").source.core_dim == 64

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from microsympl.errors import ConvergenceError, FiltrationError, ShapeError
 from microsympl.jetalg import FiberGradedPoly, solve_triangular_fixed_point
+from microsympl.micro import CoreMap
 from microsympl.textio import parse_polynomial
 
 
@@ -73,6 +74,22 @@ def test_fiber_degree_above_order_rejected():
 def test_negative_exponent_rejected():
     with pytest.raises(ShapeError):
         poly(1, 1, 2, {((-1,), (0,)): F(1)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: poly(1, 1, 2, {((1.5,), (0,)): F(1)}),
+    lambda: FiberGradedPoly.monomial(1, 1, 2, 1, (1.9,), (0,)),
+    lambda: poly(1, 1, 2, {(("2",), (0,)): F(1)}),
+    lambda: CoreMap.from_terms(1, [{((), (2.0,)): F(1)}]),
+])
+def test_exponents_that_are_not_integers_raise(build):
+    # int() read 1.5 and 1.9 as 1 and '2' as 2
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_bool_exponents_are_integers():
+    assert poly(1, 1, 2, {((True,), (False,)): F(1)}) == poly(1, 1, 2, {((1,), (0,)): F(1)})
 
 
 def test_zero_polynomial_keeps_shape():
