@@ -591,9 +591,9 @@ def _corrected(folded, fiber_values):
 
 
 def _solve_from_zero(space, first, update):
-    """A germ solve, seeded at zero in ``space``: its step returns ``first``,
-    the F(0) that the caller holds, on the zero state without a substitution,
-    and runs ``update`` on every other state."""
+    """A germ solve from the zero state of ``space``.  On the zero state the
+    step returns ``first``, the F(0) that the caller already holds, with no
+    substitution; on any other state it runs ``update``."""
     return solve_triangular_fixed_point(
         (FiberGradedPoly.zero(*space),) * len(first),
         lambda state: update(state) if any(c.nums for c in state) else first)
