@@ -130,10 +130,10 @@ key_codec = cache(KeyCodec)
 
 
 def check_space(fiber_arity: int, base_arity: int, order: int) -> None:
-    """Raise ShapeError unless the arities and the order are non-negative."""
-    if fiber_arity < 0 or base_arity < 0:
+    """Raise TypeError unless the arities and the order are integers, ShapeError if negative."""
+    if index(fiber_arity) < 0 or index(base_arity) < 0:
         raise ShapeError("arities must be non-negative")
-    if order < 0:
+    if index(order) < 0:
         raise ShapeError("truncation order must be non-negative")
 
 
@@ -256,7 +256,7 @@ class FiberGradedPoly:
     def monomial(cls, fiber_arity: int, base_arity: int, order: int, coeff,
                  fiber_exps: Sequence[int], base_exps: Sequence[int]) -> "FiberGradedPoly":
         return cls(fiber_arity, base_arity, order,
-                   {(tuple(fiber_exps), tuple(base_exps)): frac(coeff)})
+                   {(tuple(fiber_exps), tuple(base_exps)): coeff})
 
     # -- derived views -----------------------------------------------------
 

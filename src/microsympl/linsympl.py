@@ -9,18 +9,16 @@ the two-block space ((m, -1), (n, +1)) with coordinates (x1, p1, x2, p2).
 
 Inside the layer the working form is integer rows, each scaled by the lcm of
 its denominators (the span is kept): a matrix is converted once where it
-enters (``_integer_rows``), ``LagrangianSubspace`` caches the rows of its
-basis, and ``Splitting`` the rows of its basis (B e_j, e_j), whose p block is
-s_j e_j with s_j > 0.  Ranks, Gram matrices of the form (positive scaling
-keeps which entries vanish), nullspaces, combinations and membership tests
-stay integer.  Subspace equality is decided by ranks and containment, never
-by bases.  A ``LinCanonicalRelation`` keeps the echelon form of its rows and
-the horizontal source block, computed on its first transversality test;
-each splitting's rows are then reduced against it (``_reduce``) and only the
-residuals are ranked.  Bases from outside are validated (``LagrangianSubspace``,
-``from_vectors``, ``graph_relation``); ``LinCanonicalRelation._built`` wraps
-the bases that ``compose_linear`` and ``micro.linearized_relation`` build
-lagrangian, with their integer rows, unchecked.
+enters (``_integer_rows``) and ``LagrangianSubspace`` caches the rows of its
+basis.  Ranks, Gram matrices of the form (positive scaling keeps which
+entries vanish), nullspaces, combinations and membership tests stay integer.
+Subspace equality is decided by ranks and containment, never by bases.  The
+core-graph and transversality checks test their conditions on a relation's
+own rows; a ``Splitting`` is only its checked symmetric matrix.  Bases from
+outside are validated (``LagrangianSubspace``, ``from_vectors``,
+``graph_relation``); the relations that ``compose_linear`` and
+``micro.linearized_relation`` build lagrangian are made by
+``LinCanonicalRelation._built``, unchecked.
 
 All elimination runs through one fraction-free (Bareiss, Math. Comp. 22,
 1968) kernel, ``_eliminate``: ``row_i = (a * row_i - b * row_r) // prev``
@@ -196,28 +194,16 @@ def _span_basis(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     return _fractions(work[:len(pivots)], d)
 
 
-def _reduce(work: list, pivots: list[int], v: Sequence[int]) -> Sequence[int]:
-    """v reduced against rows in echelon form: a nonzero multiple of v minus a
-    combination of the rows, zero in every pivot column."""
+def _in_span(work: list, pivots: list[int], v: Sequence[int]) -> bool:
+    """Whether v lies in the span of rows in echelon form: it reduces to zero."""
+    if work and len(v) != len(work[0]):
+        raise ShapeError(f"vector length {len(v)} does not match the span width {len(work[0])}")
     for row, c in zip(work, pivots):
         b = v[c]
         if b:
             a = row[c]
             v = [a * x - b * y for x, y in zip(v, row)]
-    return v
-
-
-def _in_span(work: list, pivots: list[int], v: Sequence[int]) -> bool:
-    """Whether v lies in the span of rows in echelon form, by one reduction pass."""
-    if work and len(v) != len(work[0]):
-        raise ShapeError(f"vector length {len(v)} does not match the span width {len(work[0])}")
-    return not any(_reduce(work, pivots, v))
-
-
-def _same_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    work, pivots, _ = _eliminate(a, False)
-    return (len(_eliminate(b, False)[1]) == len(pivots)
-            and all(_in_span(work, pivots, v) for v in b))
+    return not any(v)
 
 
 def rref(rows: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -279,7 +265,10 @@ def subspace_contains(span: Sequence[Vector], v: Sequence[Fraction]) -> bool:
 
 def subspace_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     """Equal ranks, and every vector of b reduces to zero against a."""
-    return _same_span(_integer_rows(a), _integer_rows(b))
+    b = _integer_rows(b)
+    work, pivots, _ = _eliminate(_integer_rows(a), False)
+    return (len(_eliminate(b, False)[1]) == len(pivots)
+            and all(_in_span(work, pivots, v) for v in b))
 
 
 # -- symplectic structure ----------------------------------------------------
@@ -346,7 +335,7 @@ def _lagrangian(space: SymplecticSpace, vectors: Sequence, rows: Sequence) -> Ch
         for j in range(i + 1, len(rows)):
             gram = sum(map(mul, dual, rows[j]))
             if gram:
-                s_i, s_j = (lcm(*[frac(v).denominator for v in vectors[k]]) for k in (i, j))
+                s_i, s_j = (lcm(*[v.denominator for v in vectors[k]]) for k in (i, j))
                 reasons.append(f"form(basis[{i}], basis[{j}]) = {Fraction(gram, s_i * s_j)} != 0")
     return CheckResult(not reasons, tuple(reasons))
 
@@ -374,8 +363,6 @@ class Splitting:
 
     half_dim: int
     rows: Matrix
-    # the integer rows of the basis (B e_j, e_j) of K_B, computed once
-    _rows: tuple[list[int], ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", matrix(self.rows))
@@ -386,9 +373,6 @@ class Splitting:
             for j in range(i + 1, n):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValidityError(f"splitting matrix not symmetric at ({i},{j})")
-        # column j of B is its row j, since B is symmetric
-        object.__setattr__(self, "_rows", tuple(_integer_rows(
-            row + unit_vector(n, j) for j, row in enumerate(self.rows))))
 
 
 @dataclass(frozen=True)
@@ -398,9 +382,9 @@ class LinCanonicalRelation:
     source_half_dim: int
     target_half_dim: int
     subspace: LagrangianSubspace
-    # echelon rows and pivots of the relation's rows plus the horizontal
-    # source block, filled by the first ``transverse_to_splitting`` call
-    _echelon: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # x2 and p2 parts of the functionals vanishing on the relation plus the
+    # horizontal source block, set by the first ``transverse_to_splitting``
+    _annihilator: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = SymplecticSpace.relation_space(self.source_half_dim, self.target_half_dim)
@@ -415,12 +399,16 @@ class LinCanonicalRelation:
                                     LagrangianSubspace(space, tuple(vectors)))
 
     @staticmethod
-    def _built(source_half_dim: int, target_half_dim: int, vectors: tuple[Vector, ...],
-               rows: tuple[list[int], ...]) -> "LinCanonicalRelation":
-        """``from_vectors`` on lagrangian vectors and their ``_integer_rows``, unchecked."""
+    def _built(source_half_dim: int, target_half_dim: int, rows: Sequence[Sequence[int]],
+               d: int) -> "LinCanonicalRelation":
+        """``from_vectors`` on rows / d, unchecked: integer rows spanning a lagrangian,
+        each with an entry d, so that the ``_integer_rows`` row of each vector is the
+        primitive row signed like d."""
         space = SymplecticSpace.relation_space(source_half_dim, target_half_dim)
+        scales = [gcd(*row) if d > 0 else -gcd(*row) for row in rows]
         subspace = object.__new__(LagrangianSubspace)
-        subspace.__dict__.update(space=space, vectors=vectors, _rows=rows)
+        subspace.__dict__.update(space=space, vectors=_fractions(rows, d), _rows=tuple(
+            [x // g for x in row] for row, g in zip(rows, scales)))
         return LinCanonicalRelation(source_half_dim, target_half_dim, subspace)
 
     @property
@@ -454,8 +442,8 @@ def compose_linear(w: LinCanonicalRelation, v: LinCanonicalRelation) -> LinCanon
 
     Computed by exact linear elimination of the middle block on the cached
     integer rows; for linear canonical relations the result is always
-    lagrangian of half-dimension source(v) + target(w), so it is built
-    unchecked: the rref rows (all pivots d) over their gcd, signed like d.
+    lagrangian of half-dimension source(v) + target(w), so ``_built`` makes it
+    unchecked from the nonzero rref rows, whose pivots all equal d.
     """
     if v.target_half_dim != w.source_half_dim:
         raise ShapeError(
@@ -474,11 +462,8 @@ def compose_linear(w: LinCanonicalRelation, v: LinCanonicalRelation) -> LinCanon
         raise InternalInvariantError(
             f"linear composition produced dimension {len(pivots)}, "
             f"expected {v.source_half_dim + w.target_half_dim}")
-    work = work[:len(pivots)]
-    scales = [gcd(*row) if d > 0 else -gcd(*row) for row in work]
-    rows = tuple([x // g for x in row] for row, g in zip(work, scales))
     return LinCanonicalRelation._built(v.source_half_dim, w.target_half_dim,
-                                       _fractions(work, d), rows)
+                                       work[:len(pivots)], d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,7 +526,8 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
 
     ``phi_rows`` is the m x n matrix of the linear core map from the target
     core to the source core; the graph sits inside the zero sections as
-    {(phi b, 0, b, 0)}.
+    {(phi b, 0, b, 0)}.  The intersection's rows are independent, so they span
+    the graph exactly when there are n of them, each with p2 = 0 and x1 = phi x2.
     """
     m, n = v.source_half_dim, v.target_half_dim
     phi = matrix(phi_rows)
@@ -552,9 +538,10 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     # the rows of a lagrangian basis are independent, so these combinations are too
     width = 2 * (m + n)
     intersection = [_combine(vrows, c, 0, width) for c in _kernel(work, pivots, d, len(vrows))]
-    graph = _integer_rows(tuple(phi[i][j] for i in range(m)) + (_ZERO,) * m + unit_vector(n, j)
-                          + (_ZERO,) * n for j in range(n))
-    ok = _same_span(intersection, graph)
+    ok = len(intersection) == n and all(
+        not any(z[2 * m + n:])
+        and all(z[i] == sum(map(mul, phi[i], z[2 * m:2 * m + n])) for i in range(m))
+        for z in intersection)
     reasons = ()
     if not ok:
         reasons = (f"intersection with the horizontal has dimension {len(intersection)}, "
@@ -565,23 +552,29 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
 def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting) -> bool:
     """Transversality of the relation to (horizontal source) x K_B.
 
-    Both subspaces have half the ambient dimension, so transversality is
-    equivalent to their sum being everything.  The relation's rows and the m
-    horizontal unit rows are eliminated once per relation, on the first call;
-    their rank must be 2m + n, and the n rows of K_B, reduced against that
-    echelon form, must leave residuals of rank n.
+    Both have half the ambient dimension, so this says that K_B = {(B u, u)}
+    meets U, the relation plus the horizontal source block, only at 0.  The
+    functionals vanishing on U are those with x1 part 0 that vanish on the
+    relation: once per relation, their x2 and p2 parts A_x2, A_p2 are kept.
+    U has dimension 2m + n exactly when there are n of them, and then the
+    answer is whether A_x2 B + A_p2 is nonsingular, tested on integers as
+    A_x2 (l B) + l A_p2 with l the lcm of the denominators of B.
     """
     m, n = v.source_half_dim, v.target_half_dim
     if splitting.half_dim != n:
         raise ShapeError(f"splitting half-dimension {splitting.half_dim} != target {n}")
-    if v._echelon is None:
-        width = 2 * (m + n)
-        rows = list(v.subspace._rows) + [[int(i == j) for j in range(width)] for i in range(m)]
-        work, pivots, _ = _eliminate(rows, False)
-        object.__setattr__(v, "_echelon", (tuple(work[:len(pivots)]), tuple(pivots)))
-    work, pivots = v._echelon
-    if len(pivots) != 2 * m + n:
+    if v._annihilator is None:
+        work, pivots, d = _eliminate([vec[m:] for vec in v.subspace._rows], True)
+        kernel = _kernel(work, pivots, d, m + 2 * n)
+        object.__setattr__(v, "_annihilator", (tuple(a[m:m + n] for a in kernel),
+                                               tuple(a[m + n:] for a in kernel)))
+    a_x2, a_p2 = v._annihilator
+    if len(a_x2) != n:
         return False
-    pad = [0] * (2 * m)
-    residuals = [_reduce(work, pivots, pad + row) for row in splitting._rows]
-    return len(_eliminate(residuals, False)[1]) == n
+    b = splitting.rows
+    scale = lcm(*[x.denominator for row in b for x in row])
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in b]
+    # B is symmetric, so column j of B is its row j
+    rows = [[sum(map(mul, ax, b[j])) + scale * ap[j] for j in range(n)]
+            for ax, ap in zip(a_x2, a_p2)]
+    return len(_eliminate(rows, False)[1]) == n

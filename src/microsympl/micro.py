@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
@@ -63,7 +63,7 @@ from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      UnsupportedCoreError, ValidityError)
 from .jetalg import (FiberGradedPoly, combine, frac, key_codec,
                      solve_triangular_fixed_point, substitute_many)
-from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _fractions, _left_solve,
+from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _left_solve,
                        check_linear_micromorphism)
 
 
@@ -438,15 +438,9 @@ def _linearized_relations(gen: FiberGradedPoly, points: Sequence) -> list[LinCan
     """``linearized_relation`` at each of the points, from one gradient."""
     m, n = gen.fiber_arity, gen.base_arity
     grad = [gen.partial_fiber(i) for i in range(m)] + [gen.partial_base(j) for j in range(n)]
-    out = []
-    for rows, u in _first_derivatives(grad, m, n, points):
-        scaled = [row[n:] + [u if w == v else 0 for w in range(m + n)] + row[:n]
-                  for v, row in enumerate(rows)]
-        # each vector has an entry 1, so its _integer_rows row is the primitive one
-        scales = [gcd(*row) for row in scaled]
-        out.append(LinCanonicalRelation._built(m, n, _fractions(scaled, u), tuple(
-            [x // g for x in row] for row, g in zip(scaled, scales))))
-    return out
+    return [LinCanonicalRelation._built(m, n, [row[n:] + [u if w == v else 0 for w in range(m + n)]
+                                               + row[:n] for v, row in enumerate(rows)], u)
+            for rows, u in _first_derivatives(grad, m, n, points)]
 
 
 def linearized_relation(gen: FiberGradedPoly, point: Sequence) -> LinCanonicalRelation:

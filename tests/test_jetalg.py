@@ -92,6 +92,22 @@ def test_bool_exponents_are_integers():
     assert poly(1, 1, 2, {((True,), (False,)): F(1)}) == poly(1, 1, 2, {((1,), (0,)): F(1)})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FiberGradedPoly.zero(1, 1, 2.5),
+    lambda: poly(1.0, 1, 2, {((1,), (0,)): F(1)}),
+    lambda: poly(1, 1, 2.5, {((1,), (0,)): F(1)}),
+    lambda: FiberGradedPoly.zero(1, "1", 2),
+])
+def test_arities_and_orders_that_are_not_integers_raise(build):
+    # order 2.5 was kept, arity 1.0 accepted, and '1' met a comparison error
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
+
+
+def test_bool_arities_and_orders_are_integers():
+    assert FiberGradedPoly.zero(True, False, True).space() == (1, 0, 1)
+
+
 def test_zero_polynomial_keeps_shape():
     z = FiberGradedPoly.zero(2, 1, 3)
     assert z.is_zero() and z.space() == (2, 1, 3)

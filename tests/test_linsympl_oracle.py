@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import reference_linsympl as ref
 from microsympl import linsympl, micro
 from microsympl.sampling import (rand_lagrangian_relation, rand_micromorphism, rand_point,
-                                 rand_symplectic_matrix, rng_for)
+                                 rand_symmetric_matrix, rand_symplectic_matrix, rng_for)
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -316,10 +316,11 @@ def meeting_splitting(rel):
        data=st.data())
 def test_cached_transversality_matches_oracle_in_call_order(seed, m, n, zero, data):
     # one relation against 2-8 splittings: the first call fills the cached
-    # echelon form and the later ones reuse it.  Splittings that meet the
-    # relation plus the horizontal source are drawn often, so that the
-    # residual rank decides many answers; the zero section with m > 0 meets
-    # the horizontal source, so its rank falls short and every answer is False
+    # annihilator and the later ones reuse it.  Splittings that meet the
+    # relation plus the horizontal source are drawn often, so that the n x n
+    # matrix A_x2 B + A_p2 decides many answers; the zero section with m > 0
+    # meets the horizontal source, so more than n functionals vanish on the
+    # sum and every answer is False
     if zero:
         rel = linsympl.zero_section_relation(m, n)
     else:
@@ -340,10 +341,29 @@ def test_cached_transversality_matches_oracle_in_call_order(seed, m, n, zero, da
         answers.append(linsympl.transverse_to_splitting(rel, linsympl.Splitting(n, b_rows)))
         assert answers[-1] == ref.transverse_to_splitting(rel, b_rows)
         assert not (b_rows is meeting and answers[-1])
-    assert rel._echelon is not None
+    assert rel._annihilator is not None
     assert same_as_fresh()
     if zero and m:
         assert not any(answers)
+
+
+def test_seeded_transversality_matches_oracle():
+    # a fixed draw of relations and splittings, rational and meeting, so that
+    # every answer is pinned without Hypothesis
+    answers = []
+    for seed in range(200):
+        rng = rng_for(seed, "transverse-oracle")
+        m, n = rng.randint(0, 3), rng.randint(1, 3)
+        rel = rand_lagrangian_relation(rng, m, n)
+        b_list = [rand_symmetric_matrix(rng, n) for _ in range(3)]
+        meeting = meeting_splitting(rel)
+        if meeting is not None:
+            b_list.append(meeting)
+        for b_rows in b_list:
+            got = linsympl.transverse_to_splitting(rel, linsympl.Splitting(n, b_rows))
+            assert got == ref.transverse_to_splitting(rel, b_rows), (seed, m, n, b_rows)
+            answers.append(got)
+    assert len(answers) > 600 and True in answers and False in answers
 
 
 def test_samplers_match_the_dense_reference_and_its_draws():
