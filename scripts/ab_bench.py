@@ -12,7 +12,13 @@ other, in the order given, each with its own pairs and its own table.
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, as it is
 committed there, one run at a time; even pairs run the parent first and odd
 pairs the change first, so that a drift of the host's speed does not favour
-one side.  For every end-to-end metric named in the parent's
+one side.  Both sides run on the same bytecode state: before the first pair,
+one short untimed run per side, with bytecode writing on, compiles what the
+benchmark imports (the checkout's modules and the standard library's) into
+that side's own fresh ``PYTHONPYCACHEPREFIX`` under a temporary directory,
+and every timed run reads its side's bytecode from there with writing off.
+A stale or missing ``__pycache__`` in one checkout thus cannot move
+``setup_s`` or ``peak_rss_mb``, and nothing is written into the checkouts.  For every end-to-end metric named in the parent's
 ``BENCHMARK.json`` it prints the parent's median and quartiles, the change's
 median, the ratio of the medians, and in how many pairs the change was better
 (ties count for neither side).  It also prints whether every run of both
@@ -45,18 +51,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+# timed seconds of the run that compiles a side; it still runs every import,
+# the set-up and the benchmark's minimum number of operations
+COMPILE_SECONDS = 0.01
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             env: dict[str, str] | None = None) -> dict:
     """One benchmark run: its end-to-end metric values, digest and failures."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False)
+        cwd=checkout, capture_output=True, text=True, check=False, env=env)
     if proc.returncode:
         raise RuntimeError(f"benchmark in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
@@ -68,6 +81,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "digest": digest, "failed": result["failed"], "attempted": result["attempted"],
             "correct": result["correct"]}
+
+
+def bytecode_env(prefix: Path, write: bool = False) -> dict[str, str]:
+    """The environment of a run whose bytecode lives under ``prefix``: written
+    there when ``write`` is set, only read otherwise."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
+    if write:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    else:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def compile_bytecode(checkout: Path, prefix: Path, workload: str, seed: int) -> None:
+    """Fill the fresh directory ``prefix`` with the bytecode of every module
+    that a run of ``workload`` in ``checkout`` imports, by one untimed run."""
+    run_once(checkout, workload, seed, COMPILE_SECONDS, bytecode_env(prefix, write=True))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -161,15 +191,16 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict],
 
 
 def run_workload(args: argparse.Namespace, end_to_end: list[dict], workload: str,
-                 claim: str | None) -> int:
-    """The pairs of one workload and its table; 1 when it is flagged or the
-    claim on the metric ``claim`` does not hold, else 0."""
+                 claim: str | None, envs: dict[str, dict[str, str]]) -> int:
+    """The pairs of one workload and its table, each side run in its own
+    environment ``envs[side]``; 1 when it is flagged or the claim on the
+    metric ``claim`` does not hold, else 0."""
     key = end_to_end[0]["name"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(getattr(args, side), workload, args.seed, args.seconds)
+            run = run_once(getattr(args, side), workload, args.seed, args.seconds, envs[side])
             runs[side].append(run)
             print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                   f"{key}={run['metrics'][key]:.4g}", file=sys.stderr, flush=True)
@@ -211,9 +242,15 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim} is not an end-to-end metric")
     if claimed and claimed not in args.workload:
         parser.error(f"--claim {args.claim}: {claimed} is not a --workload of this call")
-    return max(run_workload(args, spec["end_to_end"], workload,
-                            metric if claimed in ("", workload) else None)
-               for workload in args.workload)
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        envs = {}
+        for side in ("parent", "change"):
+            prefix = Path(tmp) / side
+            compile_bytecode(getattr(args, side), prefix, args.workload[0], args.seed)
+            envs[side] = bytecode_env(prefix)
+        return max(run_workload(args, spec["end_to_end"], workload,
+                                metric if claimed in ("", workload) else None, envs)
+                   for workload in args.workload)
 
 
 if __name__ == "__main__":

@@ -129,12 +129,14 @@ class KeyCodec:
 key_codec = cache(KeyCodec)
 
 
-def check_space(fiber_arity: int, base_arity: int, order: int) -> None:
-    """Raise TypeError unless the arities and the order are integers, ShapeError if negative."""
-    if index(fiber_arity) < 0 or index(base_arity) < 0:
+def check_space(fiber_arity: int, base_arity: int, order: int) -> tuple[int, int, int]:
+    """The arities and the order as ints; TypeError unless integers, ShapeError if negative."""
+    fiber_arity, base_arity, order = index(fiber_arity), index(base_arity), index(order)
+    if fiber_arity < 0 or base_arity < 0:
         raise ShapeError("arities must be non-negative")
-    if index(order) < 0:
+    if order < 0:
         raise ShapeError("truncation order must be non-negative")
+    return fiber_arity, base_arity, order
 
 
 def frac(value) -> Fraction:
@@ -177,7 +179,7 @@ class FiberGradedPoly:
 
     def __init__(self, fiber_arity: int, base_arity: int, order: int,
                  terms: Mapping[TermKey, Fraction] | Iterable[tuple[TermKey, Fraction]] = ()):
-        check_space(fiber_arity, base_arity, order)
+        fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
         parts = []
         codec = key_codec(fiber_arity, base_arity)
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -224,13 +226,13 @@ class FiberGradedPoly:
 
     @classmethod
     def zero(cls, fiber_arity: int, base_arity: int, order: int) -> "FiberGradedPoly":
-        check_space(fiber_arity, base_arity, order)
+        fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
         return cls._raw(fiber_arity, base_arity, order, 1, {})
 
     @classmethod
     def constant(cls, fiber_arity: int, base_arity: int, order: int, value) -> "FiberGradedPoly":
         c = frac(value)
-        check_space(fiber_arity, base_arity, order)
+        fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
         # the key of the unit monomial is 0 in every space
         return cls._raw(fiber_arity, base_arity, order, c.denominator, {0: c.numerator} if c else {})
 
@@ -240,7 +242,7 @@ class FiberGradedPoly:
             raise ShapeError(f"fiber index {index} out of range for arity {fiber_arity}")
         if order < 1:
             raise ShapeError("a fiber variable needs order >= 1")
-        check_space(fiber_arity, base_arity, order)
+        fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
         return cls._raw(fiber_arity, base_arity, order, 1,
                         {key_codec(fiber_arity, base_arity).units[index]: 1})
 
@@ -248,7 +250,7 @@ class FiberGradedPoly:
     def base_var(cls, fiber_arity: int, base_arity: int, order: int, index: int) -> "FiberGradedPoly":
         if not 0 <= index < base_arity:
             raise ShapeError(f"base index {index} out of range for arity {base_arity}")
-        check_space(fiber_arity, base_arity, order)
+        fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
         return cls._raw(fiber_arity, base_arity, order, 1,
                         {key_codec(fiber_arity, base_arity).units[fiber_arity + index]: 1})
 

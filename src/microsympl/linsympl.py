@@ -66,34 +66,34 @@ def unit_vector(n: int, index: int) -> Vector:
     return tuple(_ONE if i == index else _ZERO for i in range(n))
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(unit_vector(n, i) for i in range(n))
-
-
 def mat_vec(rows: Matrix, v: Sequence[Fraction]) -> Vector:
     if any(len(row) != len(v) for row in rows):
         raise ShapeError(f"matrix rows do not all have the vector's length {len(v)}")
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
+    return tuple(row[0] if row else _ZERO for row in mat_mul(rows, tuple((x,) for x in v)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The exact product a b: one integer ``_product`` over one denominator."""
     if any(len(row) != len(b) for row in a):
         raise ShapeError(f"left factor rows do not all have length {len(b)}")
-    if not a or not b:
-        return tuple(() for _ in a)
-    width = len(b[0])
-    if any(len(row) != width for row in b):
+    a, s = _over_one_denominator(a)
+    b, t = _over_one_denominator(b)
+    if b and any(len(row) != len(b[0]) for row in b):
         raise ShapeError("ragged matrix rows")
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * width
-        for k, v in enumerate(row):
-            if v:
-                for j, w in enumerate(b[k]):
-                    if w:
-                        acc[j] += v * w
-        out.append(tuple(acc))
-    return tuple(out)
+    return _fractions(_product(a, b), s * t)
+
+
+def _over_one_denominator(rows) -> tuple[list[list[int]], int]:
+    """Integer rows t * rows, with t the lcm of all the denominators of rows."""
+    rows = [vector(row) for row in rows]
+    t = lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (t // v.denominator) for v in row] for row in rows], t
+
+
+def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer matrix product a b; a row of a has one entry per row of b."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def transpose(rows: Matrix) -> Matrix:
@@ -104,13 +104,14 @@ def transpose(rows: Matrix) -> Matrix:
 
 def _integer_rows(rows) -> list[list[int]]:
     """Each row scaled by the lcm of its denominators; the row space is kept."""
-    out = []
-    for row in rows:
-        row = [frac(v) for v in row]
-        den = lcm(*[v.denominator for v in row])
-        out.append([v.numerator for v in row] if den == 1 else
-                   [v.numerator * (den // v.denominator) for v in row])
-    return out
+    return [_scaled(vector(row)) for row in rows]
+
+
+def _scaled(row: Vector) -> list[int]:
+    """A row of Fractions times the lcm of their denominators."""
+    den = lcm(*[v.denominator for v in row])
+    return ([v.numerator for v in row] if den == 1 else
+            [v.numerator * (den // v.denominator) for v in row])
 
 
 def _eliminate(rows: Sequence[Sequence[int]], full: bool) -> tuple[list, list[int], int]:
@@ -351,7 +352,7 @@ class LagrangianSubspace:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(vector(v) for v in self.vectors))
-        object.__setattr__(self, "_rows", tuple(_integer_rows(self.vectors)))
+        object.__setattr__(self, "_rows", tuple(_scaled(v) for v in self.vectors))
         res = _lagrangian(self.space, self.vectors, self._rows)
         if not res:
             raise ValidityError(f"not a lagrangian subspace: {res.describe()}")

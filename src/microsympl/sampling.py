@@ -3,19 +3,19 @@
 Everything takes an explicit ``random.Random`` so property suites and the
 CLI self-check are reproducible; no generator touches global entropy.
 Symplectic matrices and lagrangian relations are drawn as block moves on the
-x rows and p rows of a matrix; their draw order must not change, since every
-seeded corpus, golden file and benchmark digest follows the RNG sequence.
+integer x rows and p rows of a matrix over one denominator, and made Fractions
+once, at the end.  Their draw order must not change, since every seeded corpus,
+golden file and benchmark digest follows the RNG sequence.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
 
 from .jetalg import FiberGradedPoly
-from .linsympl import (LinCanonicalRelation, Matrix, Splitting, identity_matrix,
-                       mat_inverse, mat_mul, transpose, zero_vector)
+from .linsympl import LinCanonicalRelation, Matrix, Splitting, _eliminate, _product
 from .micro import CoreMap, Micromorphism, MicroObject, unit_exp
 
 
@@ -25,10 +25,16 @@ def rng_for(seed, tag: str) -> random.Random:
 
 def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9,
                   nonzero: bool = False) -> Fraction:
+    return Fraction(*_rand_ratio(rng, max_num, max_den, nonzero))
+
+
+def _rand_ratio(rng: random.Random, max_num: int, max_den: int,
+                nonzero: bool = False) -> tuple[int, int]:
+    """The numerator and denominator that ``rand_fraction`` draws, unreduced."""
     num = rng.randint(-max_num, max_num)
     if nonzero and num == 0:
         num = rng.choice((-1, 1)) * rng.randint(1, max_num)
-    return Fraction(num, rng.randint(1, max_den))
+    return num, rng.randint(1, max_den)
 
 
 def rand_exponents(rng: random.Random, arity: int, total: int) -> tuple[int, ...]:
@@ -86,28 +92,37 @@ def rand_point(rng: random.Random, dim: int, max_num: int = 3,
     return tuple(rand_fraction(rng, max_num, max_den) for _ in range(dim))
 
 
-def _rand_invertible(rng: random.Random, n: int, bound: int) -> tuple[Matrix, Matrix]:
-    """An integer matrix A, entries in [-bound, bound], redrawn until invertible; and A^-1."""
+def _rand_invertible(rng: random.Random, n: int,
+                     bound: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """An integer matrix A, entries in [-bound, bound], redrawn until invertible;
+    and W, d with A^-1 = W / d, from one elimination of [A | I]."""
     while True:
-        rows = tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
-                     for _ in range(n))
-        if (inverse := mat_inverse(rows)) is not None:
-            return rows, inverse
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        work, pivots, d = _eliminate([row + [int(i == j) for j in range(n)]
+                                      for i, row in enumerate(rows)], True)
+        if pivots[:n] == list(range(n)):
+            return rows, [row[n:] for row in work[:n]], d
 
 
 def rand_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
-    return _rand_invertible(rng, n, bound)[0]
+    return tuple(tuple(map(Fraction, row)) for row in _rand_invertible(rng, n, bound)[0])
+
+
+def _rand_symmetric(rng: random.Random, n: int, max_num: int,
+                    max_den: int) -> tuple[list[list[int]], int]:
+    """Integer C and s > 0 such that C / s is the matrix ``rand_symmetric_matrix`` draws."""
+    ratios = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ratios[i][j] = ratios[j][i] = _rand_ratio(rng, max_num, max_den)
+    s = lcm(*[den // gcd(num, den) for row in ratios for num, den in row])
+    return [[num * s // den for num, den in row] for row in ratios], s
 
 
 def rand_symmetric_matrix(rng: random.Random, n: int, max_num: int = 4,
                           max_den: int = 3) -> Matrix:
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = rand_fraction(rng, max_num, max_den)
-            entries[i][j] = v
-            entries[j][i] = v
-    return tuple(tuple(r) for r in entries)
+    rows, s = _rand_symmetric(rng, n, max_num, max_den)
+    return tuple(tuple(Fraction(v, s) for v in row) for row in rows)
 
 
 def rand_splitting(rng: random.Random, n: int) -> Splitting:
@@ -140,35 +155,41 @@ def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int) -> 
 _MOVES = 3
 
 
-def _plus(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(map(add, r, s)) for r, s in zip(a, b))
-
-
-def _symplectic_moves(rng: random.Random, n: int, x: Matrix,
-                      p: Matrix) -> tuple[Matrix, Matrix]:
-    """The x rows and p rows of T M, given those of M (2n rows, in (x..., p...)
-    coordinates), for T a product of random symplectic moves; none when n = 0.
-    Each move is ``rng.randrange(4)``, then its matrix draw: p += C x, x += C p
-    (C symmetric), (x, p) -> (A x, A^-T p), or (x, p) -> (p, -x)."""
+def _symplectic_moves(rng: random.Random, n: int, x: list[list[int]],
+                      p: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
+    """The x rows and p rows of T M over one denominator d, given the integer x
+    rows and p rows of M (2n rows, in (x..., p...) coordinates), for T a product
+    of random symplectic moves; none when n = 0.  Each move is
+    ``rng.randrange(4)``, then its matrix draw: p += C x, x += C p (C = C'/s
+    symmetric), (x, p) -> (A x, A^-T p) (A^-1 = W/det), or (x, p) -> (p, -x).
+    All arithmetic is on integers; d takes the factor s or |det| of each move."""
+    d = 1
     for _ in range(_MOVES if n else 0):
         kind = rng.randrange(4)
-        if kind == 0:
-            p = _plus(p, mat_mul(rand_symmetric_matrix(rng, n, 2, 2), x))
-        elif kind == 1:
-            x = _plus(x, mat_mul(rand_symmetric_matrix(rng, n, 2, 2), p))
+        if kind < 2:
+            c, s = _rand_symmetric(rng, n, 2, 2)
+            src, dst = (x, p) if kind == 0 else (p, x)
+            dst = [[s * u + v for u, v in zip(row, shear)]
+                   for row, shear in zip(dst, _product(c, src))]
+            src = [[s * u for u in row] for row in src] if s != 1 else src
+            x, p = (src, dst) if kind == 0 else (dst, src)
+            d *= s
         elif kind == 2:
-            a, a_inv = _rand_invertible(rng, n, 2)
-            x, p = mat_mul(a, x), mat_mul(transpose(a_inv), p)
+            a, w, det = _rand_invertible(rng, n, 2)
+            scale, sign = abs(det), 1 if det > 0 else -1
+            x = _product([[scale * u for u in row] for row in a], x)
+            p = _product([[sign * u for u in col] for col in zip(*w)], p)
+            d *= scale
         else:
-            x, p = p, tuple(tuple(-v for v in row) for row in x)
-    return x, p
+            x, p = p, [[-u for u in row] for row in x]
+    return x, p, d
 
 
 def rand_symplectic_matrix(rng: random.Random, n: int) -> Matrix:
     """Random symplectic matrix in (x..., p...) coordinates, exact rational."""
-    ident = identity_matrix(2 * n)
-    x, p = _symplectic_moves(rng, n, ident[:n], ident[n:])
-    return x + p
+    ident = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+    x, p, d = _symplectic_moves(rng, n, ident[:n], ident[n:])
+    return tuple(tuple(Fraction(v, d) for v in row) for row in x + p)
 
 
 def rand_lagrangian_relation(rng: random.Random, source_dim: int,
@@ -176,11 +197,11 @@ def rand_lagrangian_relation(rng: random.Random, source_dim: int,
     """Random linear canonical relation, built by a symplectic move of a zero section."""
     m, n = source_dim, target_dim
     total = m + n
-    x, p = _symplectic_moves(rng, total, identity_matrix(total),
-                             (zero_vector(total),) * total)
+    ident = [[int(i == j) for j in range(total)] for i in range(total)]
+    x, p, d = _symplectic_moves(rng, total, ident, [[0] * total for _ in ident])
     # column i is the image of the i-th zero-section basis vector; reorder it to
     # (x1, p1, x2, p2) and flip the sign of p1 to pass from the standard form to
     # the signed relation form
-    vectors = [xc[:m] + tuple(-v for v in pc[:m]) + xc[m:] + pc[m:]
-               for xc, pc in zip(transpose(x), transpose(p))]
+    vectors = [tuple(Fraction(v, d) for v in xc[:m] + tuple(-u for u in pc[:m]) + xc[m:] + pc[m:])
+               for xc, pc in zip(zip(*x), zip(*p))]
     return LinCanonicalRelation.from_vectors(m, n, vectors)

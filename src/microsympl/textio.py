@@ -245,7 +245,7 @@ def _terms(text: str, fiber_arity: int, base_arity: int,
 def parse_polynomial(text: str, fiber_arity: int, base_arity: int, order: int,
                      first_line: int = 1) -> FiberGradedPoly:
     """Parse the polynomial grammar into a FiberGradedPoly."""
-    check_space(fiber_arity, base_arity, order)
+    fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
     return FiberGradedPoly._packed(fiber_arity, base_arity, order,
                                    _terms(text, fiber_arity, base_arity, first_line))
 

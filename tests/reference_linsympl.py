@@ -1,14 +1,13 @@
 """Reference oracle: the plain Fraction Gauss-Jordan linear algebra.
 
 A frozen copy of ``microsympl.linsympl``'s elimination routines as they were
-before the fraction-free kernel, and of ``microsympl.sampling``'s symplectic
-samplers as they were before block moves.  Tests require the library to agree
+before the fraction-free kernel, of ``microsympl.sampling``'s symplectic
+samplers as they were before block moves, and of its two matrix draws as
+they were before they drew integer rows.  Tests require the library to agree
 with these functions exactly; do not optimise this file.
 """
 
 from fractions import Fraction
-
-from microsympl.sampling import rand_invertible_int_matrix, rand_symmetric_matrix
 
 
 def frac(value):
@@ -243,9 +242,27 @@ def transverse_to_splitting(v, b_rows):
 
 # -- the samplers, as they were: dense generators multiplied in full ----------
 #
-# Draws go through ``microsympl.sampling``'s ``rand_symmetric_matrix`` and
-# ``rand_invertible_int_matrix``; the generators, their products and the
-# column read of a relation are frozen here.
+# The draws, the generators, their products and the column read of a
+# relation are all frozen here.
+
+
+def rand_symmetric_matrix(rng, n, max_num=4, max_den=3):
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+            entries[i][j] = v
+            entries[j][i] = v
+    return tuple(tuple(r) for r in entries)
+
+
+def rand_invertible_int_matrix(rng, n, bound=3):
+    # redrawn until the Fraction Gauss-Jordan inverse exists
+    while True:
+        rows = tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+                     for _ in range(n))
+        if mat_inverse(rows) is not None:
+            return rows
 
 
 def transpose(rows):

@@ -8,7 +8,9 @@ diagonal lift as a monomial of its own.  ``rand_affine_core_micromorphism``
 is the sampler of that name as it was while it took an ``extra_terms``
 option; the library always draws 2, and the germ oracle tests draw 1 through
 this copy, so that their ``Fraction`` references stay fast.  Both copies keep
-that option, which the library's samplers no longer take.  Every seeded
+that option, which the library's samplers no longer take.  The copy of
+``rand_affine_core_micromorphism`` draws its matrix through the frozen
+``rand_invertible_int_matrix`` of ``reference_linsympl``.  Every seeded
 corpus follows their draw order, so tests require the library to draw the
 same values and leave the generator in the same state; do not optimise this
 file.
@@ -19,7 +21,8 @@ from fractions import Fraction
 from microsympl.jetalg import FiberGradedPoly
 from microsympl.micro import CoreMap, Micromorphism, MicroObject, unit_exp
 from microsympl.operad import OperadElement, diagonal_lift
-from microsympl.sampling import rand_exponents, rand_fraction, rand_invertible_int_matrix
+from microsympl.sampling import rand_exponents, rand_fraction
+from reference_linsympl import rand_invertible_int_matrix
 
 
 def rand_core_map(rng, domain_dim, codomain_dim, max_deg=2, terms=2):

@@ -19,6 +19,13 @@ BOUNDED = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
 SPEC = {"workloads": [{"name": "w"}], "end_to_end": BOUNDED}
 
 
+@pytest.fixture(autouse=True)
+def no_compile_run(request, monkeypatch):
+    """Tests that fake ``run_once`` skip the run that compiles each side."""
+    if "compiles" not in request.node.name:
+        monkeypatch.setattr(ab_bench, "compile_bytecode", lambda *args: None)
+
+
 def runs(ops, p50, digest="d", failed=0, attempted=100):
     return [{"metrics": {"ops_per_s": o, "latency_p50_ms": p}, "digest": digest,
              "failed": failed, "attempted": attempted} for o, p in zip(ops, p50)]
@@ -90,7 +97,7 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path, monkeypatc
     import json
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     sides = {tmp_path: iter(parent), tmp_path / "change": iter(overlapping)}
-    monkeypatch.setattr(ab_bench, "run_once", lambda checkout, *_: next(sides[checkout]))
+    monkeypatch.setattr(ab_bench, "run_once", lambda checkout, *_, **__: next(sides[checkout]))
     assert ab_bench.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w",
                           "--pairs", "4"]) == 0
     assert "UNRESOLVED ops_per_s" in capsys.readouterr().out
@@ -135,7 +142,7 @@ def test_exit_status_reports_a_regression_or_a_claim_that_fails(tmp_path, monkey
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     ops = {}
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed, seconds, env=None):
         return runs([ops[checkout]], [2])[0]
 
     monkeypatch.setattr(ab_bench, "run_once", fake_run)
@@ -154,7 +161,7 @@ def test_exit_status_reports_differing_digests_or_more_failures(tmp_path, monkey
     change = tmp_path / "change"
     outputs = {}
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed, seconds, env=None):
         digest, failed = outputs[checkout]
         return runs([120 if checkout == change else 100], [2], digest, failed)[0]
 
@@ -180,7 +187,7 @@ def test_each_workload_gets_its_own_table_and_any_flag_fails_the_run(tmp_path, m
     ops = {}
     started = []
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed, seconds, env=None):
         started.append(workload)
         return runs([ops[workload] if checkout == change else 100], [2])[0]
 
@@ -206,7 +213,7 @@ def test_a_claim_named_with_its_workload_is_checked_on_that_workload_alone(
     change = tmp_path / "change"
     ops = {"v": 120, "w": 100}
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed, seconds, env=None):
         return runs([ops[workload] if checkout == change else 100], [2])[0]
 
     monkeypatch.setattr(ab_bench, "run_once", fake_run)
@@ -280,3 +287,45 @@ def test_bad_arguments_exit_2_before_any_run(tmp_path, monkeypatch, capsys, extr
         ab_bench.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w", *extra])
     assert exc.value.code == 2
     assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
+def test_each_side_compiles_once_into_its_own_prefix_and_runs_from_it(tmp_path, monkeypatch,
+                                                                       capsys):
+    import json
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    result = json.dumps({"metrics": {"ops_per_s": {"value": 100.0},
+                                     "latency_p50_ms": {"value": 2.0}},
+                         "failed": 0, "attempted": 100, "correct": 100})
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append((Path(cwd), prefix, env.get("PYTHONDONTWRITEBYTECODE"), prefix.exists(),
+                      argv[argv.index("--workload") + 1]))
+        return subprocess.CompletedProcess(argv, 0, stdout=f"digest sha256=d\n{result}\n",
+                                           stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    assert ab_bench.main([str(parent), str(change), "--workload", "w", "--workload", "w",
+                          "--pairs", "2"]) == 0
+    capsys.readouterr()
+    # one compile run per side, with bytecode writing on, into a fresh prefix
+    (cwd_a, prefix_a, write_a, existed_a, _), (cwd_b, prefix_b, write_b, existed_b, _) = calls[:2]
+    assert (cwd_a, cwd_b) == (parent, change)
+    assert write_a is write_b is None and not existed_a and not existed_b
+    assert prefix_a != prefix_b
+    # the prefixes lie under a temporary directory, outside both checkouts
+    for prefix in (prefix_a, prefix_b):
+        assert prefix.parent.name.startswith("ab_bench-")
+        assert parent not in prefix.parents and change not in prefix.parents
+    # every timed run reads its own side's prefix and writes no bytecode
+    timed = calls[2:]
+    assert len(timed) == 2 * 2 * 2
+    assert all(write == "1" for _, _, write, _, _ in timed)
+    assert all(prefix == {parent: prefix_a, change: prefix_b}[cwd]
+               for cwd, prefix, _, _, _ in timed)
+    assert [cwd for cwd, *_ in timed[:4]] == [parent, change, change, parent]

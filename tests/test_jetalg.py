@@ -108,6 +108,22 @@ def test_bool_arities_and_orders_are_integers():
     assert FiberGradedPoly.zero(True, False, True).space() == (1, 0, 1)
 
 
+def test_bool_arities_and_orders_are_stored_as_ints():
+    # they were stored as given, and printed as True and False
+    z = FiberGradedPoly.zero(True, False, True)
+    assert [type(v) for v in z.space()] == [int, int, int]
+    assert repr(z) == "FiberGradedPoly(1, 0, K=1: 0)"
+    with pytest.raises(ShapeError, match=r"space mismatch: \(2,0,K=1\) vs \(1,0,K=1\)"):
+        FiberGradedPoly.zero(2, 0, 1) + z
+    built = [FiberGradedPoly(True, 1, 2, {((1,), (0,)): 1}),
+             FiberGradedPoly.constant(True, 0, True, 3),
+             FiberGradedPoly.fiber_var(True, 0, True, 0),
+             FiberGradedPoly.base_var(0, True, False, 0),
+             parse_polynomial("p1", True, 0, True)]
+    for poly, space in zip(built, [(1, 1, 2), (1, 0, 1), (1, 0, 1), (0, 1, 0), (1, 0, 1)]):
+        assert poly.space() == space and [type(v) for v in poly.space()] == [int, int, int]
+
+
 def test_zero_polynomial_keeps_shape():
     z = FiberGradedPoly.zero(2, 1, 3)
     assert z.is_zero() and z.space() == (2, 1, 3)

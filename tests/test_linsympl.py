@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from microsympl import linsympl
 from microsympl.errors import ShapeError, ValidityError
+from microsympl.jetalg import frac
 from microsympl.linsympl import (AffineSubspace, LagrangianSubspace, LinCanonicalRelation,
                                  Splitting, SymplecticSpace, _integer_rows,
                                  check_linear_micromorphism,
@@ -55,6 +57,32 @@ def test_solve_consistent_and_inconsistent():
 def test_shape_mismatches_raise_instead_of_truncating(call):
     with pytest.raises(ShapeError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mat_mul(((0.5,),), ((2,),)),
+    lambda: mat_mul(((2,),), ((0.5,),)),
+    lambda: mat_vec(((0.1, 0.2),), (1, 1)),
+    lambda: mat_vec(((1, 1),), (0.1, 0.2)),
+], ids=["mul-left", "mul-right", "mat-vec-rows", "mat-vec-vector"])
+def test_products_reject_float_entries(call):
+    # they returned ((1.0,),) and (0.30000000000000004,), where mat_inverse raises
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        call()
+
+
+def test_a_lagrangian_basis_is_converted_once(monkeypatch):
+    converted = []
+
+    def counting_frac(v):
+        converted.append(v)
+        return frac(v)
+
+    monkeypatch.setattr(linsympl, "frac", counting_frac)
+    rel = LinCanonicalRelation.from_vectors(1, 1, vecs((1, 0, 1, 0), (0, 1, 0, 1)))
+    # one conversion per entry: the integer rows scale the converted Fractions
+    assert len(converted) == 8
+    assert rel.subspace._rows == ([1, 0, 1, 0], [0, 1, 0, 1])
 
 
 def test_subspace_equality_is_basis_independent():

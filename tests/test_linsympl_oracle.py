@@ -4,8 +4,9 @@ The elimination routines, and the linear checks that run on cached integer
 rows (``is_lagrangian``, ``subspace_contains``, ``subspace_equal``,
 ``compose_linear``, ``image_of_point``, ``check_linear_micromorphism``,
 ``transverse_to_splitting``), must agree with ``reference_linsympl`` exactly,
-failure reasons included.  The symplectic samplers must draw what its dense
-generator products draw.
+failure reasons included, and so must ``mat_mul``.  The symplectic samplers
+must draw what its dense generator products draw, and the matrix draws what
+its frozen Fraction draws draw.
 """
 
 from fractions import Fraction as F
@@ -15,8 +16,10 @@ from hypothesis import given, strategies as st
 
 import reference_linsympl as ref
 from microsympl import linsympl, micro
-from microsympl.sampling import (rand_lagrangian_relation, rand_micromorphism, rand_point,
-                                 rand_symmetric_matrix, rand_symplectic_matrix, rng_for)
+from microsympl.errors import ShapeError
+from microsympl.sampling import (rand_invertible_int_matrix, rand_lagrangian_relation,
+                                 rand_micromorphism, rand_point, rand_symmetric_matrix,
+                                 rand_symplectic_matrix, rng_for)
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -113,6 +116,46 @@ def test_solve_inconsistent_matches_oracle(rows, shift):
     rhs += ((rhs[0] if rhs else F(0)) + shift,)
     assert linsympl.solve(rows, rhs) is None
     assert ref.solve(rows, rhs) is None
+
+
+def test_mat_mul_matches_oracle():
+    rng = rng_for(0, "mat-mul-oracle")
+
+    def entry():
+        # ints, small Fractions and Fractions beyond 64 bits, with zeros
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-3, 3)
+        if kind == 1:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        if kind == 2:
+            return F(rng.randint(-2**70, 2**70), rng.randint(1, 2**66))
+        return 0
+
+    for _ in range(4):
+        for rows in range(5):
+            for inner in range(5):
+                for width in range(5):
+                    a = tuple(tuple(entry() for _ in range(inner)) for _ in range(rows))
+                    b = tuple(tuple(entry() for _ in range(width)) for _ in range(inner))
+                    got = linsympl.mat_mul(a, b)
+                    assert got == ref.mat_mul(a, b), (a, b)
+                    assert all_fractions(got)
+                    if inner:
+                        column = tuple(row[0] for row in b) if width else (0,) * inner
+                        want = tuple(row[0] for row in ref.mat_mul(a, tuple(
+                            (v,) for v in column)))
+                        assert linsympl.mat_vec(a, column) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linsympl.mat_mul(((1,),), ((1, 2), (3, 4))),
+    lambda: linsympl.mat_mul(((1, 1),), ((1, 2), (3,))),
+    lambda: linsympl.mat_vec(((1, 2),), (1,)),
+], ids=["mul-inner-length", "mul-ragged", "mat-vec-length"])
+def test_mat_mul_shape_errors_are_kept(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, float("nan")])
@@ -377,4 +420,21 @@ def test_samplers_match_the_dense_reference_and_its_draws():
             for n in range(4):
                 rel = rand_lagrangian_relation(rng, m, n)
                 assert rel.vectors == ref.rand_lagrangian_relation(ref_rng, m, n)
+                assert rng.getstate() == ref_rng.getstate()
+
+
+def test_matrix_draws_match_the_frozen_fraction_draws():
+    # the samplers above and the seeded corpora draw through these two
+    for seed in range(50):
+        rng, ref_rng = rng_for(seed, "draw-oracle"), rng_for(seed, "draw-oracle")
+        for n in range(5):
+            for bound in (1, 2, 3):
+                got = rand_invertible_int_matrix(rng, n, bound)
+                assert got == ref.rand_invertible_int_matrix(ref_rng, n, bound)
+                assert all_fractions(got)
+                assert rng.getstate() == ref_rng.getstate()
+            for max_num, max_den in ((4, 3), (2, 2), (9, 9)):
+                got = rand_symmetric_matrix(rng, n, max_num, max_den)
+                assert got == ref.rand_symmetric_matrix(ref_rng, n, max_num, max_den)
+                assert all_fractions(got)
                 assert rng.getstate() == ref_rng.getstate()
