@@ -108,21 +108,18 @@ def rand_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Ma
     return tuple(tuple(map(Fraction, row)) for row in _rand_invertible(rng, n, bound)[0])
 
 
-def _rand_symmetric(rng: random.Random, n: int, max_num: int,
-                    max_den: int) -> tuple[list[list[int]], int]:
-    """Integer C and s > 0 such that C / s is the matrix ``rand_symmetric_matrix`` draws."""
-    ratios = [[None] * n for _ in range(n)]
+def _symmetric(n: int, draw) -> list[list]:
+    """A symmetric n x n matrix of ``draw()`` values, drawn along the upper triangle."""
+    entries = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            ratios[i][j] = ratios[j][i] = _rand_ratio(rng, max_num, max_den)
-    s = lcm(*[den // gcd(num, den) for row in ratios for num, den in row])
-    return [[num * s // den for num, den in row] for row in ratios], s
+            entries[i][j] = entries[j][i] = draw()
+    return entries
 
 
 def rand_symmetric_matrix(rng: random.Random, n: int, max_num: int = 4,
                           max_den: int = 3) -> Matrix:
-    rows, s = _rand_symmetric(rng, n, max_num, max_den)
-    return tuple(tuple(Fraction(v, s) for v in row) for row in rows)
+    return tuple(map(tuple, _symmetric(n, lambda: rand_fraction(rng, max_num, max_den))))
 
 
 def rand_splitting(rng: random.Random, n: int) -> Splitting:
@@ -160,14 +157,17 @@ def _symplectic_moves(rng: random.Random, n: int, x: list[list[int]],
     """The x rows and p rows of T M over one denominator d, given the integer x
     rows and p rows of M (2n rows, in (x..., p...) coordinates), for T a product
     of random symplectic moves; none when n = 0.  Each move is
-    ``rng.randrange(4)``, then its matrix draw: p += C x, x += C p (C = C'/s
-    symmetric), (x, p) -> (A x, A^-T p) (A^-1 = W/det), or (x, p) -> (p, -x).
+    ``rng.randrange(4)``, then its matrix draw: p += C x, x += C p (C = c/s
+    symmetric, s the lcm of its reduced denominators), (x, p) -> (A x, A^-T p)
+    (A^-1 = W/det), or (x, p) -> (p, -x).
     All arithmetic is on integers; d takes the factor s or |det| of each move."""
     d = 1
     for _ in range(_MOVES if n else 0):
         kind = rng.randrange(4)
         if kind < 2:
-            c, s = _rand_symmetric(rng, n, 2, 2)
+            ratios = _symmetric(n, lambda: _rand_ratio(rng, 2, 2))
+            s = lcm(*[den // gcd(num, den) for row in ratios for num, den in row])
+            c = [[num * s // den for num, den in row] for row in ratios]
             src, dst = (x, p) if kind == 0 else (p, x)
             dst = [[s * u + v for u, v in zip(row, shear)]
                    for row, shear in zip(dst, _product(c, src))]

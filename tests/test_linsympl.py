@@ -59,18 +59,6 @@ def test_shape_mismatches_raise_instead_of_truncating(call):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: mat_mul(((0.5,),), ((2,),)),
-    lambda: mat_mul(((2,),), ((0.5,),)),
-    lambda: mat_vec(((0.1, 0.2),), (1, 1)),
-    lambda: mat_vec(((1, 1),), (0.1, 0.2)),
-], ids=["mul-left", "mul-right", "mat-vec-rows", "mat-vec-vector"])
-def test_products_reject_float_entries(call):
-    # they returned ((1.0,),) and (0.30000000000000004,), where mat_inverse raises
-    with pytest.raises(TypeError, match="expected an exact rational, got float"):
-        call()
-
-
 def test_a_lagrangian_basis_is_converted_once(monkeypatch):
     converted = []
 

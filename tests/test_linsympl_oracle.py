@@ -146,16 +146,12 @@ def test_mat_mul_matches_oracle():
                         want = tuple(row[0] for row in ref.mat_mul(a, tuple(
                             (v,) for v in column)))
                         assert linsympl.mat_vec(a, column) == want
-
-
-@pytest.mark.parametrize("call", [
-    lambda: linsympl.mat_mul(((1,),), ((1, 2), (3, 4))),
-    lambda: linsympl.mat_mul(((1, 1),), ((1, 2), (3,))),
-    lambda: linsympl.mat_vec(((1, 2),), (1,)),
-], ids=["mul-inner-length", "mul-ragged", "mat-vec-length"])
-def test_mat_mul_shape_errors_are_kept(call):
+    # the shapes that the reference reads past, or stops short of, raise
+    for a, b in ((((1,),), ((1, 2), (3, 4))), (((1, 1),), ((1, 2), (3,)))):
+        with pytest.raises(ShapeError):
+            linsympl.mat_mul(a, b)
     with pytest.raises(ShapeError):
-        call()
+        linsympl.mat_vec(((1, 2),), (1,))
 
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, float("nan")])
@@ -165,6 +161,14 @@ def test_float_entries_are_rejected(entry):
         linsympl.rank(rows)
     with pytest.raises(TypeError):
         linsympl.rref(rows)
+    # the products gave inexact floats, such as ((1.0,),) for 0.5 times 2
+    exact = ((F(1), F(0)), (F(2), F(3)))
+    for call in (lambda: linsympl.mat_mul(rows, exact),
+                 lambda: linsympl.mat_mul(exact, rows),
+                 lambda: linsympl.mat_vec(rows, (1, 1)),
+                 lambda: linsympl.mat_vec(exact, (1, entry))):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            call()
 
 
 # -- the linear checks on relations ------------------------------------------------
