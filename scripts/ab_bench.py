@@ -18,11 +18,13 @@ benchmark imports (the checkout's modules and the standard library's) into
 that side's own fresh ``PYTHONPYCACHEPREFIX`` under a temporary directory,
 and every timed run reads its side's bytecode from there with writing off.
 A stale or missing ``__pycache__`` in one checkout thus cannot move
-``setup_s`` or ``peak_rss_mb``, and nothing is written into the checkouts.  For every end-to-end metric named in the parent's
-``BENCHMARK.json`` it prints the parent's median and quartiles, the change's
-median, the ratio of the medians, and in how many pairs the change was better
-(ties count for neither side).  It also prints whether every run of both
-sides gave the same output digest, and the number of failed operations.
+``setup_s`` or ``peak_rss_mb``, and nothing is written into the checkouts.
+
+For every end-to-end metric named in the parent's ``BENCHMARK.json`` it
+prints the parent's median and quartiles, the change's median, the ratio of
+the medians, and in how many pairs the change was better (ties count for
+neither side).  It also prints whether every run of both sides gave the
+same output digest, and the number of failed operations.
 
 A metric whose change median is worse than the parent median by more than
 its ``bound`` in the parent's ``BENCHMARK.json`` is flagged ``REGRESSED``.

@@ -291,8 +291,10 @@ def test_bad_arguments_exit_2_before_any_run(tmp_path, monkeypatch, capsys, extr
     assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
 
+# the caller's environment may or may not turn bytecode writing off
+@pytest.mark.parametrize("dont_write", [None, "1"])
 def test_each_side_compiles_once_into_its_own_prefix_and_runs_from_it(tmp_path, monkeypatch,
-                                                                       capsys):
+                                                                       capsys, dont_write):
     import json
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
@@ -311,7 +313,10 @@ def test_each_side_compiles_once_into_its_own_prefix_and_runs_from_it(tmp_path, 
                                            stderr="")
 
     monkeypatch.setattr(ab_bench, "compile_bytecode", COMPILE_BYTECODE)
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    if dont_write is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", dont_write)
     monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
     assert ab_bench.main([str(parent), str(change), "--workload", "w", "--workload", "w",
                           "--pairs", "2"]) == 0
