@@ -35,10 +35,10 @@ total, shifted by its identity monomial; the total is kept over one running
 common denominator, widened by lcm only when a term's denominator does not
 divide it.
 
-``Fraction``s and exponent tuples are built only when the public ``terms``
-map is read or the polynomial is serialized.  Derived caches are computed
-from immutable data and always to the same value, so filling them needs no
-lock.
+``Fraction``s and exponent tuples are built only for the public constructor,
+``terms`` and ``serialized_terms``; text is written from the keys through the
+codec's variable names.  Derived caches are computed from immutable data and
+always to the same value, so filling them needs no lock.
 
 Text form (also the CLI input grammar): terms are written with ``+ - * ^``,
 rational coefficients ``a/b``, and variables ``p1..pm``, ``x1..xn``, e.g.
@@ -80,10 +80,11 @@ class KeyCodec:
     2^40 - 1, the sum of the exponent fields of a key is the key modulo
     2^40 - 1.  The x fields are the lowest, so a key of fiber degree 0 is the
     same int in every space of base arity n, and ``key & base_mask`` is the
-    base part of any key.  ``units`` are the keys of p1..pm, x1..xn."""
+    base part of any key.  ``units`` are the keys of p1..pm, x1..xn, and
+    ``names`` their names in text."""
 
     __slots__ = ("fiber_arity", "shifts", "degree_shift", "base_mask", "guard", "units",
-                 "_fields", "_exponents_mask")
+                 "names", "_fields", "_exponents_mask")
 
     def __init__(self, fiber_arity: int, base_arity: int):
         width = fiber_arity + base_arity
@@ -94,13 +95,22 @@ class KeyCodec:
         self.guard = sum(_GUARD << s for s in shifts)
         self.units = tuple(((i < fiber_arity) << self.degree_shift) + (1 << s)
                            for i, s in enumerate(shifts))
+        self.names = (*(f"p{i + 1}" for i in range(fiber_arity)),
+                      *(f"x{j + 1}" for j in range(base_arity)))
         # a 40-bit field as a zero byte and an unsigned 32-bit exponent, so
         # that packing rejects an exponent past MAX_KEY_EXPONENT
         self._fields = Struct(">" + "xI" * width)
         self._exponents_mask = (1 << self.degree_shift) - 1
 
-    def pack(self, pe: Exponents, xe: Exponents) -> int:
-        """The key of ``p^pe x^xe``; exponents must be non-negative."""
+    def pack(self, pe: Sequence[int], xe: Sequence[int]) -> int:
+        """The key of ``p^pe x^xe``: TypeError unless the exponents are integers,
+        ShapeError unless one per variable, non-negative and in the key limit."""
+        pe, xe = tuple(map(index, pe)), tuple(map(index, xe))
+        if len(pe) != self.fiber_arity or len(pe) + len(xe) != len(self.names):
+            raise ShapeError(f"term exponents ({len(pe)}, {len(xe)}) do not match arities "
+                             f"({self.fiber_arity}, {len(self.names) - self.fiber_arity})")
+        if min(pe + xe, default=0) < 0:
+            raise ShapeError("negative exponent")
         try:
             return sum(pe) << self.degree_shift | int.from_bytes(self._fields.pack(*pe, *xe), "big")
         except StructError:
@@ -148,14 +158,15 @@ def frac(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _term_text(pe: Exponents, xe: Exponents, num: int, den: int) -> str:
-    # one term with the reduced coefficient num/den
-    factors = [f"{name}{i + 1}" + (f"^{e}" if e > 1 else "")
-               for name, exps in (("p", pe), ("x", xe)) for i, e in enumerate(exps) if e]
-    coeff = f"{num}/{den}" if den != 1 else str(num)
-    if not factors:
+def _term_text(codec: KeyCodec, key: int, num: int, den: int) -> str:
+    """The text of the monomial ``key`` times num/den, reduced; a coefficient 1 is left out."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    coeff = str(num) if den == 1 else f"{num}/{den}"
+    if not key:
         return coeff
-    body = "*".join(factors)
+    body = "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(codec.names, codec.exponents(key)) if e])
     return body if num == den == 1 else f"{coeff}*{body}"
 
 
@@ -184,15 +195,8 @@ class FiberGradedPoly:
         codec = key_codec(fiber_arity, base_arity)
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (pe, xe), coeff in items:
-            pe, xe = tuple(map(index, pe)), tuple(map(index, xe))
-            if len(pe) != fiber_arity or len(xe) != base_arity:
-                raise ShapeError(
-                    f"term exponents ({len(pe)}, {len(xe)}) do not match arities "
-                    f"({fiber_arity}, {base_arity})")
-            if min(pe + xe, default=0) < 0:
-                raise ShapeError("negative exponent")
-            c = frac(coeff)
-            parts.append((codec.pack(pe, xe), c.numerator, c.denominator))
+            key, c = codec.pack(pe, xe), frac(coeff)
+            parts.append((key, c.numerator, c.denominator))
         self.fiber_arity, self.base_arity, self.order = fiber_arity, base_arity, order
         self.codec = codec
         self.den, self.nums = _merge_terms(parts, codec, order)
@@ -293,7 +297,9 @@ class FiberGradedPoly:
         return not self.nums
 
     def coefficient(self, fiber_exps: Sequence[int], base_exps: Sequence[int]) -> Fraction:
-        return self.terms.get((tuple(fiber_exps), tuple(base_exps)), Fraction(0))
+        """The coefficient of ``p^fiber_exps x^base_exps``, checked as by the constructor."""
+        n = self.nums.get(self.codec.pack(fiber_exps, base_exps))
+        return Fraction(n, self.den) if n else Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -519,33 +525,26 @@ class FiberGradedPoly:
     def serialized_terms(self) -> tuple[tuple[Exponents, Exponents, int, int], ...]:
         """Canonical tuple form: (fiber exponents, base exponents, numerator,
         denominator), each coefficient reduced; no Fraction is built."""
-        return tuple(self._canonical_terms())
+        nums, den, unpack = self.nums, self.den, self.codec.unpack
+        return tuple([(*unpack(key), nums[key] // (g := gcd(nums[key], den)), den // g)
+                      for key in self._canonical_keys()])
 
-    def _canonical_terms(self):
-        # the terms by ascending total degree, the fiber degree plus the sum of
-        # the base fields, then by descending exponent tuple, which is the
-        # exponent fields read as one int (a higher power of an earlier
-        # variable first); yielded one at a time for to_text, since a tuple of
-        # them, built by resizing, is freed into the tuple free list of its
-        # length, which only a full collection empties
-        codec, den = self.codec, self.den
+    def _canonical_keys(self) -> list[int]:
+        """The keys in the canonical term order: by ascending total degree, then by
+        descending exponent fields read as one int (a higher power of an earlier
+        variable first); one int sort key, the degree over the fields' complement."""
+        codec = self.codec
         ds, bm, em = codec.degree_shift, codec.base_mask, codec._exponents_mask
-        for key, n in sorted(self.nums.items(), key=lambda kv: (
-                (kv[0] >> ds) + (kv[0] & bm) % _FIELD_MASK, -(kv[0] & em))):
-            g = gcd(n, den)
-            yield (*codec.unpack(key), n // g, den // g)
+        return sorted(self.nums,
+                      key=lambda key: ((key >> ds) + (key & bm) % _FIELD_MASK) << ds | ~key & em)
 
     def to_text(self) -> str:
-        if not self.nums:
+        nums, den, c = self.nums, self.den, self.codec
+        text = "".join([(" - " if (n := nums[key]) < 0 else " + ") + _term_text(c, key, abs(n), den)
+                        for key in self._canonical_keys()])
+        if not text:
             return "0"
-        parts = []
-        for pe, xe, n, d in self._canonical_terms():
-            body = _term_text(pe, xe, abs(n), d)
-            if not parts:
-                parts.append(body if n > 0 else f"-{body}")
-            else:
-                parts.append((" + " if n > 0 else " - ") + body)
-        return "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __eq__(self, other):
         if not isinstance(other, FiberGradedPoly):

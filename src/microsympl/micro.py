@@ -61,7 +61,7 @@ from typing import Sequence
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      InternalInvariantError, NormalFormError, ShapeError,
                      UnsupportedCoreError, ValidityError)
-from .jetalg import (FiberGradedPoly, combine, frac, key_codec,
+from .jetalg import (FiberGradedPoly, _term_text, combine, frac, key_codec,
                      solve_triangular_fixed_point, substitute_many)
 from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _left_solve,
                        check_linear_micromorphism)
@@ -248,8 +248,7 @@ class Micromorphism:
 
 
 def _monomial_names(poly: FiberGradedPoly) -> list[str]:
-    from .jetalg import _term_text
-    return [_term_text(*term) for term in poly.serialized_terms()]
+    return [_term_text(poly.codec, key, poly.nums[key], poly.den) for key in poly._canonical_keys()]
 
 
 # -- constructors -------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import ShapeError
 from .jetalg import FiberGradedPoly
 from .micro import (CoreMap, Micromorphism, MicroObject, compose, cotangent_lift,
                     identity, tensor, unit_object, unit_to)
-from .sampling import rand_exponents, rand_fraction
+from .sampling import _rand_term
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,8 @@ def random_L_element(rng: random.Random, obj: MicroObject, arity: int,
     m = arity * n
     if arity == 0 or order < 2 or m == 0:
         return base_elem
-    noise = [((rand_exponents(rng, m, rng.randint(2, order)),
-               rand_exponents(rng, n, rng.randint(0, 2))), rand_fraction(rng))
-             for _ in range(2)]
-    gen = base_elem.morphism.gen + FiberGradedPoly(m, n, order, noise)
+    noise = [_rand_term(rng, m, n, rng.randrange(2, order + 1), 2, False) for _ in range(2)]
+    gen = base_elem.morphism.gen + FiberGradedPoly._packed(m, n, order, noise)
     return OperadElement(obj, arity, Micromorphism(base_elem.morphism.source, obj, gen))
 
 

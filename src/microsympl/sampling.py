@@ -2,9 +2,11 @@
 
 Everything takes an explicit ``random.Random`` so property suites and the
 CLI self-check are reproducible; no generator touches global entropy.
+Polynomial terms are drawn as packed keys, one unit key per exponent, over
+integer numerators and denominators: no exponent tuple or Fraction is built.
 Symplectic matrices and lagrangian relations are drawn as block moves on the
 integer x rows and p rows of a matrix over one denominator, and made Fractions
-once, at the end.  Their draw order must not change, since every seeded corpus,
+once, at the end.  The draw order must not change, since every seeded corpus,
 golden file and benchmark digest follows the RNG sequence.
 """
 
@@ -14,9 +16,9 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .jetalg import FiberGradedPoly
+from .jetalg import FiberGradedPoly, check_space, key_codec
 from .linsympl import LinCanonicalRelation, Matrix, Splitting, _eliminate, _product
-from .micro import CoreMap, Micromorphism, MicroObject, unit_exp
+from .micro import CoreMap, Micromorphism, MicroObject
 
 
 def rng_for(seed, tag: str) -> random.Random:
@@ -31,10 +33,10 @@ def rand_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9,
 def _rand_ratio(rng: random.Random, max_num: int, max_den: int,
                 nonzero: bool = False) -> tuple[int, int]:
     """The numerator and denominator that ``rand_fraction`` draws, unreduced."""
-    num = rng.randint(-max_num, max_num)
+    num = rng.randrange(-max_num, max_num + 1)
     if nonzero and num == 0:
-        num = rng.choice((-1, 1)) * rng.randint(1, max_num)
-    return num, rng.randint(1, max_den)
+        num = rng.choice((-1, 1)) * rng.randrange(1, max_num + 1)
+    return num, rng.randrange(1, max_den + 1)
 
 
 def rand_exponents(rng: random.Random, arity: int, total: int) -> tuple[int, ...]:
@@ -44,21 +46,31 @@ def rand_exponents(rng: random.Random, arity: int, total: int) -> tuple[int, ...
     return tuple(out)
 
 
+def _rand_term(rng: random.Random, fiber_arity: int, base_arity: int, fiber_deg: int,
+               max_base_deg: int, nonzero: bool) -> tuple[int, int, int]:
+    """A term ``(key, num, den)`` drawn as by ``rand_exponents`` (fiber, then base
+    when there is a base variable) and ``rand_fraction``, with each exponent
+    added to the key as the key of its variable."""
+    units, key = key_codec(fiber_arity, base_arity).units, 0
+    for _ in range(fiber_deg):
+        key += units[rng.randrange(fiber_arity)]
+    if base_arity:
+        for _ in range(rng.randrange(0, max_base_deg + 1)):
+            key += units[fiber_arity + rng.randrange(base_arity)]
+    return (key, *_rand_ratio(rng, 9, 9, nonzero))
+
+
 def rand_poly(rng: random.Random, fiber_arity: int, base_arity: int, order: int,
               terms: int = 3, min_fiber_deg: int = 0,
               max_base_deg: int = 2) -> FiberGradedPoly:
-    collected = []
+    fiber_arity, base_arity, order = check_space(fiber_arity, base_arity, order)
+    lo = min(min_fiber_deg, order) if fiber_arity else 0
+    drawn = []
     for _ in range(terms):
-        lo = min(min_fiber_deg, order) if fiber_arity else 0
-        pdeg = rng.randint(lo, order) if fiber_arity else 0
-        if pdeg < min_fiber_deg:
-            continue
-        pe = rand_exponents(rng, fiber_arity, pdeg)
-        xe = rand_exponents(rng, base_arity, rng.randint(0, max_base_deg)) \
-            if base_arity else ()
-        coeff = rand_fraction(rng, nonzero=True)
-        collected.append(((pe, xe), coeff))
-    return FiberGradedPoly(fiber_arity, base_arity, order, collected)
+        pdeg = rng.randrange(lo, order + 1) if fiber_arity else 0
+        if pdeg >= min_fiber_deg:
+            drawn.append(_rand_term(rng, fiber_arity, base_arity, pdeg, max_base_deg, True))
+    return FiberGradedPoly._packed(fiber_arity, base_arity, order, drawn)
 
 
 def rand_micromorphism(rng: random.Random, source_dim: int, target_dim: int,
@@ -74,11 +86,8 @@ def rand_violating_gen(rng: random.Random, source_dim: int, target_dim: int,
                        order: int) -> FiberGradedPoly:
     """A generating function that breaks the normal form S(0, x) = 0."""
     gen = rand_poly(rng, source_dim, target_dim, order, terms=2, min_fiber_deg=1)
-    xe = rand_exponents(rng, target_dim, rng.randint(0, 2)) if target_dim else ()
-    bad = FiberGradedPoly.monomial(source_dim, target_dim, order,
-                                   rand_fraction(rng, nonzero=True),
-                                   (0,) * source_dim, xe)
-    return gen + bad
+    bad = _rand_term(rng, gen.fiber_arity, gen.base_arity, 0, 2, True)
+    return gen + FiberGradedPoly._packed(*gen.space(), [bad])
 
 
 def rand_core_map(rng: random.Random, domain_dim: int, codomain_dim: int,
@@ -97,7 +106,7 @@ def _rand_invertible(rng: random.Random, n: int,
     """An integer matrix A, entries in [-bound, bound], redrawn until invertible;
     and W, d with A^-1 = W / d, from one elimination of [A | I]."""
     while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
         work, pivots, d = _eliminate([row + [int(i == j) for j in range(n)]
                                       for i, row in enumerate(rows)], True)
         if pivots[:n] == list(range(n)):
@@ -127,24 +136,17 @@ def rand_splitting(rng: random.Random, n: int) -> Splitting:
 
 
 def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int) -> Micromorphism:
-    """Valid micromorphism whose core map is affine with invertible linear part,
-    with two random terms of fiber degree 2..order added when order >= 2."""
-    a_rows = rand_invertible_int_matrix(rng, dim)
-    collected = []
+    """Valid micromorphism whose core map is affine with invertible linear part, plus
+    two random terms of fiber degree 2..order when order >= 2 and dim >= 1."""
+    a_rows = _rand_invertible(rng, dim, 3)[0]
+    units = key_codec(dim, dim).units
+    terms = []
     for i in range(dim):
-        const = Fraction(rng.randint(-2, 2))
-        if const:
-            collected.append(((unit_exp(dim, i), (0,) * dim), const))
-        for j in range(dim):
-            if a_rows[i][j]:
-                collected.append(((unit_exp(dim, i), unit_exp(dim, j)), a_rows[i][j]))
-    if order >= 2:
-        for _ in range(2):
-            pdeg = rng.randint(2, order)
-            pe = rand_exponents(rng, dim, pdeg)
-            xe = rand_exponents(rng, dim, rng.randint(0, 2))
-            collected.append(((pe, xe), rand_fraction(rng, nonzero=True)))
-    gen = FiberGradedPoly(dim, dim, order, collected)
+        terms.append((units[i], rng.randrange(-2, 3), 1))
+        terms += [(units[i] + units[dim + j], a, 1) for j, a in enumerate(a_rows[i])]
+    terms += [_rand_term(rng, dim, dim, rng.randrange(2, order + 1), 2, True)
+              for _ in range(2 if order >= 2 and dim else 0)]
+    gen = FiberGradedPoly._packed(dim, dim, order, terms)
     return Micromorphism(MicroObject(dim), MicroObject(dim), gen)
 
 

@@ -192,8 +192,8 @@ def _parse_terms(tokens: list[Token], fiber_arity: int,
 @cache
 def _unit_names(fiber_arity: int, base_arity: int) -> dict[str, int]:
     # the key of each variable p1..pm, x1..xn, by its name without leading zeros
-    names = [f"p{i + 1}" for i in range(fiber_arity)] + [f"x{j + 1}" for j in range(base_arity)]
-    return dict(zip(names, key_codec(fiber_arity, base_arity).units))
+    codec = key_codec(fiber_arity, base_arity)
+    return dict(zip(codec.names, codec.units))
 
 
 def _scanned_terms(text: str, fiber_arity: int,

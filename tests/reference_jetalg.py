@@ -14,15 +14,20 @@ last of which changes nothing; and ``zero``, ``constant``, ``fiber_var`` and
 ``base_var`` as they were before they skipped the public constructor.  Every
 coefficient operation is a ``Fraction`` operation and every merge drops zeros
 as it goes; results are built by the public constructor from the term map.
+``to_text``, ``_canonical_terms`` and ``_term_text`` are the text writer as
+it was before it wrote each term straight from its key: the terms sorted by
+a tuple key and unpacked into exponent tuples, and each term's factors named
+from those tuples.
 Tests require the library to agree with these functions exactly; do not
 optimise this file.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import add as add_exponents
 
 from microsympl.errors import ConvergenceError, ShapeError
-from microsympl.jetalg import FiberGradedPoly, frac
+from microsympl.jetalg import _FIELD_MASK, FiberGradedPoly, frac
 
 
 def mul(a, b):
@@ -277,3 +282,40 @@ def base_var(fiber_arity, base_arity, order, index):
         raise ShapeError(f"base index {index} out of range for arity {base_arity}")
     xe = tuple(1 if j == index else 0 for j in range(base_arity))
     return FiberGradedPoly(fiber_arity, base_arity, order, {((0,) * fiber_arity, xe): Fraction(1)})
+
+
+def _term_text(pe, xe, num, den):
+    # one term with the reduced coefficient num/den
+    factors = [f"{name}{i + 1}" + (f"^{e}" if e > 1 else "")
+               for name, exps in (("p", pe), ("x", xe)) for i, e in enumerate(exps) if e]
+    coeff = f"{num}/{den}" if den != 1 else str(num)
+    if not factors:
+        return coeff
+    body = "*".join(factors)
+    return body if num == den == 1 else f"{coeff}*{body}"
+
+
+def _canonical_terms(poly):
+    # the terms by ascending total degree, the fiber degree plus the sum of
+    # the base fields, then by descending exponent tuple, which is the
+    # exponent fields read as one int (a higher power of an earlier
+    # variable first)
+    codec, den = poly.codec, poly.den
+    ds, bm, em = codec.degree_shift, codec.base_mask, codec._exponents_mask
+    for key, n in sorted(poly.nums.items(), key=lambda kv: (
+            (kv[0] >> ds) + (kv[0] & bm) % _FIELD_MASK, -(kv[0] & em))):
+        g = gcd(n, den)
+        yield (*codec.unpack(key), n // g, den // g)
+
+
+def to_text(poly):
+    if not poly.nums:
+        return "0"
+    parts = []
+    for pe, xe, n, d in _canonical_terms(poly):
+        body = _term_text(pe, xe, abs(n), d)
+        if not parts:
+            parts.append(body if n > 0 else f"-{body}")
+        else:
+            parts.append((" + " if n > 0 else " - ") + body)
+    return "".join(parts)

@@ -120,6 +120,29 @@ def test_bool_arities_and_orders_are_integers():
         assert poly.space() == space and [type(v) for v in poly.space()] == [int, int, int]
 
 
+def test_coefficient_checks_the_monomial_as_the_constructor_does():
+    # a monomial outside the space read 0, and a float exponent was looked up as an int
+    p = FiberGradedPoly(1, 1, 2, {((1,), (1,)): 3, ((2,), (0,)): F(-1, 6)})
+    assert p.coefficient((1,), (1,)) == 3 and type(p.coefficient((1,), (1,))) is F
+    assert p.coefficient([2], [0]) == F(-1, 6)
+    assert p.coefficient((True,), (1,)) == 3
+    assert p.coefficient((0,), (5,)) == 0 and type(p.coefficient((0,), (5,))) is F
+    assert FiberGradedPoly(1, 1, 2, {((1,), (1,)): F(2, 4)}).coefficient((1,), (1,)) == F(1, 2)
+    for fiber_exps, base_exps in (((1, 0), (1,)), ((), ()), ((1,), ()), ((1,), (1, 0))):
+        with pytest.raises(ShapeError, match="do not match arities"):
+            p.coefficient(fiber_exps, base_exps)
+    with pytest.raises(ShapeError, match="negative exponent"):
+        p.coefficient((-1,), (1,))
+    with pytest.raises(ShapeError, match="exceeds the limit"):
+        p.coefficient((1,), (2**32,))
+    for fiber_exps, base_exps in (((1,), (1.0,)), ((1.0,), (1,)), (("1",), (1,))):
+        with pytest.raises(TypeError):
+            p.coefficient(fiber_exps, base_exps)
+    for bad_terms in ({((1.0,), (1,)): 3}, {((1,), (-1,)): 3}, {((1, 0), (1,)): 3}):
+        with pytest.raises((TypeError, ShapeError)):
+            FiberGradedPoly(1, 1, 2, bad_terms)
+
+
 def test_zero_polynomial_keeps_shape():
     z = FiberGradedPoly.zero(2, 1, 3)
     assert z.is_zero() and z.space() == (2, 1, 3)

@@ -19,8 +19,9 @@ from hypothesis import given, strategies as st
 
 import reference_jetalg as ref
 from microsympl.errors import ShapeError
-from microsympl.jetalg import (FiberGradedPoly, _lowest_change, solve_triangular_fixed_point,
-                               substitute_many)
+from microsympl.jetalg import (MAX_KEY_EXPONENT, FiberGradedPoly, _lowest_change,
+                               solve_triangular_fixed_point, substitute_many)
+from microsympl.micro import _monomial_names
 
 SMALL = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 NEGATIVE_DEN = st.builds(F, st.integers(-9, 9), st.integers(-9, -1))
@@ -475,3 +476,71 @@ def test_built_in_forms_match_the_constructor_and_its_errors():
                         assert_same(got, expected)
                     else:
                         assert got == expected, (build.__name__, args)
+
+
+# -- text -----------------------------------------------------------------------
+
+
+# mostly zero, so that monomials are sparse; two-digit exponents and the key limit
+TEXT_EXPONENT = st.one_of(st.just(0), st.integers(1, 3), st.integers(10, 12),
+                          st.sampled_from([99, 2**20, MAX_KEY_EXPONENT]))
+TEXT_COEFF = st.one_of(COEFF, st.sampled_from([F(1), F(-1)]),
+                       st.builds(F, st.integers(2**64, 2**80), st.integers(2**64, 2**70)),
+                       st.builds(F, st.integers(-2**80, -2**64), st.integers(1, 2**70)))
+
+
+def assert_text_matches_oracle(p):
+    text = ref.to_text(p)
+    assert p.to_text() == text
+    assert repr(p) == f"FiberGradedPoly({p.fiber_arity}, {p.base_arity}, K={p.order}: {text})"
+    terms = tuple(ref._canonical_terms(p))
+    assert p.serialized_terms() == terms
+    assert _monomial_names(p) == [ref._term_text(*term) for term in terms]
+
+
+@st.composite
+def text_polys(draw):
+    """Polynomials in up to 12 variables a block, so that names run to p12 and x12."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    terms = [((tuple(draw(TEXT_EXPONENT) for _ in range(m)),
+               tuple(draw(TEXT_EXPONENT) for _ in range(n))), draw(TEXT_COEFF))
+             for _ in range(draw(st.integers(0, 6)))]
+    order = max([sum(pe) for (pe, _), _ in terms], default=0) + draw(st.integers(0, 2))
+    return FiberGradedPoly(m, n, order, terms)
+
+
+@given(text_polys())
+def test_text_matches_the_frozen_writer(p):
+    assert_text_matches_oracle(p)
+
+
+def test_text_of_seeded_polynomials_matches_the_frozen_writer():
+    rng = random.Random(31)
+    exponents = (0, 0, 0, 1, 2, 3, 10, 11, 2**20, MAX_KEY_EXPONENT)
+    coeffs = (F(1), F(-1), F(2), F(-1, 2), F(7, 3), F(2**70 + 1, 3**41), F(-(2**65), 2**64 + 1))
+    for _ in range(400):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        terms = [((tuple(rng.choice(exponents) for _ in range(m)),
+                   tuple(rng.choice(exponents) for _ in range(n))), rng.choice(coeffs))
+                 for _ in range(rng.randint(0, 5))]
+        order = max([sum(pe) for (pe, _), _ in terms], default=0)
+        assert_text_matches_oracle(FiberGradedPoly(m, n, order, terms))
+
+
+def test_text_of_named_cases():
+    big = F(-(2**70 + 1), 3**41)
+    cases = [FiberGradedPoly.zero(0, 0, 0), FiberGradedPoly.zero(12, 11, 3)]
+    cases += [FiberGradedPoly.constant(m, n, 2, c)
+              for m, n in ((0, 0), (12, 11)) for c in (1, -1, F(2, 3), big, 2**65)]
+    p10, x11 = (0,) * 9 + (1,), (0,) * 10 + (1,)
+    named = FiberGradedPoly(10, 11, 12, {
+        (tuple(10 * e for e in p10), tuple(11 * e for e in x11)): -1,
+        ((0,) * 10, tuple(MAX_KEY_EXPONENT * e for e in x11)): big,
+        (p10, (0,) * 11): F(1, 2**65), (p10, x11): 1, ((0,) * 10, (0,) * 11): 3})
+    cases.append(named)
+    for p in cases:
+        assert_text_matches_oracle(p)
+    assert named.to_text() == (
+        f"3 + 1/36893488147419103232*p10 + p10*x11 - p10^10*x11^11 - "
+        f"{2**70 + 1}/{3**41}*x11^{MAX_KEY_EXPONENT}")
+    assert FiberGradedPoly.constant(0, 0, 0, big).to_text() == f"-{2**70 + 1}/{3**41}"
