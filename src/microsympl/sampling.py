@@ -138,6 +138,7 @@ def rand_splitting(rng: random.Random, n: int) -> Splitting:
 def rand_affine_core_micromorphism(rng: random.Random, dim: int, order: int) -> Micromorphism:
     """Valid micromorphism whose core map is affine with invertible linear part, plus
     two random terms of fiber degree 2..order when order >= 2 and dim >= 1."""
+    dim, _, order = check_space(dim, dim, order)
     a_rows = _rand_invertible(rng, dim, 3)[0]
     units = key_codec(dim, dim).units
     terms = []
