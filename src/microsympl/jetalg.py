@@ -35,10 +35,10 @@ total, shifted by its identity monomial; the total is kept over one running
 common denominator, widened by lcm only when a term's denominator does not
 divide it.
 
-``Fraction``s and exponent tuples are built only for the public constructor,
-``terms`` and ``serialized_terms``; text is written from the keys through the
-codec's variable names.  Derived caches are computed from immutable data and
-always to the same value, so filling them needs no lock.
+``Fraction``s and exponent tuples are built only for the public constructor
+and ``terms``; text is written from the keys through the codec's variable
+names.  Derived caches are computed from immutable data and always to the
+same value, so filling them needs no lock.
 
 Text form (also the CLI input grammar): terms are written with ``+ - * ^``,
 rational coefficients ``a/b``, and variables ``p1..pm``, ``x1..xn``, e.g.
@@ -521,13 +521,6 @@ class FiberGradedPoly:
         return FiberGradedPoly._raw(fiber_arity, base_arity, self.order, self.den, out)
 
     # -- ordering, equality, text -------------------------------------------
-
-    def serialized_terms(self) -> tuple[tuple[Exponents, Exponents, int, int], ...]:
-        """Canonical tuple form: (fiber exponents, base exponents, numerator,
-        denominator), each coefficient reduced; no Fraction is built."""
-        nums, den, unpack = self.nums, self.den, self.codec.unpack
-        return tuple([(*unpack(key), nums[key] // (g := gcd(nums[key], den)), den // g)
-                      for key in self._canonical_keys()])
 
     def _canonical_keys(self) -> list[int]:
         """The keys in the canonical term order: by ascending total degree, then by

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -94,12 +95,6 @@ def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[lis
     """The integer matrix product a b; a row of a has one entry per row of b."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def transpose(rows: Matrix) -> Matrix:
-    if not rows:
-        return ()
-    return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -383,9 +378,6 @@ class LinCanonicalRelation:
     source_half_dim: int
     target_half_dim: int
     subspace: LagrangianSubspace
-    # x2 and p2 parts of the functionals vanishing on the relation plus the
-    # horizontal source block, set by the first ``transverse_to_splitting``
-    _annihilator: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = SymplecticSpace.relation_space(self.source_half_dim, self.target_half_dim)
@@ -415,6 +407,14 @@ class LinCanonicalRelation:
     @property
     def vectors(self) -> tuple[Vector, ...]:
         return self.subspace.vectors
+
+    @cached_property
+    def _annihilator(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """A_x2 and A_p2 of ``transverse_to_splitting``: the x2 and p2 parts of U's annihilator."""
+        m, n = self.source_half_dim, self.target_half_dim
+        work, pivots, d = _eliminate([vec[m:] for vec in self.subspace._rows], True)
+        kernel = _kernel(work, pivots, d, m + 2 * n)
+        return tuple(a[m:m + n] for a in kernel), tuple(a[m + n:] for a in kernel)
 
 
 def identity_relation(n: int) -> LinCanonicalRelation:
@@ -561,14 +561,9 @@ def transverse_to_splitting(v: LinCanonicalRelation, splitting: Splitting) -> bo
     answer is whether A_x2 B + A_p2 is nonsingular, tested on integers as
     A_x2 (l B) + l A_p2 with l the lcm of the denominators of B.
     """
-    m, n = v.source_half_dim, v.target_half_dim
+    n = v.target_half_dim
     if splitting.half_dim != n:
         raise ShapeError(f"splitting half-dimension {splitting.half_dim} != target {n}")
-    if v._annihilator is None:
-        work, pivots, d = _eliminate([vec[m:] for vec in v.subspace._rows], True)
-        kernel = _kernel(work, pivots, d, m + 2 * n)
-        object.__setattr__(v, "_annihilator", (tuple(a[m:m + n] for a in kernel),
-                                               tuple(a[m + n:] for a in kernel)))
     a_x2, a_p2 = v._annihilator
     if len(a_x2) != n:
         return False

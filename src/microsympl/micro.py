@@ -61,10 +61,10 @@ from typing import Sequence
 from .errors import (CheckResult, ConvergenceError, FiltrationError,
                      InternalInvariantError, NormalFormError, ShapeError,
                      UnsupportedCoreError, ValidityError)
-from .jetalg import (FiberGradedPoly, _term_text, combine, frac, key_codec,
+from .jetalg import (FiberGradedPoly, _term_text, combine, key_codec,
                      solve_triangular_fixed_point, substitute_many)
 from .linsympl import (LinCanonicalRelation, Matrix, _eliminate, _left_solve,
-                       check_linear_micromorphism)
+                       _over_one_denominator, check_linear_micromorphism)
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,10 @@ class Micromorphism:
 
 
 def _monomial_names(poly: FiberGradedPoly) -> list[str]:
-    return [_term_text(poly.codec, key, poly.nums[key], poly.den) for key in poly._canonical_keys()]
+    """The signed terms of ``poly.to_text()``, in its order."""
+    codec, nums, den = poly.codec, poly.nums, poly.den
+    return [("-" if (n := nums[key]) < 0 else "") + _term_text(codec, key, abs(n), den)
+            for key in poly._canonical_keys()]
 
 
 # -- constructors -------------------------------------------------------------
@@ -419,11 +422,9 @@ def _first_derivatives(comps, m: int, n: int, points: Sequence):
         entries.append(row)
     top = max((sum(xe) for row in entries for _, _, xe in row), default=0)
     for point in points:
-        b = [frac(v) for v in point]
-        if len(b) != n:
-            raise ShapeError(f"point has dimension {len(b)}, expected {n}")
-        d = lcm(*[v.denominator for v in b])
-        a = [v.numerator * (d // v.denominator) for v in b]
+        (a,), d = _over_one_denominator([point])
+        if len(a) != n:
+            raise ShapeError(f"point has dimension {len(a)}, expected {n}")
         rows = []
         for row in entries:
             vals = [0] * (n + m)

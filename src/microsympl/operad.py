@@ -135,14 +135,10 @@ def check_operad_axioms(obj: MicroObject, seed: int, max_arity: int = 3,
         raise ShapeError(f"levels must be 1 or 2, got {levels}")
     rng = random.Random(f"{seed}:operad")
     lines: list[str] = []
-    checked = 0
-    failed = 0
+    verdicts: list[bool] = []
 
     def record(name: str, detail: str, ok: bool):
-        nonlocal checked, failed
-        checked += 1
-        if not ok:
-            failed += 1
+        verdicts.append(ok)
         lines.append(f"check={name} seed={seed} {detail} result={'pass' if ok else 'fail'}")
 
     for arity in range(max_arity + 1):
@@ -186,7 +182,7 @@ def check_operad_axioms(obj: MicroObject, seed: int, max_arity: int = 3,
             closure = is_in_L(operad_compose(f, gs))
             record("closure", f"instance={i} arities={arity}", closure)
 
-    return OperadReport(tuple(lines), checked, failed)
+    return OperadReport(tuple(lines), len(verdicts), verdicts.count(False))
 
 
 def _two_level_equal(f: OperadElement, gs: tuple[OperadElement, ...],

@@ -39,18 +39,12 @@ def _rand_ratio(rng: random.Random, max_num: int, max_den: int,
     return num, rng.randrange(1, max_den + 1)
 
 
-def rand_exponents(rng: random.Random, arity: int, total: int) -> tuple[int, ...]:
-    out = [0] * arity
-    for _ in range(total):
-        out[rng.randrange(arity)] += 1
-    return tuple(out)
-
-
 def _rand_term(rng: random.Random, fiber_arity: int, base_arity: int, fiber_deg: int,
                max_base_deg: int, nonzero: bool) -> tuple[int, int, int]:
-    """A term ``(key, num, den)`` drawn as by ``rand_exponents`` (fiber, then base
-    when there is a base variable) and ``rand_fraction``, with each exponent
-    added to the key as the key of its variable."""
+    """A term ``(key, num, den)``: ``fiber_deg`` fiber variables, then, when there
+    is a base variable, ``randrange(0, max_base_deg + 1)`` base variables, each
+    drawn uniformly and added to the key as its unit key; then the coefficient
+    as ``rand_fraction`` draws it."""
     units, key = key_codec(fiber_arity, base_arity).units, 0
     for _ in range(fiber_deg):
         key += units[rng.randrange(fiber_arity)]
@@ -111,10 +105,6 @@ def _rand_invertible(rng: random.Random, n: int,
                                       for i, row in enumerate(rows)], True)
         if pivots[:n] == list(range(n)):
             return rows, [row[n:] for row in work[:n]], d
-
-
-def rand_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
-    return tuple(tuple(map(Fraction, row)) for row in _rand_invertible(rng, n, bound)[0])
 
 
 def _symmetric(n: int, draw) -> list[list]:

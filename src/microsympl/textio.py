@@ -287,6 +287,18 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
             if (line := raw.split("#", 1)[0].strip())]
 
 
+def _component(line: str, lineno: int, kind: str) -> tuple[int, str]:
+    """The index i and polynomial text of ``f<i> = <polynomial>``, which follows ``kind``."""
+    name, eq, expr = line.partition("=")
+    name = name.strip()
+    if not eq or not name.startswith("f"):
+        raise ParseError(f"expected '{kind}f<i> = <polynomial>'", lineno)
+    try:
+        return _int(name[1:]), expr.strip()
+    except ValueError:
+        raise ParseError(f"bad {kind}component name {name!r}", lineno) from None
+
+
 def parse_morphism(text: str) -> Micromorphism:
     """Parse and validate a morphism record; rejects normal-form violations."""
     lines = _content_lines(text)
@@ -311,16 +323,7 @@ def parse_morphism(text: str) -> Micromorphism:
     core_lines: list[tuple[int, int, str]] = []
     for lineno, line in lines[1:]:
         if line.startswith("core"):
-            rest = line[4:].strip()
-            name, eq, expr = rest.partition("=")
-            name = name.strip()
-            if not eq or not name.startswith("f"):
-                raise ParseError("expected 'core f<i> = <polynomial>'", lineno)
-            try:
-                idx = _int(name[1:])
-            except ValueError:
-                raise ParseError(f"bad core component name {name!r}", lineno)
-            core_lines.append((lineno, idx, expr.strip()))
+            core_lines.append((lineno, *_component(line[4:], lineno, "core ")))
         elif line.startswith("S"):
             _, eq, expr = line.partition("=")
             if not eq or _.strip() != "S":
@@ -370,19 +373,12 @@ def parse_core_map(text: str) -> CoreMap:
     n, m = fields["domain"], fields["codomain"]
     comps: dict[int, FiberGradedPoly] = {}
     for lineno, line in lines[1:]:
-        name, eq, expr = line.partition("=")
-        name = name.strip()
-        if not eq or not name.startswith("f"):
-            raise ParseError("expected 'f<i> = <polynomial>'", lineno)
-        try:
-            idx = _int(name[1:])
-        except ValueError:
-            raise ParseError(f"bad component name {name!r}", lineno)
+        idx, expr = _component(line, lineno, "")
         if not 1 <= idx <= m:
             raise ParseError(f"component index {idx} outside 1..{m}", lineno)
         if idx in comps:
             raise ParseError(f"duplicate component f{idx}", lineno)
-        comps[idx] = parse_polynomial(expr.strip(), 0, n, 0, first_line=lineno)
+        comps[idx] = parse_polynomial(expr, 0, n, 0, first_line=lineno)
     if sorted(comps) != list(range(1, m + 1)):
         raise ParseError("components must cover f1..fm exactly once", header_line)
     return CoreMap(n, tuple(comps[i] for i in range(1, m + 1)))
@@ -417,8 +413,7 @@ def parse_matrix(text: str) -> Matrix:
     rows = [r for r in text.split(";") if r.strip()]
     if not rows:
         raise ParseError("empty matrix")
-    out = matrix([[_parse_rational(e) for e in row.split(",")] for row in rows])
-    return out
+    return matrix([[_parse_rational(e) for e in row.split(",")] for row in rows])
 
 
 def format_matrix(rows: Matrix) -> str:

@@ -3,8 +3,10 @@
 A frozen copy of ``microsympl.linsympl``'s elimination routines as they were
 before the fraction-free kernel, of ``microsympl.sampling``'s symplectic
 samplers as they were before block moves, and of its two matrix draws as
-they were before they drew integer rows.  Tests require the library to agree
-with these functions exactly; do not optimise this file.
+they were before they drew integer rows.  ``transpose``, ``mat_vec`` and
+``mat_mul`` are the plain Fraction products that ``reference_micro`` uses.
+Tests require the library to agree with these functions exactly; do not
+optimise this file.
 """
 
 from fractions import Fraction
@@ -269,6 +271,10 @@ def transpose(rows):
     if not rows:
         return ()
     return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
+
+
+def mat_vec(rows, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
 
 
 def mat_mul(a, b):

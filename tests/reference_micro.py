@@ -16,9 +16,11 @@ of S built as a polynomial, then evaluated at (0, point).
 ``affine_inverse`` are the ``CoreMap`` methods from before they read integer
 rows: coefficients looked up one by one, then ``mat_inverse`` and
 ``mat_vec`` on ``Fraction``s; the solves here read their linear parts
-through this ``affine_parts``.  ``symplectic_jacobian_check`` is the
-Jacobian test of ``graph_of_germ`` as it was before it ran on integers: each
-component truncated at order 1 and differentiated in all 2n directions, and
+through this ``affine_parts``.  The matrix helpers are the frozen copies in
+``reference_linsympl``, so no library matrix routine checks itself here.
+``symplectic_jacobian_check`` is the Jacobian test of ``graph_of_germ`` as
+it was before it ran on integers: each component truncated at order 1 and
+differentiated in all 2n directions, and
 J^T Omega J compared with Omega through two ``Fraction`` ``mat_mul``
 products per point.  ``closedness_check`` holds the pairwise closedness
 identities that ``graph_of_germ`` ran on the graph form (``graph_form``)
@@ -44,9 +46,9 @@ from microsympl.errors import (ConvergenceError, FiltrationError, InternalInvari
                                NormalFormError, ShapeError, UnsupportedCoreError,
                                ValidityError)
 from microsympl.jetalg import FiberGradedPoly, combine, frac, substitute_many
-from microsympl.linsympl import (LinCanonicalRelation, mat_inverse, mat_mul, mat_vec,
-                                 transpose, unit_vector, zero_vector)
+from microsympl.linsympl import LinCanonicalRelation
 from microsympl.micro import CoreMap, GermJet, Micromorphism, MicroObject, unit_exp
+from reference_linsympl import mat_inverse, mat_mul, mat_vec, transpose, unit_vector, zero_vector
 
 
 def core_components(gen):

@@ -392,3 +392,39 @@ def test_working_space_at_the_term_limit_is_accepted():
     # an operad composite of arity 8 at dimension 2 and order 3: 32 fiber
     # variables at order 4
     assert parse_morphism("source=16 target=2 order=3\nS = p16*x2\n").order == 3
+
+
+_CORE_MAP = "domain=1 codomain=1\n"
+
+
+# record and matrix errors, byte for byte; the last names each offending
+# monomial as the S(0, x) text writes it
+@pytest.mark.parametrize("args, message", [
+    (["lift", "\n# only a comment\n"], "line 1: empty core map record"),
+    (["lift", _CORE_MAP + "g1 = x1\n"], "line 2: expected 'f<i> = <polynomial>'"),
+    (["lift", _CORE_MAP + "fa = x1\n"], "line 2: bad component name 'fa'"),
+    (["lift", _CORE_MAP + "f2 = x1\n"], "line 2: component index 2 outside 1..1"),
+    (["lift", _CORE_MAP + "f1 = x1\nf1 = x1\n"], "line 3: duplicate component f1"),
+    (["compose", "source=1 target=1 order=1 foo\nS = p1*x1\n", DEFORM_A],
+     "line 1: expected key=value but found 'foo'"),
+    (["compose", "source=1 target=1 order=1 x=2\nS = p1*x1\n", DEFORM_A],
+     "line 1: unknown header key 'x'"),
+    (["compose", "source=1 source=1 target=1 order=1\nS = p1*x1\n", DEFORM_A],
+     "line 1: duplicate header key 'source'"),
+    (["compose", "source=1 target=1 order=1\nT = 1\nS = p1*x1\n", DEFORM_A],
+     "line 2: unexpected line 'T = 1'"),
+    (["compose", "source=1 target=1 order=1\n", DEFORM_A],
+     "line 1: missing 'S = <polynomial>' line"),
+    (["compose", "source=1 target=1 order=1\ncore g1 = x1\nS = p1*x1\n", DEFORM_A],
+     "line 2: expected 'core f<i> = <polynomial>'"),
+    (["compose", "source=1 target=1 order=1\ncore fa = x1\nS = p1*x1\n", DEFORM_A],
+     "line 2: bad core component name 'fa'"),
+    (["check", DEFORM_A, "--splitting", ";"], "empty matrix"),
+    (["check", "source=1 target=1 order=1\nS = p1*x1 - x1^2 - 1"],
+     "S(0, x) = -1 - x1^2 but must vanish; offending monomials: -1, -x1^2"),
+], ids=["empty-core-map", "not-a-component", "bad-component-name", "component-index",
+        "duplicate-component", "header-not-key-value", "unknown-header-key",
+        "duplicate-header-key", "unexpected-line", "missing-s-line", "not-a-core-line",
+        "bad-core-component-name", "empty-matrix", "normal-form"])
+def test_record_and_matrix_errors(capsys, args, message):
+    assert run(capsys, *args) == (1, "", f"error: {message}\n")

@@ -1,8 +1,13 @@
 """Golden corpora of linear-layer and germ-layer outputs, compared byte for byte.
 
 ``tests/golden/linsympl.txt`` holds the ``textio.format_matrix`` text of
-``reduce_span``, ``nullspace``, ``compose_linear``, ``image_of_point`` and
-``mat_inverse`` on a fixed seeded set of ``sampling`` inputs.
+``compose_linear`` and ``image_of_point`` on a fixed seeded set of
+``sampling`` inputs, with the ``reduce_span``, ``nullspace`` and
+``mat_inverse`` lines written by the frozen copies in
+``tests/reference_linsympl.py``, which also draws the invertible integer
+matrices (the library keeps only its integer-row draw).  The exponent
+tuples of ``layered_micromorphism`` come from
+``reference_sampling.rand_exponents``.
 
 ``tests/golden/linear.txt`` holds the linear checks of a micromorphism on
 seeded ``sampling`` inputs at core dimensions 0-3: the ``tangent_relation_at``
@@ -58,18 +63,18 @@ from microsympl import cli, micro
 from microsympl.jetalg import FiberGradedPoly, substitute_many
 from microsympl.linsympl import (check_linear_micromorphism, compose_linear,
                                  image_of_point, is_lagrangian,
-                                 mat_inverse, nullspace, reduce_span,
                                  subspace_contains, subspace_equal,
                                  transverse_to_splitting, zero_section_relation)
 from microsympl.micro import MicroObject, Micromorphism
-from microsympl.sampling import (rand_affine_core_micromorphism, rand_exponents, rand_fraction,
-                                 rand_invertible_int_matrix,
+from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
                                  rand_lagrangian_relation, rand_micromorphism,
                                  rand_point, rand_poly, rand_splitting,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
 from microsympl.textio import format_germ, format_matrix, format_morphism
-from reference_linsympl import lin_combo
+from reference_linsympl import (lin_combo, mat_inverse, nullspace, rand_invertible_int_matrix,
+                                reduce_span)
+from reference_sampling import rand_exponents
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"

@@ -390,12 +390,6 @@ def test_canonical_text_order():
     assert s.to_text() == "p1*x1 + 1/2*p1^2*x1"
 
 
-def test_serialized_terms_are_sorted_tuples():
-    # equal total degree: the fiber-heavier monomial precedes
-    s = poly(1, 1, 2, {((2,), (0,)): F(-1, 3), ((1,), (1,)): F(2)})
-    assert s.serialized_terms() == (((2,), (0,), -1, 3), ((1,), (1,), 2, 1))
-
-
 def test_all_coefficients_stay_fractions():
     a = poly(1, 1, 2, {((1,), (1,)): F(1, 3)})
     b = poly(1, 1, 2, {((1,), (0,)): F(3, 7)})

@@ -238,6 +238,27 @@ def test_image_off_the_zero_section_is_empty():
     assert image_of_point(v, (F(0), F(1))).is_empty
 
 
+def test_affine_subspace_contains_its_points_only():
+    line = AffineSubspace(2, vecs((1, 0))[0], vecs((0, 1)))
+    assert line.contains((1, 5)) and line.contains((F(1), F(-2, 3)))
+    assert not line.contains((2, 5))
+    assert not AffineSubspace(2, None).contains((1, 5))
+    assert AffineSubspace(2, vecs((1, 2))[0]).contains((1, 2))
+    assert not AffineSubspace(2, vecs((1, 2))[0]).contains((1, 3))
+
+
+def test_affine_subspace_equality():
+    line = AffineSubspace(2, vecs((1, 0))[0], vecs((0, 1)))
+    assert line == AffineSubspace(2, vecs((1, 7))[0], vecs((0, 3)))
+    assert line != AffineSubspace(2, vecs((2, 0))[0], vecs((0, 1)))
+    assert line != "a line" and line.__eq__("a line") is NotImplemented
+    assert line != AffineSubspace(4, vecs((1, 0, 0, 0))[0], vecs((0, 1, 0, 0)))
+    assert line != AffineSubspace(2, vecs((1, 0))[0], vecs((1, 1)))
+    assert line != AffineSubspace(2, vecs((1, 0))[0])
+    assert line != AffineSubspace(2, None)
+    assert AffineSubspace(2, None) == AffineSubspace(2, None)
+
+
 def test_image_through_matrix_graph():
     rng = rng_for(9, "img")
     a = rand_symplectic_matrix(rng, 1)

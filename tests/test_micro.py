@@ -313,12 +313,12 @@ def test_is_micromorphism_names_offending_monomials():
 
 
 def test_normal_form_messages_name_the_offending_monomials():
-    # the names keep each coefficient's sign, so -1 is written out
+    # each name is written as in the text, with its sign
     gen = FiberGradedPoly(2, 11, 3, {
         ((1, 0), (0,) * 11): 1, ((0, 0), (0,) * 11): F(-3, 4), ((0, 0), (0,) * 10 + (1,)): -1,
         ((0, 0), (2,) + (0,) * 9 + (12,)): F(2**70, 3), ((0, 0), (1,) + (0,) * 10): 1,
         ((1, 1), (1,) + (0,) * 10): F(5, 2)})
-    names = "-3/4, x1, -1*x11, 1180591620717411303424/3*x1^2*x11^12"
+    names = "-3/4, x1, -x11, 1180591620717411303424/3*x1^2*x11^12"
     with pytest.raises(NormalFormError) as err:
         Micromorphism(MicroObject(2), MicroObject(11), gen)
     assert str(err.value) == (

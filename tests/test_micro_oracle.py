@@ -39,10 +39,11 @@ from microsympl.jetalg import FiberGradedPoly
 from microsympl.linsympl import LinCanonicalRelation, _integer_rows, is_lagrangian
 from microsympl.micro import (CoreMap, GermJet, compose_germs, extract_germ, graph_of_germ,
                               identity_germ, invert_germ, unit_exp)
-from microsympl.sampling import (rand_affine_core_micromorphism, rand_exponents,
-                                 rand_fraction, rand_micromorphism, rand_point, rand_poly,
+from microsympl.sampling import (rand_affine_core_micromorphism, rand_fraction,
+                                 rand_micromorphism, rand_point, rand_poly,
                                  rand_violating_gen, rng_for)
 from microsympl.textio import format_morphism
+from reference_sampling import rand_exponents
 from test_golden import layered_micromorphism
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)]

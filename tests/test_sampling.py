@@ -11,9 +11,8 @@ from microsympl.errors import ShapeError
 from microsympl.jetalg import FiberGradedPoly
 from microsympl.micro import MicroObject, extract_germ, graph_of_germ, invert_germ
 from microsympl.operad import random_L_element
-from microsympl.sampling import (rand_affine_core_micromorphism, rand_core_map, rand_exponents,
-                                 rand_fraction, rand_micromorphism, rand_poly, rand_violating_gen,
-                                 rng_for)
+from microsympl.sampling import (rand_affine_core_micromorphism, rand_core_map, rand_fraction,
+                                 rand_micromorphism, rand_poly, rand_violating_gen, rng_for)
 
 import reference_sampling as ref
 
@@ -44,11 +43,6 @@ def test_scalar_draws_match_the_frozen_copies():
                     got = rand_fraction(rng, max_num, max_den, nonzero)
                     assert got == ref.rand_fraction(ref_rng, max_num, max_den, nonzero)
                     assert rng.getstate() == ref_rng.getstate()
-        for arity in range(1, 4):
-            for total in range(6):
-                assert rand_exponents(rng, arity, total) == \
-                    ref.rand_exponents(ref_rng, arity, total)
-                assert rng.getstate() == ref_rng.getstate()
 
 
 def test_rand_poly_matches_the_frozen_copy():
