@@ -9,12 +9,15 @@ the two-block space ((m, -1), (n, +1)) with coordinates (x1, p1, x2, p2).
 
 Inside the layer the working form is integer rows, each scaled by the lcm of
 its denominators (the span is kept): a matrix is converted once where it
-enters (``_integer_rows``) and ``LagrangianSubspace`` caches the rows of its
-basis.  Ranks, Gram matrices of the form (positive scaling keeps which
-entries vanish), nullspaces, combinations and membership tests stay integer.
-Subspace equality is decided by ranks and containment, never by bases.  The
-core-graph and transversality checks test their conditions on a relation's
-own rows; a ``Splitting`` is only its checked symmetric matrix.  Bases from
+enters (``LagrangianSubspace``, ``Splitting``, the core map of
+``check_linear_micromorphism``, ``_integer_rows``; the ``textio`` parsers
+hand over their Fractions as they are) and ``LagrangianSubspace`` caches the
+rows of its basis.  Ranks, Gram matrices of the form (positive scaling keeps
+which entries vanish), nullspaces, combinations and membership tests stay
+integer.  Subspace equality is decided by ranks and containment, never by
+bases.  The core-graph and transversality checks test their conditions on a
+relation's own rows and on the core map or splitting over one denominator;
+a ``Splitting`` is only its checked symmetric matrix.  Bases from
 outside are validated (``LagrangianSubspace``, ``from_vectors``,
 ``graph_relation``); the relations that ``compose_linear`` and
 ``micro.linearized_relation`` build lagrangian are made by
@@ -46,7 +49,7 @@ Matrix = tuple[Vector, ...]
 
 
 def vector(entries: Iterable) -> Vector:
-    return tuple(frac(v) for v in entries)
+    return tuple(map(frac, entries))
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -534,6 +537,9 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     phi = matrix(phi_rows)
     if len(phi) != m or (m and len(phi[0]) != n) or (not m and phi and phi[0]):
         raise ShapeError(f"core map matrix must be {m}x{n}")
+    # x1 = phi x2 on integers as t x1 = (t phi) x2, t > 0 the lcm of phi's denominators
+    t = lcm(*[x.denominator for row in phi for x in row])
+    phi = [[x.numerator * (t // x.denominator) for x in row] for row in phi]
     vrows = v.subspace._rows
     work, pivots, d = _eliminate([[vec[m + r] for vec in vrows] for r in range(m)], True)
     # the rows of a lagrangian basis are independent, so these combinations are too
@@ -541,7 +547,7 @@ def check_linear_micromorphism(v: LinCanonicalRelation,
     intersection = [_combine(vrows, c, 0, width) for c in _kernel(work, pivots, d, len(vrows))]
     ok = len(intersection) == n and all(
         not any(z[2 * m + n:])
-        and all(z[i] == sum(map(mul, phi[i], z[2 * m:2 * m + n])) for i in range(m))
+        and all(t * z[i] == sum(map(mul, phi[i], z[2 * m:2 * m + n])) for i in range(m))
         for z in intersection)
     reasons = ()
     if not ok:

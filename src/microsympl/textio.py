@@ -50,7 +50,7 @@ from math import comb
 
 from .errors import ParseError, ShapeError
 from .jetalg import FiberGradedPoly, _merge_terms, check_space, key_codec
-from .linsympl import Matrix, Vector, matrix, vector
+from .linsympl import Matrix, Vector
 from .micro import CoreMap, GermJet, MicroObject, Micromorphism
 
 
@@ -322,7 +322,7 @@ def parse_morphism(text: str) -> Micromorphism:
     gen = None
     core_lines: list[tuple[int, int, str]] = []
     for lineno, line in lines[1:]:
-        if line.startswith("core"):
+        if line.split(maxsplit=1)[0] == "core":
             core_lines.append((lineno, *_component(line[4:], lineno, "core ")))
         elif line.startswith("S"):
             _, eq, expr = line.partition("=")
@@ -406,14 +406,17 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def parse_vector(text: str) -> Vector:
-    return vector(_parse_rational(e) for e in text.split(","))
+    return tuple(map(_parse_rational, text.split(",")))
 
 
 def parse_matrix(text: str) -> Matrix:
     rows = [r for r in text.split(";") if r.strip()]
     if not rows:
         raise ParseError("empty matrix")
-    return matrix([[_parse_rational(e) for e in row.split(",")] for row in rows])
+    out = tuple(tuple(map(_parse_rational, row.split(","))) for row in rows)
+    if any(len(row) != len(out[0]) for row in out):
+        raise ShapeError("ragged matrix rows")
+    return out
 
 
 def format_matrix(rows: Matrix) -> str:

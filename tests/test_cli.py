@@ -419,12 +419,14 @@ _CORE_MAP = "domain=1 codomain=1\n"
      "line 2: expected 'core f<i> = <polynomial>'"),
     (["compose", "source=1 target=1 order=1\ncore fa = x1\nS = p1*x1\n", DEFORM_A],
      "line 2: bad core component name 'fa'"),
+    (["check", "source=1 target=1 order=1\ncoref1 = x1\nS = p1*x1"],
+     "line 2: unexpected line 'coref1 = x1'"),
     (["check", DEFORM_A, "--splitting", ";"], "empty matrix"),
     (["check", "source=1 target=1 order=1\nS = p1*x1 - x1^2 - 1"],
      "S(0, x) = -1 - x1^2 but must vanish; offending monomials: -1, -x1^2"),
 ], ids=["empty-core-map", "not-a-component", "bad-component-name", "component-index",
         "duplicate-component", "header-not-key-value", "unknown-header-key",
         "duplicate-header-key", "unexpected-line", "missing-s-line", "not-a-core-line",
-        "bad-core-component-name", "empty-matrix", "normal-form"])
+        "bad-core-component-name", "core-without-space", "empty-matrix", "normal-form"])
 def test_record_and_matrix_errors(capsys, args, message):
     assert run(capsys, *args) == (1, "", f"error: {message}\n")

@@ -17,7 +17,7 @@ from microsympl.linsympl import (AffineSubspace, LagrangianSubspace, LinCanonica
 from microsympl.sampling import (rand_lagrangian_relation, rand_splitting,
                                  rand_symmetric_matrix, rand_symplectic_matrix,
                                  rng_for)
-from microsympl.textio import parse_matrix
+from microsympl.textio import parse_matrix, parse_vector
 from reference_linsympl import lin_combo
 
 
@@ -59,18 +59,39 @@ def test_shape_mismatches_raise_instead_of_truncating(call):
         call()
 
 
-def test_a_lagrangian_basis_is_converted_once(monkeypatch):
-    converted = []
+@pytest.fixture
+def converted(monkeypatch):
+    """The entries that ``linsympl.frac`` converts during the test."""
+    seen = []
 
     def counting_frac(v):
-        converted.append(v)
+        seen.append(v)
         return frac(v)
 
     monkeypatch.setattr(linsympl, "frac", counting_frac)
+    return seen
+
+
+def test_a_lagrangian_basis_is_converted_once(converted):
     rel = LinCanonicalRelation.from_vectors(1, 1, vecs((1, 0, 1, 0), (0, 1, 0, 1)))
     # one conversion per entry: the integer rows scale the converted Fractions
     assert len(converted) == 8
     assert rel.subspace._rows == ([1, 0, 1, 0], [0, 1, 0, 1])
+
+
+def test_parsed_text_is_converted_only_where_it_enters(converted):
+    # the parsers hand over their Fractions; Splitting and LagrangianSubspace
+    # convert each entry once
+    b = parse_matrix("1,1/2,0;1/2,-2,3;0,3,5/7")
+    x = parse_vector("2/3,-1")
+    assert converted == []
+    assert Splitting(3, b).rows == b
+    assert len(converted) == 9
+    del converted[:]
+    rel = LinCanonicalRelation.from_vectors(1, 1, parse_matrix("1,0,1,0;0,1/2,0,1/2"))
+    assert len(converted) == 8
+    assert rel.subspace._rows == ([1, 0, 1, 0], [0, 1, 0, 1])
+    assert x == (F(2, 3), F(-1))
 
 
 def test_subspace_equality_is_basis_independent():

@@ -329,6 +329,64 @@ def test_check_linear_micromorphism_matches_oracle(rel, data):
         assert got == ref.check_linear_micromorphism(rel, phi)
 
 
+def moved(phi, i, j, by):
+    """phi with entry (i, j) moved by ``by``."""
+    rows = [list(row) for row in phi]
+    rows[i][j] += by
+    return tuple(tuple(row) for row in rows)
+
+
+def huge(rng):
+    return F(rng.randint(-2**90, 2**90), rng.randint(2**64, 2**70))
+
+
+def cotangent_lift(rng, phi, m, n):
+    """{(phi x2, p1, x2, phi^T p1)}, the linear micromorphism with core phi, in
+    a seeded basis: each vector plus combinations of the later ones with
+    coefficients beyond 64 bits."""
+    vectors = [tuple(phi[i][j] for i in range(m)) + ref.zero_vector(m)
+               + ref.unit_vector(n, j) + ref.zero_vector(n) for j in range(n)]
+    vectors += [ref.zero_vector(m) + ref.unit_vector(m, i) + ref.zero_vector(n)
+                + tuple(phi[i]) for i in range(m)]
+    k = len(vectors)
+    based = [ref.lin_combo(vectors, [F(1) if c == r else huge(rng) if c > r else F(0)
+                                     for c in range(k)]) for r in range(k)]
+    return linsympl.LinCanonicalRelation.from_vectors(m, n, based)
+
+
+def test_seeded_core_checks_match_oracle():
+    # the integer core test scales phi by the lcm of its denominators: phis
+    # with denominators beyond 2^64, m = 0 and n = 0, and each true phi with
+    # one entry moved by 1/3, which must fail
+    verdicts = {True: 0, False: 0}
+
+    def check(rel, phi, want):
+        got = verdict(linsympl.check_linear_micromorphism(rel, phi))
+        assert got == ref.check_linear_micromorphism(rel, phi)
+        assert got[0] == want
+        verdicts[want] += 1
+
+    for seed in range(100):
+        rng = rng_for(seed, "core-oracle")
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        phi = tuple(tuple(huge(rng) for _ in range(n)) for _ in range(m))
+        rel = cotangent_lift(rng, phi, m, n)
+        check(rel, phi, True)
+        if m and n:
+            check(rel, moved(phi, rng.randrange(m), rng.randrange(n), F(1, 3)), False)
+    # the workload's calls: the tangent relation of a seeded micromorphism at a
+    # seeded point against the core's jacobian there
+    for seed in range(200):
+        rng = rng_for(seed, "core-oracle-micro")
+        m, n, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        f = rand_micromorphism(rng, m, n, k)
+        b = rand_point(rng, n)
+        rel, phi = micro.tangent_relation_at(f, b), f.core.jacobian_at(b)
+        check(rel, phi, True)
+        check(rel, moved(phi, rng.randrange(m), rng.randrange(n), F(1, 3)), False)
+    assert verdicts[True] == 300 and verdicts[False] > 250
+
+
 @given(rel=relations(), data=st.data())
 def test_transverse_to_splitting_matches_oracle(rel, data):
     n = rel.target_half_dim

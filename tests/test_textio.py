@@ -167,3 +167,41 @@ def test_matrix_rejects_ragged_rows():
 def test_matrix_rejects_bad_entry():
     with pytest.raises(ParseError):
         parse_matrix("1,a;3,4")
+
+
+def test_parsed_entries_are_exact_fractions():
+    # the parsers hand over the Fractions of their entries, reduced
+    rows = parse_matrix(" -3 / 6 ,+4;0,12345678901234567890123/2")
+    assert rows == ((F(-1, 2), F(4)), (F(0), F(12345678901234567890123, 2)))
+    vector = parse_vector(" -3 / 6 ,+4,0")
+    assert vector == (F(-1, 2), F(4), F(0))
+    assert all(type(v) is F for v in rows[0] + rows[1] + vector)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert type(vector) is tuple
+
+
+# the exception and its message for each bad matrix and vector text
+@pytest.mark.parametrize("text, matrix_error, vector_error", [
+    ("1,2;3", (ShapeError, "ragged matrix rows"), (ParseError, "bad rational entry '2;3'")),
+    ("", (ParseError, "empty matrix"), (ParseError, "bad rational entry ''")),
+    (";", (ParseError, "empty matrix"), (ParseError, "bad rational entry ';'")),
+    ("1_0", (ParseError, "bad rational entry '1_0'"), (ParseError, "bad rational entry '1_0'")),
+    ("1/0", (ParseError, "bad rational entry '1/0'"), (ParseError, "bad rational entry '1/0'")),
+    ("0.5", (ParseError, "bad rational entry '0.5'"), (ParseError, "bad rational entry '0.5'")),
+    ("1,2,", (ParseError, "bad rational entry ''"), (ParseError, "bad rational entry ''")),
+], ids=["ragged", "empty", "no-rows", "digit-separator", "zero-denominator", "decimal",
+        "trailing-comma"])
+def test_matrix_and_vector_errors(text, matrix_error, vector_error):
+    for parse, (error, message) in ((parse_matrix, matrix_error), (parse_vector, vector_error)):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_core_keyword_is_a_word_of_its_own():
+    record = "source=1 target=1 order=1\n{}\nS = p1*x1\n"
+    assert parse_morphism(record.format("core\tf1 = x1")) == parse_morphism(record.format(""))
+    with pytest.raises(ParseError, match="^line 2: unexpected line 'coref1 = x1'$"):
+        parse_morphism(record.format("coref1 = x1"))
+    with pytest.raises(ParseError, match="^line 2: expected 'core f<i> = <polynomial>'$"):
+        parse_morphism(record.format("core"))
